@@ -1,31 +1,5 @@
-"""Build shim; also hosts the optional mypyc-compiled kernel build.
-
-The simulation kernel (``repro.sim.core`` + ``repro.sim.events``) is
-written to be mypyc-compilable.  Compilation is *opt-in* and gated on
-the ``REPRO_MYPYC=1`` environment variable so that plain installs (and
-environments without a C toolchain or mypy) never attempt it:
-
-    REPRO_MYPYC=1 pip install -e '.[accel]'
-
-The compiled modules are drop-in: scheduling order, sequence-number
-accounting, and therefore every schedule and golden event count are
-byte-identical to the pure-Python kernel.  ``repro.sim.KERNEL_VARIANT``
-reports which one is live ("compiled" or "pure").
-"""
-import os
-
+"""Build shim for tools that still call ``setup.py`` (``python setup.py
+develop`` in offline environments); all metadata lives in pyproject.toml."""
 from setuptools import setup
 
-ext_modules = []
-if os.environ.get("REPRO_MYPYC") == "1":
-    from mypyc.build import mypycify  # requires the [accel] extra
-
-    ext_modules = mypycify(
-        [
-            "src/repro/sim/core.py",
-            "src/repro/sim/events.py",
-        ],
-        opt_level="3",
-    )
-
-setup(ext_modules=ext_modules)
+setup()

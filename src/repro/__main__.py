@@ -43,7 +43,7 @@ Performance::
 ``profile`` runs one experiment's replay cell under cProfile and
 prints the top hotspots by cumulative time.  ``perf-gate`` reruns the
 quick kernel bench and fails (exit 1) if any events/sec number drops
-below 0.7x the committed baseline, warning below 0.9x.  Note: for the
+below 0.6x the committed baseline, warning below 0.9x.  Note: for the
 ``profile`` command ``--trace`` names the *workload trace* to replay
 (CTH, home2, ...), not a Chrome-trace output file.
 

@@ -7,10 +7,10 @@ message, so a handler blocked on disk or on a conflict never stalls the
 inbox.  The protocol in use is plugged in as a *role* object (see
 :mod:`repro.protocols.base`).
 
-Handlers run on pooled :class:`_HandlerSlot` drivers rather than fresh
-:class:`~repro.sim.Process` objects — the per-message process, wrapper
-generator, and bookkeeping closure were the hottest allocation site of
-a replay (see DESIGN.md "Performance").
+Each handler runs on a :class:`_HandlerSlot`, a ``Process`` that drives
+the role's generator directly (no wrapper generator or bookkeeping
+closure per message) and skips the generator altogether when the role
+serves the message inline.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from repro.net.network import Network, Node
 from repro.obs.registry import MetricsRegistry
 from repro.params import SimParams
 from repro.sim import Event, Interrupt, Process, Simulator
-from repro.sim.events import _PENDING, PRIORITY_URGENT
 from repro.sim.resources import ResourceClosed
 from repro.storage.disk import Disk
 from repro.storage.kvstore import KVStore
@@ -44,207 +43,78 @@ def server_node_id(index: int) -> str:
     return f"mds{index}"
 
 
-#: Exceptions that tear a handler down quietly: the server (or a peer)
-#: crashed out from under it.
-_HANDLER_EXITS = (Interrupt, ResourceClosed, ConnectionError)
+def _never_started():
+    """Stand-in generator for a handler interrupted before its bootstrap."""
+    return
+    yield
 
 
-class _HandlerSlot(Event):
-    """A pooled, reusable driver for one message handler.
+class _HandlerSlot(Process):
+    """The driver of one message handler.
 
-    Replaces the per-message ``Process`` + wrapper-generator pair on the
-    server's hottest path.  Like a ``Process``, the slot *is* the
-    handler's completion event (it triggers when the handler finishes);
-    unlike one, it drives the role's generator directly — no wrapper
-    frame — and goes back to the server's pool once its completion
-    event has been processed.  Handlers the role can serve inline
-    (:meth:`~repro.protocols.base.ServerRole.handle_fast`) never create
-    a generator at all.
-
-    Event-for-event equivalent to the ``Process`` path: arming schedules
-    the same urgent bootstrap event, completion schedules the same
-    normal-priority event, and the driver advances the generator exactly
-    as ``Process._resume`` does, so replay histories are bit-identical
-    (the golden-replay tests pin this).
+    A :class:`~repro.sim.Process` whose generator is made at dispatch
+    time rather than at spawn: the bootstrap asks the role to
+    :meth:`~repro.protocols.base.ServerRole.handle` the message and
+    drives the generator it returns — or completes on the spot when the
+    role served the message inline.  Event-for-event it is a ``Process``
+    (urgent bootstrap, normal-priority completion event), so replay
+    histories are those of a process per message.
     """
 
-    __slots__ = (
-        "server",
-        "msg",
-        "_gen",
-        "_target",
-        "_own_cbs",
-        "_start_cb",
-        "_resume_cb",
-        "_cancelled",
-    )
+    __slots__ = ("server", "msg")
 
-    def __init__(self, server: "MetadataServer") -> None:
-        super().__init__(server.sim)
+    #: Teardown signals: the server (or a peer) crashed out from under
+    #: the handler, which is not a failure of the simulation.
+    QUIET_EXITS = (Interrupt, ResourceClosed, ConnectionError)
+
+    def __init__(self, server: "MetadataServer", msg: Message) -> None:
+        Event.__init__(self, server.sim)
         self.server = server
-        self.msg: Optional[Message] = None
-        self._gen = None
-        self._target: Optional[Any] = None
-        self._cancelled = False
-        # Persistent callback list, reassigned on every arm(): the
-        # kernel clears `callbacks` to None when it processes an event,
-        # but the list object survives on the slot.
-        self._own_cbs = [self._on_processed]
-        # Bound once: a fresh bound method per yield is measurable.
-        self._start_cb = self._start
-        self._resume_cb = self._resume
-
-    def arm(self, msg: Message) -> None:
-        """Reset to pristine and schedule the handler's bootstrap."""
         self.msg = msg
+        self.name = "handler"
         self._gen = None
         self._target = None
-        self._cancelled = False
-        self.callbacks = self._own_cbs
-        self._value = _PENDING
-        self._exc = None
-        self._ok = None
-        self._defused = False
-        # Bootstrap via an anonymous urgent handle (the handle analogue
-        # of the old pristine-init Event; same seq burn, same ordering).
-        self.sim.init_h(self._start_cb)
-
-    @property
-    def is_alive(self) -> bool:
-        """True while the handler has not finished."""
-        return not self.triggered
+        self._resume_cb = self._resume
+        # Untrack once the completion event is processed.  The kernel
+        # drops the callback list then, and _finish dropped _resume_cb,
+        # so a finished slot holds no reference to itself.
+        self.callbacks.append(self._untrack)  # type: ignore[union-attr]
+        server.sim.init_h(self._start)
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the handler (crash teardown)."""
-        if self.triggered:
-            return
-        self._cancelled = True  # a not-yet-run bootstrap must no-op
-        ev = Event(self.sim)
-        ev._ok = False
-        ev._exc = Interrupt(cause)
-        ev._defused = True  # the throw below is the handling
-        ev.callbacks.append(self._on_interrupt)  # type: ignore[union-attr]
-        self.sim.schedule(ev, priority=PRIORITY_URGENT)
+        if self._gen is None and not self.triggered:
+            # The bootstrap is still queued: the handler must never run.
+            # _start backs off when it finds a generator in place, and
+            # the Interrupt thrown into the stand-in completes the slot.
+            self._gen = _never_started()
+        super().interrupt(cause)
 
-    # -- internals ---------------------------------------------------------
-
-    def _start(self, _init: int) -> None:
+    def _start(self, h: int) -> None:
         """Bootstrap callback: run the handler at the dispatch instant."""
-        if self._cancelled:
-            return
+        if self._gen is not None:
+            return  # interrupted before it started
         server = self.server
         server.requests_served += 1
         role = server.role
-        msg = self.msg
-        if server._is_rename(msg):
-            self._gen = role.handle_rename(msg)  # type: ignore[union-attr]
-        else:
-            try:
-                if role.handle_fast(msg):  # type: ignore[union-attr]
-                    self.succeed(None)
-                    return
-            except _HANDLER_EXITS:
-                self.succeed(None)
-                return
-            except BaseException as exc:
-                self.fail(exc)
-                return
-            self._gen = role.handle(msg)  # type: ignore[union-attr]
+        try:
+            if server._is_rename(self.msg):
+                gen = role.handle_rename(self.msg)  # type: ignore[union-attr]
+            else:
+                gen = role.handle(self.msg)  # type: ignore[union-attr]
+        except BaseException as exc:
+            self._finish(exc)
+            return
+        if gen is None:
+            self._finish(None)  # served inline
+            return
+        self._gen = gen
         # The bootstrap handle carries (H_OK, value=None), exactly what
         # the first generator resume needs.
-        self._resume(_init)
+        self._resume(h)
 
-    def _resume(self, event: Any) -> None:
-        """Advance the handler generator with the outcome of ``event``."""
-        self._target = None
-        gen = self._gen
-        sim = self.sim
-        while True:
-            try:
-                if type(event) is int:
-                    st = sim._ast[event]
-                    if st & 2:  # H_FAIL
-                        sim._ast[event] = st | 4  # the throw is the handling
-                        target = gen.throw(sim._aval[event])
-                    else:
-                        target = gen.send(sim._aval[event])
-                elif event._ok:
-                    target = gen.send(event._value)
-                else:
-                    event._defused = True
-                    target = gen.throw(event._exc)  # type: ignore[arg-type]
-            except StopIteration as stop:
-                self.succeed(stop.value)
-                return
-            except _HANDLER_EXITS:
-                self.succeed(None)  # torn down by a crash (ours or a peer's)
-                return
-            except BaseException as exc:
-                self.fail(exc)
-                return
-
-            if type(target) is int:
-                # Anonymous handle: single-waiter, never already
-                # processed (see Process._resume).
-                sim._acb[target] = self._resume_cb
-                self._target = target
-                return
-
-            if not isinstance(target, Event):
-                error = TypeError(
-                    f"handler for {self.msg!r} yielded non-event {target!r}"
-                )
-                try:
-                    gen.throw(error)
-                except StopIteration:
-                    self.succeed(None)
-                except _HANDLER_EXITS:
-                    self.succeed(None)
-                except BaseException as exc:
-                    self.fail(exc)
-                return
-
-            if target.processed:
-                # Already-processed event: resume immediately (same instant).
-                event = target
-                continue
-            target.callbacks.append(self._resume_cb)  # type: ignore[union-attr]
-            self._target = target
-            return
-
-    def _on_interrupt(self, event: Event) -> None:
-        if self.triggered:
-            return  # finished between scheduling and delivery
-        if self._gen is None:
-            # Interrupted before the bootstrap ran: nothing to tear down.
-            self.succeed(None)
-            return
-        target = self._target
-        if target is not None:
-            if type(target) is int:
-                if self.sim._acb[target] is self._resume_cb:
-                    self.sim._acb[target] = None
-            elif target.callbacks is not None:
-                try:
-                    target.callbacks.remove(self._resume_cb)
-                except ValueError:  # pragma: no cover - defensive
-                    pass
-        self._target = None
-        self._resume(event)
-
-    def _on_processed(self, _ev: Event) -> None:
-        """Completion-event callback: untrack, then recycle."""
-        server = self.server
-        server._handlers.discard(self)
-        if self._ok:
-            # Reset and return to the pool.  Failed slots are abandoned
-            # instead, so the kernel's unhandled-failure check still
-            # sees their state (matching a failed handler Process).
-            self.msg = None
-            self._gen = None
-            self._value = _PENDING
-            self._ok = None
-            server._slot_pool.append(self)
+    def _untrack(self, _ev: Event) -> None:
+        self.server._handlers.discard(self)
 
 
 class MetadataServer(Node):
@@ -286,7 +156,6 @@ class MetadataServer(Node):
         self.quiesced = False
         self._quiesce_buffer: Deque[Message] = deque()
         self._handlers: Set[_HandlerSlot] = set()
-        self._slot_pool: list[_HandlerSlot] = []
         self._loop: Optional[Process] = None
         self.requests_served = 0
 
@@ -330,8 +199,6 @@ class MetadataServer(Node):
         ping = MessageKind.PING
         req = MessageKind.REQ
         resolicit = MessageKind.RESOLICIT
-        pool = self._slot_pool
-        handlers = self._handlers
         while True:
             try:
                 msg = yield inbox_get_h()
@@ -350,19 +217,7 @@ class MetadataServer(Node):
                 self._quiesce_buffer.append(msg)
                 continue
             yield timeout_h(cpu_dispatch)
-            # spawn_handler(), inlined on the per-message path.
-            slot = pool.pop() if pool else _HandlerSlot(self)
-            slot.arm(msg)
-            handlers.add(slot)
-
-    def spawn_handler(self, msg: Message) -> _HandlerSlot:
-        """Run the role's handler for ``msg`` as an independent activity."""
-        assert self.role is not None, "server has no protocol role attached"
-        pool = self._slot_pool
-        slot = pool.pop() if pool else _HandlerSlot(self)
-        slot.arm(msg)
-        self._handlers.add(slot)
-        return slot
+            self._handlers.add(_HandlerSlot(self, msg))
 
     # -- quiesce (recovery state) ----------------------------------------------
 

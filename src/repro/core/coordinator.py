@@ -23,7 +23,7 @@ from repro.core.records import PendingOp, PendingState, RecordType, StaleEpoch
 from repro.fs.objects import inode_key
 from repro.net.message import MessageKind
 from repro.obs.tracer import PHASE_COMMIT, PHASE_WRITEBACK
-from repro.storage.wal import OpId
+from repro.storage.wal import LogRecord, OpId
 
 #: Record-type strings, resolved once — enum attribute + ``.value``
 #: chains are measurable at one Commit/Abort plus one Complete record
@@ -295,12 +295,13 @@ class CommitManager:
         # Step 7: Complete-Records (coalesced across the whole batch
         # into one group-committed flush), then finalize.
         wal = role.server.wal
+        rsize = role.params.log_record_size
         completes = []
         for p in done:
             sid = p.commit_span.span_id if p.commit_span is not None else None
             tracer.ambient = sid
             completes.append(
-                wal.append(wal.commit_record(p.op_id, _COMPLETE), urgent=True)
+                wal.append(LogRecord(p.op_id, _COMPLETE, size=rsize), urgent=True)
             )
         tracer.ambient = None
         yield role.sim.all_of(completes)
@@ -374,9 +375,10 @@ class CommitManager:
         votes = votes_resp.payload["votes"]
 
         # Step 5: decide; write Commit/Abort records (one group flush).
-        # Pooled records and a pre-built append list: the whole batch
-        # coalesces into one all_of over one group-committed flush.
+        # A pre-built append list: the whole batch coalesces into one
+        # all_of over one group-committed flush.
         wal = server.wal
+        rsize = role.params.log_record_size
         decisions: Dict[OpId, bool] = {}
         appends = []
         tracer = self.tracer
@@ -391,7 +393,7 @@ class CommitManager:
                 server.shard.apply_deferred(p.result.undo)
             appends.append(
                 wal.append(
-                    wal.commit_record(p.op_id, _COMMIT if commit else _ABORT),
+                    LogRecord(p.op_id, _COMMIT if commit else _ABORT, size=rsize),
                     urgent=True,
                 )
             )
@@ -534,8 +536,9 @@ class CommitManager:
                     op_id=p.op_id, phase=PHASE_WRITEBACK,
                 )
         wal = role.server.wal
+        rsize = role.params.log_record_size
         completes = [
-            wal.append(wal.commit_record(p.op_id, _COMPLETE), urgent=True)
+            wal.append(LogRecord(p.op_id, _COMPLETE, size=rsize), urgent=True)
             for p in group
         ]
         yield role.sim.all_of(completes)

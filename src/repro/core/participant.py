@@ -29,7 +29,7 @@ from repro.core.records import PendingOp, PendingState, RecordType
 from repro.net.message import Message, MessageKind
 from repro.obs.tracer import PHASE_COMMIT, PHASE_WRITEBACK
 from repro.sim import Event
-from repro.storage.wal import OpId
+from repro.storage.wal import LogRecord, OpId
 
 _COMMIT = RecordType.COMMIT.value
 _ABORT = RecordType.ABORT.value
@@ -272,6 +272,7 @@ class ParticipantHalf:
         role = self.role
         server = role.server
         wal = server.wal
+        rsize = role.params.log_record_size
         tracer = self.tracer
         m_decisions = self._m_decisions
         if m_decisions is None:
@@ -290,7 +291,7 @@ class ParticipantHalf:
                 role.server.shard.apply_deferred(pend.result.undo)
             appends.append(
                 wal.append(
-                    wal.commit_record(op_id, _COMMIT if commit else _ABORT),
+                    LogRecord(op_id, _COMMIT if commit else _ABORT, size=rsize),
                     urgent=True,
                 )
             )

@@ -122,50 +122,25 @@ class CxRole(ServerRole):
 
     # -- dispatch -----------------------------------------------------------------
 
-    def handle_fast(self, msg: Message) -> bool:
-        """Serve inline the message kinds that never yield.
-
-        Mirrors :meth:`handle` exactly for these kinds — a duplicate
-        REQ answered from the pending/completed tables, a VOTE whose
-        ops all executed here already, L-COM, and the recovery markers
-        — so the dispatch slot can skip generator creation.
-        """
+    def handle(self, msg: Message) -> Optional[Generator]:
+        """Dispatch on message kind; only REQ, VOTE and COMMIT-REQ may
+        need a generator — everything else is served inline."""
         kind = msg.kind
         if kind is MessageKind.REQ:
-            # False (non-duplicate) leaves no side effects; the generator
-            # path re-runs the same table lookups and proceeds to execute.
-            return self._resend_duplicate(msg, msg.payload["subop"])
+            # A duplicate REQ is answered from the pending/completed
+            # tables; a fresh one (no side effects so far) executes.
+            if self._resend_duplicate(msg, msg.payload["subop"]):
+                return None
+            return self._handle_req(msg)
         if kind is MessageKind.VOTE:
-            return self.participant.vote_fast(msg)
+            # The common case — every voted op already executed here —
+            # is answered inline; the rest needs the deferred machinery.
+            if self.participant.vote_fast(msg):
+                return None
+            return self.participant.handle_vote(msg)
+        if kind is MessageKind.COMMIT_REQ:
+            return self.participant.handle_decide(msg)
         if kind is MessageKind.L_COM:
-            self._handle_lcom(msg)
-            return True
-        if kind is MessageKind.RECOVERY_BEGIN:
-            self.server.quiesce()
-            self.server.send_reply(msg, MessageKind.ACK, {})
-            return True
-        if kind is MessageKind.RECOVERY_END:
-            self.server.unquiesce()
-            self.server.send_reply(msg, MessageKind.ACK, {})
-            return True
-        if (kind is MessageKind.ACK or kind is MessageKind.YES
-                or kind is MessageKind.NO):
-            self._drop_unsolicited_ack()
-            return True
-        if kind is MessageKind.RESOLICIT:
-            self._handle_resolicit(msg)
-            return True
-        return False
-
-    def handle(self, msg: Message) -> Generator:
-        kind = msg.kind
-        if kind is MessageKind.REQ:
-            yield from self._handle_req(msg)
-        elif kind is MessageKind.VOTE:
-            yield from self.participant.handle_vote(msg)
-        elif kind is MessageKind.COMMIT_REQ:
-            yield from self.participant.handle_decide(msg)
-        elif kind is MessageKind.L_COM:
             self._handle_lcom(msg)
         elif kind is MessageKind.RECOVERY_BEGIN:
             self.server.quiesce()
@@ -183,6 +158,7 @@ class CxRole(ServerRole):
             self._handle_resolicit(msg)
         else:  # pragma: no cover - protocol error
             raise ValueError(f"Cx server got unexpected {kind}")
+        return None
 
     def _handle_resolicit(self, msg: Message) -> None:
         """A participant's vote-retry timer asks us to resolve its op.
@@ -258,12 +234,6 @@ class CxRole(ServerRole):
     def _handle_req(self, msg: Message) -> Generator:
         subop = msg.payload["subop"]
         op_id = subop.op_id
-
-        # Duplicate REQs (client retry after a crash) are answered from
-        # the pending/completed tables, never re-executed.
-        if self._resend_duplicate(msg, subop):
-            return
-
         keys = conflict_keys(subop)
         # A process's own accesses to its pending objects are no
         # conflict: its operations are synchronous, so it already knows

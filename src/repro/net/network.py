@@ -9,7 +9,6 @@ storage costs, not by link saturation (metadata messages are tiny).
 
 from __future__ import annotations
 
-import heapq
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.net.message import Message, MessageKind
@@ -34,7 +33,7 @@ _EXCLUDED = MessageStats.EXCLUDED
 class Network:
     """Registry of nodes plus the delivery mechanism.
 
-    Deliveries ride on anonymous event handles carrying a pooled
+    Deliveries ride on event handles carrying an
     ``[arrival, msgs, dsts, epochs]`` batch: back-to-back sends that
     land at the same arrival instant — a Cx commit fan-out, the
     client's coordinator+participant REQ pair — coalesce into *one*
@@ -83,8 +82,6 @@ class Network:
         #: the next sim sequence number iff nothing was scheduled since
         #: the last send (the coalescing precondition).
         self._batch_next_seq = -1
-        #: recycled ``[arrival, msgs, dsts, epochs]`` batches.
-        self._free_batches: list[list] = []
         #: Optional ``msg -> None | ("drop",) | ("dup", extra_delay) |
         #: ("delay", extra_delay)`` callback — the fault explorer's
         #: message-fault injection point.
@@ -175,51 +172,22 @@ class Network:
                     delay += action[1]
 
         sim = self.sim
-        arrival = sim._now + delay
+        arrival = sim.now + delay
         batch = self._open_batch
-        if (batch is not None and sim._seq == self._batch_next_seq
-                and batch[0] == arrival):
+        if (batch is not None and batch[0] == arrival
+                and sim.burn_seq() == self._batch_next_seq):
             # Coalesce: consecutive sends with no intervening schedule
             # and the same arrival instant extend the in-flight batch.
             # Burn the sequence number the per-message delivery would
             # have taken, so every other event keeps its exact slot.
-            sim._seq = self._batch_next_seq = sim._seq + 1
+            self._batch_next_seq = sim.burn_seq(1)
             batch[1].append(msg)
             batch[2].append(dst)
             batch[3].append(dst.epoch)
             return
-        free = self._free_batches
-        if free:
-            batch = free.pop()
-            batch[0] = arrival
-            batch[1].append(msg)
-            batch[2].append(dst)
-            batch[3].append(dst.epoch)
-        else:
-            batch = [arrival, [msg], [dst], [dst.epoch]]
-        afree = sim._afree
-        h = afree.pop() if afree else sim._alloc_h()
-        sim._ast[h] = 1  # H_OK
-        sim._aval[h] = batch
-        sim._acb[h] = self._deliver_cb
-        seq = sim._seq
-        sim._seq = seq + 1
-        if delay == 0.0:
-            sim._aq[h] = seq
-            sim._lane_normal.append(h)
-        else:
-            nodes = sim._free_nodes
-            if nodes:
-                node = nodes.pop()
-                node[0] = arrival
-                node[1] = 1
-                node[2] = seq
-                node[3] = h
-            else:
-                node = [arrival, 1, seq, h]
-            heapq.heappush(sim._heap, node)
-        self._open_batch = batch
-        self._batch_next_seq = seq + 1
+        batch = self._open_batch = [arrival, [msg], [dst], [dst.epoch]]
+        sim.timeout_h(delay, batch, self._deliver_cb)
+        self._batch_next_seq = sim.burn_seq()
 
     def _schedule_single(self, msg: Message, dst: "Node", delay: float,
                          epoch: int) -> None:
@@ -230,18 +198,9 @@ class Network:
         sentinel ``epoch=-1`` guarantees the delivery-time epoch check
         dead-letters the message.
         """
-        sim = self.sim
-        free = self._free_batches
-        if free:
-            batch = free.pop()
-            batch[0] = sim._now + delay
-            batch[1].append(msg)
-            batch[2].append(dst)
-            batch[3].append(epoch)
-        else:
-            batch = [sim._now + delay, [msg], [dst], [epoch]]
-        h = sim.timeout_h(delay, batch)
-        sim._acb[h] = self._deliver_cb
+        self.sim.timeout_h(
+            delay, [self.sim.now + delay, [msg], [dst], [epoch]], self._deliver_cb
+        )
 
     def _deliver_batch(self, h: int) -> None:
         """Dispatch callback: deliver every message of one batch.
@@ -253,7 +212,7 @@ class Network:
         sent to its previous incarnation may reach the new one.
         """
         sim = self.sim
-        batch = sim._aval[h]
+        batch = sim.value_h(h)
         if self._open_batch is batch:
             self._open_batch = None
         msgs = batch[1]
@@ -263,7 +222,7 @@ class Network:
         if n > 1:
             # One pop carried n logical delivery events; keep
             # events_processed identical to per-message delivery.
-            sim._n_extra += n - 1
+            sim.count_extra_events(n - 1)
         for i in range(n):
             msg = msgs[i]
             dst = dsts[i]
@@ -271,10 +230,6 @@ class Network:
                 self._dead_letter(msg)
             else:
                 dst.deliver(msg)
-        msgs.clear()
-        dsts.clear()
-        epochs.clear()
-        self._free_batches.append(batch)
 
     def _dead_letter(self, msg: Message) -> None:
         """Drop an undeliverable message, failing the sender's RPC.

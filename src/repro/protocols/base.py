@@ -17,7 +17,7 @@ makes.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Generator
+from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.cluster.client import ClientProcess, OpResult
 from repro.fs.ops import OpPlan, SubOp
@@ -58,22 +58,16 @@ class ServerRole(abc.ABC):
         """Spawn background activities (triggers, flushers). Idempotent."""
 
     @abc.abstractmethod
-    def handle(self, msg: Message) -> Generator:
-        """Process one incoming message (runs as its own process)."""
+    def handle(self, msg: Message) -> Optional[Generator]:
+        """Process one incoming message at its dispatch instant.
 
-    def handle_fast(self, msg: Message) -> bool:
-        """Synchronously handle ``msg`` if no yield would be needed.
-
-        Called by the dispatch slot before any generator is created
-        (never for rename messages — those always take
-        :meth:`handle_rename`).  Return ``True`` if the message was
-        completely handled; return ``False`` *without observable side
-        effects* to fall back to :meth:`handle`.  Override only for
-        message kinds the protocol can serve inline — no disk, no
-        timeouts, no waiting — with effects identical to the generator
-        path's (replays must stay bit-identical either way).
+        Either a generator function (the server drives the generator as
+        the handler's own activity) or a plain method that returns such
+        a generator — or ``None`` once it has served the message inline,
+        which is only right for work that needs no disk, no timeout and
+        no waiting.  Never called for rename messages; those take
+        :meth:`handle_rename`.
         """
-        return False
 
     def flush_now(self) -> None:
         """Force any lazy/batched work to be scheduled immediately."""

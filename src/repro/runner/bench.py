@@ -64,8 +64,6 @@ def _host() -> Dict[str, object]:
         "cpu_count": os.cpu_count() or 1,
         "python": platform.python_version(),
         "platform": platform.platform(),
-        # "pure" or "compiled" (mypyc).  Throughput numbers from the two
-        # kernels are not comparable; the perf-gate refuses to mix them.
         "kernel_variant": KERNEL_VARIANT,
     }
 

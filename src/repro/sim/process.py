@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Generator, Optional, Union
 
-from repro.sim.events import Event, Interrupt
+from repro.sim.events import H_DEFUSED, H_FAIL, Event, Interrupt
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.core import Simulator
@@ -14,7 +14,7 @@ class Process(Event):
     """A running activity wrapping a Python generator.
 
     The generator advances by yielding :class:`Event` objects — or raw
-    integer event handles from the simulator's anonymous-handle API
+    integer event handles from the simulator's handle API
     (``timeout_h``, ``Store.get_h``) — and is resumed with the event's
     value once the event is processed, or has the event's exception
     thrown into it if the event failed.  The process itself *is* an
@@ -24,6 +24,10 @@ class Process(Event):
     """
 
     __slots__ = ("_gen", "_target", "name", "_resume_cb")
+
+    #: Exceptions that end the process quietly (it succeeds with None)
+    #: instead of failing it; subclasses list their teardown signals.
+    QUIET_EXITS: tuple = ()
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = "") -> None:
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
@@ -39,9 +43,7 @@ class Process(Event):
         #: allocating one per yield on the resume hot path.
         self._resume_cb = self._resume
         # Bootstrap: resume the generator at the current instant, but via
-        # the queue so that process startup is ordered like everything
-        # else.  An anonymous urgent handle — the bootstrap event is
-        # internal and single-shot, so it needs no object.
+        # the queue so that process startup is ordered like everything else.
         sim.init_h(self._resume_cb)
 
     @property
@@ -56,34 +58,36 @@ class Process(Event):
         completed process cannot be interrupted (no-op), matching the
         semantics of killing an already-dead thread.
         """
-        if self.triggered:
-            return
-        ev = Event(self.sim)
-        ev._ok = False
-        ev._exc = Interrupt(cause)
-        ev._defused = True  # the throw below is the handling
-        ev.callbacks.append(self._resume_interrupt)  # type: ignore[union-attr]
-        self.sim.schedule(ev, priority=0)
+        if not self.triggered:
+            self.sim.init_h(self._resume_interrupt, throw=Interrupt(cause))
 
     # -- internals -------------------------------------------------------
 
-    def _resume_interrupt(self, event: Event) -> None:
+    def _resume_interrupt(self, h: int) -> None:
         if self.triggered:
             return  # finished between scheduling and delivery
         target = self._target
-        if target is not None:
-            if type(target) is int:
-                # Anonymous handle: drop the waiter slot so the stale
-                # wakeup (if it ever fires) dispatches into nothing.
-                if self.sim._acb[target] is self._resume_cb:
-                    self.sim._acb[target] = None
-            elif target.callbacks is not None:
-                try:
-                    target.callbacks.remove(self._resume_cb)
-                except ValueError:  # pragma: no cover - defensive
-                    pass
-        self._target = None
-        self._resume(event)
+        if type(target) is int:
+            # Drop the waiter slot so the stale wakeup (if it ever
+            # fires) dispatches into nothing.
+            if self.sim._acb[target] is self._resume_cb:
+                self.sim._acb[target] = None
+        elif target is not None and target.callbacks is not None:
+            try:
+                target.callbacks.remove(self._resume_cb)
+            except ValueError:  # pragma: no cover - defensive
+                pass
+        self._resume(h)
+
+    def _finish(self, exc: Optional[BaseException], value: Any = None) -> None:
+        """The generator ended: trigger this process's own event."""
+        # Drop the self-referencing bound method so a finished process
+        # dies by refcount (replays run with the cyclic GC paused).
+        self._resume_cb = None
+        if exc is None or isinstance(exc, self.QUIET_EXITS):
+            self.succeed(value)
+        else:
+            self.fail(exc)
 
     def _resume(self, event: Union[Event, int]) -> None:
         """Advance the generator with the outcome of ``event``."""
@@ -94,8 +98,8 @@ class Process(Event):
             try:
                 if type(event) is int:
                     st = sim._ast[event]
-                    if st & 2:  # H_FAIL
-                        sim._ast[event] = st | 4  # the throw is the handling
+                    if st & H_FAIL:
+                        sim._ast[event] = st | H_DEFUSED  # the throw is the handling
                         target = gen.throw(sim._aval[event])
                     else:
                         target = gen.send(sim._aval[event])
@@ -105,37 +109,31 @@ class Process(Event):
                     event._defused = True
                     target = gen.throw(event._exc)  # type: ignore[arg-type]
             except StopIteration as stop:
-                self.succeed(stop.value)
+                self._finish(None, stop.value)
                 return
             except BaseException as exc:
-                self.fail(exc)
+                self._finish(exc)
                 return
 
             if type(target) is int:
-                # Anonymous handle: single-waiter by contract, and never
-                # already-processed (handles recycle at dispatch, so a
-                # live handle a generator can yield is always queued or
-                # pending).
+                # Handle: single-waiter by contract, and never already
+                # processed (handles recycle at dispatch, so a live
+                # handle a generator can yield is queued or pending).
                 sim._acb[target] = self._resume_cb
                 self._target = target
                 return
-
             if not isinstance(target, Event):
-                error = TypeError(
+                # Report the misuse where it happened: throw it into the
+                # generator as the outcome of a failed pseudo-event.
+                event = Event(sim)
+                event._exc = TypeError(
                     f"process {self.name!r} yielded non-event {target!r}"
                 )
-                try:
-                    gen.throw(error)
-                except StopIteration:
-                    self.succeed(None)
-                except BaseException as exc:
-                    self.fail(exc)
-                return
-
-            if target.processed:
+                continue
+            if target.callbacks is None:
                 # Already-processed event: resume immediately (same instant).
                 event = target
                 continue
-            target.callbacks.append(self._resume_cb)  # type: ignore[union-attr]
+            target.callbacks.append(self._resume_cb)
             self._target = target
             return

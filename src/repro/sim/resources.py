@@ -86,28 +86,11 @@ class Store:
     def put(self, item: Any) -> None:
         if self._closed:
             return  # messages to a crashed node are dropped
-        sim = self.sim
-        while self._getters:
-            getter = self._getters.popleft()
-            if type(getter) is int:
-                # Anonymous handle getters (get_h) are pending while
-                # queued here (a triggered handle leaves the deque at
-                # trigger time) — except a cancelled waiter, whose slot
-                # was detached; it still wakes, into nothing, exactly
-                # like a cancelled Event getter.
-                if sim._ast[getter] == 0:
-                    # succeed_h, inlined: put() is the hottest trigger
-                    # site in a replay (every message delivery and WAL
-                    # enqueue lands here).
-                    sim._ast[getter] = 1
-                    sim._aval[getter] = item
-                    seq = sim._seq
-                    sim._seq = seq + 1
-                    sim._aq[getter] = seq
-                    sim._lane_normal.append(getter)
-                    return
-            elif not getter.triggered:
-                getter.succeed(item)
+        getters = self._getters
+        while getters:
+            # A getter whose waiter was cancelled (interrupted process)
+            # is still pending: it takes the item and wakes into nothing.
+            if self.sim.succeed_pending(getters.popleft(), item):
                 return
         self._items.append(item)
 
@@ -126,25 +109,15 @@ class Store:
     def get_h(self) -> int:
         """Handle analogue of :meth:`get` for single-waiter service loops.
 
-        Returns an anonymous event handle; yield it from a process to
-        receive the oldest item (or have :class:`ResourceClosed` thrown
-        on close).  Allocation-free in steady state — the handle slot is
-        recycled after dispatch.
+        Returns an event handle; yield it from a process to receive the
+        oldest item (or have :class:`ResourceClosed` thrown on close).
         """
         sim = self.sim
-        afree = sim._afree
-        h = afree.pop() if afree else sim._alloc_h()
+        h = sim.event_h()
         if self._closed:
             sim.fail_h(h, ResourceClosed("store is closed"), defused=True)
-            return h
-        if self._items:
-            # succeed_h, inlined (hot: service loops poll-drain stores).
-            sim._ast[h] = 1
-            sim._aval[h] = self._items.popleft()
-            seq = sim._seq
-            sim._seq = seq + 1
-            sim._aq[h] = seq
-            sim._lane_normal.append(h)
+        elif self._items:
+            sim.succeed_h(h, self._items.popleft())
         else:
             self._getters.append(h)
         return h

@@ -119,7 +119,7 @@ class Disk:
         """
         if not extents:
             raise ValueError("empty IO request")
-        done = self.sim._alloc_h()
+        done = self.sim.event_h()
         self._queue.put((list(extents), write, done))
         return done
 
@@ -162,9 +162,4 @@ class Disk:
             self.stats.requests += 1
             self.stats.busy_time += duration
             yield self.sim.timeout_h(duration)
-            if type(done) is int:
-                # submit_h handles are pending (state 0) until fired.
-                if self.sim._ast[done] == 0:
-                    self.sim.succeed_h(done)
-            elif not done.triggered:
-                done.succeed()
+            self.sim.succeed_pending(done)

@@ -43,7 +43,7 @@ class LogRecord:
     sub-op on the result-record path.
     """
 
-    __slots__ = ("op_id", "rtype", "payload", "size", "invalid", "_pooled")
+    __slots__ = ("op_id", "rtype", "payload", "size", "invalid")
 
     def __init__(
         self,
@@ -52,7 +52,6 @@ class LogRecord:
         payload: Optional[Dict[str, Any]] = None,
         size: int = 128,
         invalid: bool = False,
-        _pooled: bool = False,
     ) -> None:
         self.op_id = op_id
         self.rtype = rtype
@@ -62,10 +61,6 @@ class LogRecord:
         #: disk until pruning (Cx invalidates Result-Records of
         #: re-ordered sub-ops during disordered-conflict handling).
         self.invalid = invalid
-        #: True for records drawn from a WAL's recycling pool (see
-        #: :meth:`WriteAheadLog.commit_record`); excluded from
-        #: comparisons so pooled and fresh records stay interchangeable.
-        self._pooled = _pooled
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -131,8 +126,6 @@ class WriteAheadLog:
         #: Node id used in trace records (the owning server overrides
         #: this with its own id so log events land on the server's row).
         self.trace_node: str = name
-        #: Recycled commitment records (see :meth:`commit_record`).
-        self._record_pool: List[LogRecord] = []
         #: (wal.syncs counter, sync_bytes + sync_records histograms),
         #: resolved lazily like ``_append_meters``.
         self._flush_meters: Optional[tuple] = None
@@ -154,32 +147,6 @@ class WriteAheadLog:
         if self.capacity is None:
             return None
         return self.capacity - self.valid_bytes
-
-    # -- record pooling ----------------------------------------------------
-
-    def commit_record(self, op_id: OpId, rtype: str) -> LogRecord:
-        """A pooled commitment record (Commit/Abort/Complete).
-
-        Commitment records are the only safely poolable kind: they are
-        payload-free, live exactly from append to :meth:`prune_op`, and
-        nothing outside the log retains them (Result-Records, by
-        contrast, stay referenced by the protocol's pending tables and
-        recovery).  The pool turns the per-decision dataclass churn of
-        a commitment-heavy replay into attribute stores.
-        """
-        pool = self._record_pool
-        if pool:
-            rec = pool.pop()
-            rec.op_id = op_id
-            rec.rtype = rtype
-            rec.size = self.params.log_record_size
-            rec.invalid = False
-            if rec.payload:  # pragma: no cover - commitment records carry none
-                rec.payload.clear()
-            return rec
-        return LogRecord(
-            op_id, rtype, size=self.params.log_record_size, _pooled=True
-        )
 
     # -- appends -----------------------------------------------------------
 
@@ -204,7 +171,7 @@ class WriteAheadLog:
         fires, never referenced after.  Aggregation (``all_of`` over a
         batch of commitment appends) must keep using :meth:`append`.
         """
-        done = self.sim._alloc_h()
+        done = self.sim.event_h()
         self._append(record, done, urgent)
         return done
 
@@ -269,12 +236,7 @@ class WriteAheadLog:
         records = self._index.pop(op_id, None)
         if not records:
             return 0
-        freed = 0
-        pool = self._record_pool
-        for r in records:
-            freed += r.size
-            if r._pooled:
-                pool.append(r)
+        freed = sum(r.size for r in records)
         self.valid_bytes -= freed
         if self.metrics is not None:
             m = self._append_meters
@@ -320,13 +282,12 @@ class WriteAheadLog:
         crash — with the stale completion callback still attached to a
         slot a later event could recycle into.
         """
-        cancel = self.sim.cancel_h
+        cancel = self.sim.cancel_pending
         doomed = self._unflushed
         self._unflushed = []
         while len(self._flush_queue):
             _record, done = self._flush_queue.get().value
-            if type(done) is int:
-                cancel(done)
+            cancel(done)
         for record in doomed:
             self.valid_bytes -= record.size
             recs = self._index.get(record.op_id)
@@ -339,8 +300,7 @@ class WriteAheadLog:
                     del self._index[record.op_id]
         while self._space_waiters:
             _record, done = self._space_waiters.popleft()
-            if type(done) is int:
-                cancel(done)
+            cancel(done)
         self.on_full = None
 
     # -- recovery support ----------------------------------------------------
@@ -400,16 +360,10 @@ class WriteAheadLog:
                 m[0].value += 1  # Counter.inc, inlined (per-flush path)
                 m[1].observe(nbytes)
                 m[2].observe(len(batch))
-            ast = self.sim._ast
-            succeed_h = self.sim.succeed_h
+            succeed_pending = self.sim.succeed_pending
             for rec, done in batch:
                 try:
                     self._unflushed.remove(rec)
                 except ValueError:
                     pass  # dropped by a crash while we were writing
-                if type(done) is int:
-                    # append_h handles: pending (state 0) until fired.
-                    if ast[done] == 0:
-                        succeed_h(done)
-                elif not done.triggered:
-                    done.succeed()
+                succeed_pending(done)

@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.fs.ops import FileOperation, OpType
 from repro.sim import Interrupt
+from repro.workloads.replay import deadlock_reported
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.builder import Cluster
@@ -79,10 +80,8 @@ def replay_streams_with_injection(
     runners = [sim.process(runner(proc, ops)) for proc, ops in streams.items()]
     done = sim.all_of(runners)
     start = sim.now
-    while not done.processed:
-        if sim.peek() == float("inf"):
-            raise RuntimeError("injection replay deadlocked")
-        sim.step()
+    with deadlock_reported("injection replay"):
+        sim.run_until(done)
     replay_time = sim.now - start
     cluster.quiesce_protocol()
     m = cluster.metrics

@@ -8,11 +8,13 @@ the measurements every experiment needs.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
 
 from repro.analysis.metrics import MetricsCollector
 from repro.fs.ops import FileOperation
+from repro.sim import QueueDrained
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.builder import Cluster
@@ -41,6 +43,19 @@ class ReplayResult:
     @property
     def messages_millions(self) -> float:
         return self.messages / 1e6
+
+
+@contextmanager
+def deadlock_reported(what: str) -> Iterator[None]:
+    """Report a queue that drains under a kernel drive as a deadlock.
+
+    Every process exited with the awaited event still pending; any
+    other simulation failure passes through untouched.
+    """
+    try:
+        yield
+    except QueueDrained as exc:
+        raise RuntimeError(f"{what} deadlocked: event queue drained") from exc
 
 
 def replay_streams(
@@ -90,27 +105,16 @@ def replay_streams(
     done = sim.all_of(runners)
 
     start = sim.now
-    if max_virtual_time is None:
-        # Fast path: drive the kernel's inlined run loop instead of
-        # paying a step() call (plus two checks) per event.
-        from repro.sim.core import SimulationError
-
-        try:
+    with deadlock_reported("replay"):
+        if max_virtual_time is None:
             sim.run_until(done)
-        except SimulationError as exc:
-            if "queue drained" in str(exc):
-                raise RuntimeError(
-                    "replay deadlocked: event queue drained"
-                ) from exc
-            raise
-    else:
-        limit = max_virtual_time
-        while not done.processed:
-            if sim.peek() == float("inf"):
-                raise RuntimeError("replay deadlocked: event queue drained")
-            if sim.now - start > limit:
-                raise RuntimeError(f"replay exceeded {limit}s of virtual time")
-            sim.step()
+        else:
+            while not done.processed:
+                if sim.now - start > max_virtual_time:
+                    raise RuntimeError(
+                        f"replay exceeded {max_virtual_time}s of virtual time"
+                    )
+                sim.step()
     replay_time = sim.now - start
 
     # Let lazy commitments and flushes drain before counting messages:

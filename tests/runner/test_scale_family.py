@@ -80,4 +80,4 @@ def test_bench_scale_payload(monkeypatch):
     assert payload["bench"] == "scale"
     assert payload["cells"] == len(payload["rows"]) == 12
     assert payload["total_ops_per_cell"] == 500
-    assert payload["host"]["kernel_variant"] in ("pure", "compiled")
+    assert payload["host"]["kernel_variant"] == "pure"

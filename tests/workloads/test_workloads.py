@@ -118,6 +118,31 @@ class TestTraceWorkload:
         with pytest.raises(RuntimeError):
             replay_streams(cluster, streams, max_virtual_time=5.0)
 
+    def test_drained_queue_is_reported_as_deadlock(self):
+        """The translation both replay drivers share."""
+        from repro.sim import Simulator
+        from repro.workloads.replay import deadlock_reported
+
+        sim = Simulator()
+        with pytest.raises(RuntimeError, match="probe replay deadlocked"):
+            with deadlock_reported("probe replay"):
+                sim.run_until(sim.event())  # never triggered
+
+    def test_failure_that_mentions_a_drained_queue_is_not_a_deadlock(self):
+        """Only the kernel's QueueDrained means deadlock, not any error
+        whose text happens to say so."""
+        from repro.sim import SimulationError
+
+        cluster, wl, streams = self._build(scale=0.0005)
+
+        def bomb():
+            yield cluster.sim.timeout(1e-6)
+            raise ValueError("queue drained")  # nobody waits on this process
+
+        cluster.sim.process(bomb())
+        with pytest.raises(SimulationError, match="unhandled failure"):
+            replay_streams(cluster, streams)
+
 
 class TestMetarates:
     def test_update_fraction_validation(self):
