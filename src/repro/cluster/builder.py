@@ -303,11 +303,14 @@ class Cluster:
         return self.sim.process(_runner())
 
     def quiesce_protocol(self, timeout: float = 120.0) -> None:
-        """Drive the sim until all protocol background work settles.
+        """Flush every role, then run ``timeout`` more virtual seconds.
 
-        Runs the simulator until the event queue drains (bounded by
-        ``timeout`` of additional virtual time) so lazy commitments and
-        flushes complete before consistency checks.
+        Long enough for lazy commitments and write-backs to complete
+        before consistency checks.  The queue never drains — armed
+        commit-trigger timers re-arm for ever — so the whole window is
+        always run; once every role is idle the kernel replays the
+        remaining ticks without dispatching them (same clock, same
+        ``events_processed``), so the idle tail costs next to nothing.
         """
         # Only servers that exist can have protocol state to flush; on
         # a lazy cluster, touching the rest here would materialize all
@@ -315,7 +318,4 @@ class Cluster:
         for server in self.materialized_servers():
             if server.role is not None:
                 server.role.flush_now()
-        # run(until=...) drains every event due within the window through
-        # the kernel's batched run loop — the old per-event step() loop
-        # paid a method call and a full pop arbitration per event.
         self.sim.run(until=self.sim.now + timeout)

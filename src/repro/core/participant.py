@@ -74,6 +74,10 @@ class ParticipantHalf:
         has already ordered it first in an in-flight commitment."""
         return bool(self._vote_waiters.get(op_id))
 
+    def has_vote_waiters(self) -> bool:
+        """Any deferred vote at all (the liveness scan would look at it)."""
+        return bool(self._vote_waiters)
+
     # -- VOTE -----------------------------------------------------------------
 
     def vote_fast(self, msg: Message) -> bool:

@@ -67,6 +67,7 @@ class CxRole(ServerRole):
             threshold=self.params.commit_threshold,
             on_fire=self._on_trigger_fire,
             scan=self._liveness_scan,
+            idle=self._trigger_idle,
         )
         #: Crash generation.  Free-running protocol generators (batch
         #: commitments, parked re-delivery, recovery) snapshot this and
@@ -86,11 +87,25 @@ class CxRole(ServerRole):
         self.participant.scan_overdue()
         self.commit_mgr.scan_parked()
 
-    def _on_trigger_fire(self, kind: str) -> None:
+    def _trigger_idle(self) -> bool:
+        """True when a timer fire would find nothing to do.
+
+        No pending op, empty lazy queue, nothing parked, no vote waiter:
+        ``launch_all`` launches nothing and both liveness scans return
+        at once, so the fire only bumps its counters — and it takes a
+        message, i.e. a queued event, to change any of the four.
+        """
+        mgr = self.commit_mgr
+        return not (
+            self.pending or mgr.lazy or mgr.parked
+            or self.participant.has_vote_waiters()
+        )
+
+    def _on_trigger_fire(self, kind: str, fires: int = 1) -> None:
         m = self._trigger_meters.get(kind)
         if m is None:
             m = self._trigger_meters[kind] = self.metrics.counter(f"trigger.{kind}")
-        m.inc()
+        m.inc(fires)
         # Idle timeout fires (empty lazy queue) are counted but not
         # traced — they would dominate the event stream.
         pending = len(self.commit_mgr.lazy)

@@ -11,12 +11,9 @@ a limit.  Both can be armed at once; either may be disabled (None).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
-from repro.sim import Interrupt, Process, Simulator
-
-if TYPE_CHECKING:  # pragma: no cover
-    pass
+from repro.sim import Periodic, Simulator
 
 
 class CommitTriggers:
@@ -28,53 +25,54 @@ class CommitTriggers:
         launch: Callable[[str], None],
         timeout: Optional[float],
         threshold: Optional[int],
-        on_fire: Optional[Callable[[str], None]] = None,
+        on_fire: Optional[Callable[..., None]] = None,
         scan: Optional[Callable[[], None]] = None,
+        idle: Optional[Callable[[], bool]] = None,
     ) -> None:
-        if timeout is not None and timeout <= 0:
-            raise ValueError("timeout trigger must be positive")
         if threshold is not None and threshold < 1:
             raise ValueError("threshold trigger must be >= 1")
-        self.sim = sim
         self.launch = launch
-        self.timeout = timeout
         self.threshold = threshold
         self.timeout_fires = 0
         self.threshold_fires = 0
         #: Observability hook: called with the trigger kind on each fire
-        #: (the Cx role records trace events and metrics through it).
+        #: (the Cx role records trace events and metrics through it), and
+        #: with ``(kind, k)`` for ``k`` timer fires skipped while idle.
         self.on_fire = on_fire
         #: Liveness piggyback: called on each *timer* fire only (the Cx
         #: role runs its vote-retry / parked-decision scans here, so
         #: liveness timers cost zero extra timeline events).
         self.scan = scan
-        self._timer: Optional[Process] = None
+        #: The timeout trigger.  ``idle()`` true promises that a fire
+        #: would launch nothing and scan nothing (the
+        #: :class:`~repro.sim.Periodic` idle contract); such fires are
+        #: counted, not executed.
+        self._timer = None if timeout is None else Periodic(
+            sim, timeout, self._fire, idle, self._skipped
+        )
 
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> None:
-        if self.timeout is not None and (
-            self._timer is None or self._timer.triggered
-        ):
-            self._timer = self.sim.process(self._timer_loop())
+        if self._timer is not None:
+            self._timer.start()
 
     def stop(self) -> None:
-        if self._timer is not None and self._timer.is_alive:
-            self._timer.interrupt("stop")
-        self._timer = None
+        if self._timer is not None:
+            self._timer.stop()
 
-    def _timer_loop(self):
-        try:
-            while True:
-                yield self.sim.timeout_h(self.timeout)
-                self.timeout_fires += 1
-                if self.on_fire is not None:
-                    self.on_fire("timeout")
-                self.launch("timeout")
-                if self.scan is not None:
-                    self.scan()
-        except Interrupt:
-            return
+    def _fire(self) -> None:
+        self.timeout_fires += 1
+        if self.on_fire is not None:
+            self.on_fire("timeout")
+        self.launch("timeout")
+        if self.scan is not None:
+            self.scan()
+
+    def _skipped(self, k: int) -> None:
+        self.timeout_fires += k
+        if self.on_fire is not None:
+            self.on_fire("timeout", k)
 
     # -- threshold ---------------------------------------------------------------
 

@@ -13,7 +13,7 @@ order of scheduling, so two runs with the same seeds produce identical
 histories.
 """
 
-from repro.sim.core import Simulator, kernel_sprint
+from repro.sim.core import Periodic, Simulator, kernel_sprint
 from repro.sim.events import (
     AllOf,
     AnyOf,
@@ -39,6 +39,7 @@ __all__ = [
     "EventAlreadyTriggered",
     "Interrupt",
     "KERNEL_VARIANT",
+    "Periodic",
     "Process",
     "QueueDrained",
     "Resource",

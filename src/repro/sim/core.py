@@ -28,9 +28,17 @@ reproducible for fixed RNG seeds.
   can only change when the heap is popped — so the loop carries that
   fact in a local instead of testing it per event.
 
+* **Periodic timers the loop can skip.**  A :class:`Periodic` re-arms
+  itself from a handle callback and registers each armed tick in
+  ``_periodics``.  When ``run(until)`` finds nothing queued but armed
+  ticks of timers that all report themselves idle, it replays those
+  ticks (same times, same sequence numbers, same event count) without
+  dispatching them — see :meth:`Simulator._skip_idle_ticks`.
+
 Pop order, and therefore every replay result, is pinned by the
 golden-replay suite (``tests/golden``).  Nothing outside ``repro.sim``
-may touch the columns, lanes or heap (``tests/sim/test_kernel_private``).
+may touch the columns, lanes, heap or tick registry
+(``tests/sim/test_kernel_private``).
 
 Typical usage::
 
@@ -50,7 +58,7 @@ from __future__ import annotations
 import gc
 from collections import deque
 from contextlib import contextmanager
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 from typing import Any, Callable, Generator, Iterable, Iterator, Optional, Union
 
 from repro.sim.events import (
@@ -68,7 +76,7 @@ from repro.sim.events import (
 )
 from repro.sim.process import Process
 
-__all__ = ["QueueDrained", "SimulationError", "Simulator", "kernel_sprint"]
+__all__ = ["Periodic", "QueueDrained", "SimulationError", "Simulator", "kernel_sprint"]
 
 
 @contextmanager
@@ -97,6 +105,80 @@ def kernel_sprint() -> Iterator[None]:
         gc.collect()
 
 
+class Periodic:
+    """Calls ``tick()`` every ``period`` of virtual time while started.
+
+    Costs exactly the timeline entries of the generator loop
+    ``while True: yield sim.timeout_h(period); tick()`` run as a
+    :class:`~repro.sim.process.Process` and stopped by interrupt — fault
+    schedules address events by index, so the accounting is contract:
+
+    * ``start()`` queues an urgent bootstrap that arms the first tick;
+    * every tick re-arms *after* its body, burning one sequence number;
+    * ``stop()`` queues an urgent halt that detaches the armed tick and
+      queues one normal completion entry; the detached tick stays in
+      the heap and dispatches into nothing.
+
+    **Idle contract.**  With the optional pair given, ``idle()`` true
+    means ``tick()`` would change nothing but its own fire count, and
+    that this stays so until a non-periodic entry is queued.  An idle
+    tick calls ``skipped(1)`` instead of ``tick()``; when nothing but
+    idle ticks is queued, ``Simulator.run(until)`` replays them without
+    dispatching and reports each timer's share through one
+    ``skipped(k)`` (see ``Simulator._skip_idle_ticks``).
+    """
+
+    __slots__ = ("sim", "period", "tick", "idle", "skipped", "running", "_h")
+
+    def __init__(
+        self, sim: "Simulator", period: float, tick: Callable[[], None],
+        idle: Optional[Callable[[], bool]] = None,
+        skipped: Optional[Callable[[int], None]] = None,
+    ) -> None:
+        if period <= 0:
+            raise ValueError(f"period must be positive, got {period!r}")
+        self.sim = sim
+        self.period = period
+        self.tick = tick
+        self.idle = idle
+        self.skipped = skipped
+        #: Between ``start()`` and ``stop()``; both are idempotent.
+        self.running = False
+        #: The armed tick's handle (stale once a stop() detached it).
+        self._h = -1
+
+    def start(self) -> None:
+        if not self.running:
+            self.running = True
+            self.sim.init_h(self._arm)
+
+    def stop(self) -> None:
+        if self.running:
+            self.running = False
+            self.sim.init_h(self._halt)
+
+    def _arm(self, _h: int) -> None:
+        sim = self.sim
+        self._h = h = sim.timeout_h(self.period, callback=self._on_tick)
+        sim._periodics[h] = self
+
+    def _on_tick(self, h: int) -> None:
+        del self.sim._periodics[h]
+        if self.idle is not None and self.idle():
+            self.skipped(1)  # type: ignore[misc]
+        else:
+            self.tick()
+        self._arm(h)
+
+    def _halt(self, _h: int) -> None:
+        # Urgent entries pop in FIFO order, so the bootstrap of the
+        # start() before this stop() has run and a tick is armed.
+        sim = self.sim
+        del sim._periodics[self._h]
+        sim._acb[self._h] = None
+        sim.timeout_h(0.0)  # the completion entry of the loop this replaces
+
+
 class Simulator:
     """Deterministic discrete-event simulator.
 
@@ -123,10 +205,13 @@ class Simulator:
         self._aq: list[int] = []
         #: recycled handles; popped before the columns ever grow again
         self._afree: list[int] = []
+        #: armed periodic ticks: heap handle -> its :class:`Periodic`
+        self._periodics: dict[int, Periodic] = {}
         # -- event accounting -------------------------------------------
         #: entries popped off the timeline and dispatched
         self._n_dispatched = 0
-        #: extra logical events carried by batched dispatches
+        #: logical events not popped one by one: the extras of batched
+        #: dispatches, and idle periodic ticks replayed in place
         self._n_extra = 0
         #: event index at which the armed probe fires; -1 when disarmed
         self._probe_at = -1
@@ -141,7 +226,11 @@ class Simulator:
 
     @property
     def events_processed(self) -> int:
-        """Number of events processed so far (diagnostics / tests)."""
+        """The *logical* event count: timeline entries dispatched, plus
+        the deliveries a batched dispatch carried and the idle ticks a
+        fast-forward replayed.  Fuzz fault coordinates, the probe index
+        and the golden counts are written in this unit, so it does not
+        depend on how many entries were physically popped."""
         return self._n_dispatched + self._n_extra
 
     def peek(self) -> float:
@@ -425,7 +514,12 @@ class Simulator:
                 ):
                     x = lane_n.popleft()
                 elif heap:
-                    if until is not None and heap[0][0] > until:
+                    if until is not None and (
+                        heap[0][0] > until
+                        or not (slow or lane_u or lane_n)
+                        and len(heap) == len(self._periodics)
+                        and self._skip_idle_ticks(until)
+                    ):
                         break
                     node = heappop(heap)
                     self._now = now = node[0]
@@ -452,6 +546,40 @@ class Simulator:
                 afree.append(x)
         finally:
             self._n_dispatched += n
+
+    def _skip_idle_ticks(self, until: float) -> bool:
+        """Replay every tick due by ``until`` without dispatching it.
+
+        ``_drive`` calls this with both lanes empty, no probe or step
+        budget active, and every heap entry an armed periodic tick (an
+        armed tick is always in the heap, so equal sizes prove it).  If
+        every such timer is also idle, nothing can happen before
+        ``until`` but ticks that change nothing, and by the idle
+        contract that stays true: each tick is rotated in place to the
+        time (``t + period``, accumulated as dispatch would) and
+        sequence number its re-arm would have taken, counted as a
+        logical event, and reported through one ``skipped(k)`` per
+        timer.  Returns False, touching nothing, if any timer is busy.
+        """
+        timers = self._periodics
+        if not all(t.idle is not None and t.idle() for t in timers.values()):
+            return False
+        heap = self._heap
+        seq = self._seq
+        ticks = dict.fromkeys(timers, 0)
+        t, _prio, _seq, h = heap[0]
+        while t <= until:
+            self._now = t
+            heapreplace(heap, (t + timers[h].period, PRIORITY_NORMAL, seq, h))
+            seq += 1
+            ticks[h] += 1
+            t, _prio, _seq, h = heap[0]
+        self._n_extra += seq - self._seq
+        self._seq = seq
+        for h, k in ticks.items():
+            if k:
+                timers[h].skipped(k)
+        return True
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains, or until virtual time ``until``.

@@ -12,10 +12,10 @@ priority, sequence)`` — checked against keys recorded at scheduling
 time, not against another drive.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Simulator
+from repro.sim import Periodic, Simulator
 from repro.sim.events import PRIORITY_NORMAL, PRIORITY_URGENT
 
 D = 0.25
@@ -166,3 +166,161 @@ def test_every_drive_pops_the_same_order(items, steps_first, probe_after):
     assert _run_until(items) == expected
     assert _step(items) == expected
     assert _probed(items, steps_first, probe_after) == expected
+
+
+# -- periodic timers: fast-forwarded and step-wise runs agree -------------
+#
+# ``run(until)`` may replay idle ticks without dispatching them; an armed
+# probe (however far away) forces one-by-one dispatch, so the same world
+# driven both ways must be indistinguishable from outside the kernel.
+
+_PERIODS = [D, 2 * D, 3 * D, 0.1]  # 0.1 drifts off the D grid in floats
+
+#: (period, busy ticks at start, started at t=0, has the idle/skipped pair)
+_TIMERS = st.lists(
+    st.tuples(st.sampled_from(_PERIODS), st.integers(0, 2), st.booleans(),
+              st.booleans()),
+    min_size=1, max_size=4,
+)
+
+
+def _action(children):
+    """(delay, what, timer index, busy ticks, children)."""
+    return st.tuples(
+        st.sampled_from([0.0, D, 4 * D, 0.35]),
+        st.sampled_from(["noop", "busy", "start", "stop"]),
+        st.integers(0, 3),
+        st.integers(1, 3),
+        children,
+    )
+
+
+_ACTIONS = st.recursive(
+    st.lists(_action(st.just(())), max_size=4),
+    lambda children: st.lists(_action(children.map(tuple)), max_size=4),
+    max_leaves=16,
+)
+_CHUNKS = st.lists(st.sampled_from([D / 2, D, 3 * D, 12 * D]), min_size=1,
+                   max_size=8)
+
+
+class TimerWorld:
+    """Periodic timers plus real events that start, stop and wake them.
+
+    A timer is idle while its busy count is zero; a real event (never a
+    tick of an idle timer — that is the idle contract) raises the count,
+    each executed tick lowers it, and the tick that reaches zero queues
+    a delay-0 entry so ticks feed the lanes too.
+    """
+
+    def __init__(self, timers, actions, stepwise):
+        self.sim = sim = Simulator()
+        if stepwise:
+            sim.arm_probe(10**9, lambda: None)
+        self.log = []
+        self.fires = [0] * len(timers)
+        self.busy = [busy for _p, busy, _s, _i in timers]
+        self.timers = []
+        for i, (period, _busy, started, pair) in enumerate(timers):
+            timer = Periodic(
+                sim, period, lambda i=i: self._tick(i),
+                *((lambda i=i: self.busy[i] == 0,
+                   lambda k, i=i: self._skipped(i, k)) if pair else ()),
+            )
+            self.timers.append(timer)
+            if started:
+                timer.start()
+        self._label = 0
+        self.spawn(actions)
+
+    def _tick(self, i):
+        self.fires[i] += 1
+        self.log.append(("tick", i, self.sim.now))
+        if self.busy[i]:
+            self.busy[i] -= 1
+            if not self.busy[i]:
+                now = self.sim.now
+                self.sim.timeout_h(
+                    0.0, None, lambda h: self.log.append(("after", i, now))
+                )
+
+    def _skipped(self, i, k):
+        assert k >= 1 and self.busy[i] == 0
+        self.fires[i] += k
+
+    def spawn(self, actions):
+        for delay, what, i, busy, children in actions:
+            self._label += 1
+            self.sim.timeout_h(
+                delay, None,
+                lambda h, a=(self._label, what, i, busy, children): self._real(*a),
+            )
+
+    def _real(self, label, what, i, busy, children):
+        self.log.append(("real", label, self.sim.now))
+        i %= len(self.timers)
+        if what == "busy":
+            self.busy[i] += busy
+        elif what == "start":
+            self.timers[i].start()
+        elif what == "stop":
+            self.timers[i].stop()
+        self.spawn(children)
+
+    def drive(self, chunks):
+        sim = self.sim
+        marks = []
+        for chunk in chunks:
+            sim.run(until=sim.now + chunk)
+            marks.append((sim.now, sim.events_processed, sim.burn_seq(0),
+                          tuple(self.fires)))
+        return marks, self.log
+
+
+#: One idle timer; a real event pops at the instant of a tick, ahead of
+#: it by sequence, and leaves a delay-0 child in the lane while the tick
+#: is the heap's (due) front: a fast-forward here would strand the child.
+_LANE_BLOCKS = (
+    [(D, 0, True, True)],
+    [(2 * D, "noop", 0, 1, ((0.0, "noop", 0, 1, ()),))],
+    [12 * D],
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(timers=_TIMERS, actions=_ACTIONS, chunks=_CHUNKS)
+@example(*_LANE_BLOCKS)
+def test_fast_forwarded_ticks_equal_stepwise_ticks(timers, actions, chunks):
+    fast = TimerWorld(timers, actions, stepwise=False).drive(chunks)
+    assert fast == TimerWorld(timers, actions, stepwise=True).drive(chunks)
+
+
+def test_idle_ticks_are_replayed_not_dispatched():
+    sim = Simulator()
+    asked = [0, 0]
+    fires = [0, 0]
+
+    def idle(i):
+        asked[i] += 1
+        return True
+
+    def skipped(i, k):
+        fires[i] += k
+
+    for i, period in enumerate((D, 0.1)):
+        Periodic(sim, period, lambda: 1 / 0, lambda i=i: idle(i),
+                 lambda k, i=i: skipped(i, k)).start()
+    sim.run(until=1000.0)
+    assert asked == [1, 1]  # one look each, then 14,000 bare rotations
+    assert fires[0] == 4000 and 9999 <= fires[1] <= 10000  # 0.1 drifts
+    assert sim.events_processed == 2 + sum(fires)
+    assert sim.burn_seq(0) == 2 + sum(fires) + 2
+
+    # An armed probe must see its exact index: ticks dispatch one by one
+    # up to it, and the fast-forward resumes once it has fired.
+    at = sim.events_processed + 700
+    seen = []
+    sim.arm_probe(at, lambda: seen.append((sim.events_processed, sim.now)))
+    sim.run(until=2000.0)
+    assert seen == [(at, 1050.0)]  # 700 ticks = 50 s of 4 + 10 a second
+    assert sum(asked) == 2 + 700 + 2  # one by one to the probe, then a look each

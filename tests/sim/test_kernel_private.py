@@ -15,7 +15,7 @@ import repro
 SRC = pathlib.Path(repro.__file__).parent
 FORBIDDEN = [
     re.compile(r"type\([a-z_]+\) is int"),
-    re.compile(r"\._(ast|aval|acb|aq|afree|heap|free_nodes|lane_)"),
+    re.compile(r"\._(ast|aval|acb|aq|afree|heap|free_nodes|lane_|periodics)"),
 ]
 
 
