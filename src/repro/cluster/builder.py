@@ -19,7 +19,7 @@ from repro.analysis.metrics import MetricsCollector, StreamingMetricsCollector
 from repro.cluster.client import ClientNode, ClientProcess
 from repro.cluster.server import MetadataServer, server_node_id
 from repro.fs.objects import DirEntry, FileType, Inode, dirent_key, inode_key
-from repro.fs.ops import FileOperation, OpPlan, OpType, split_operation
+from repro.fs.ops import FileOperation, OpPlan, split_operation
 from repro.fs.placement import PlacementPolicy
 from repro.net.network import Network
 from repro.obs.registry import merge_snapshots

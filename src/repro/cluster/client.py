@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional
 
-from repro.fs.ops import FileOperation, OpType
+from repro.fs.ops import FileOperation
 from repro.net.message import Message
 from repro.net.network import Network, Node
 from repro.sim import Simulator, Store

@@ -50,7 +50,7 @@ class FailureDetector:
         #: The monitor's own metrics (servers own theirs): probe failures
         #: must be visible, not silently swallowed.
         self.metrics = MetricsRegistry("fd-monitor")
-        self._m_probe_failed = None
+        self._m_probe_failed = self.metrics.counter("probe.failed")
         #: server index -> consecutive missed heartbeats
         self.misses: Dict[int, int] = {s.index: 0 for s in cluster.servers}
         #: servers currently declared crashed
@@ -105,10 +105,7 @@ class FailureDetector:
 
     def _probe_failed(self, node_id: str, reason: str) -> None:
         """Record a failed probe: counter + tracer event, never silent."""
-        m = self._m_probe_failed
-        if m is None:
-            m = self._m_probe_failed = self.metrics.counter("probe.failed")
-        m.inc()
+        self._m_probe_failed.inc()
         if self.tracer.enabled:
             self.tracer.event(
                 "probe.failed", "fd-monitor", cat="detector",

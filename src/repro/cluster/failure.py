@@ -14,7 +14,7 @@ and reports the recovery duration (Table V).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.net.message import MessageKind
 
@@ -119,7 +119,7 @@ class FailureInjector:
                     yield from role.recover()
                 except ConnectionError:
                     # Backstop: a peer died mid-recovery on a path the
-                    # tolerant RPC helpers don't cover.  The recovery
+                    # guarded RPC's callers don't cover.  The recovery
                     # pass is cut short — remaining work stays in the
                     # log for the next pass — but the file system must
                     # resume: release the peers and unquiesce.

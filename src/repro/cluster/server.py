@@ -244,6 +244,9 @@ class MetadataServer(Node):
         self.kv.crash()
         self.wal.crash()
         if self.role is not None:
+            # Every role's rename undo images are volatile, whatever its
+            # own on_crash drops.
+            self.role._rename_pending.clear()
             self.role.on_crash()
         self._loop = None
 

@@ -25,7 +25,7 @@ plus the file *inode* key.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, Iterable, List, Optional
+from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.fs.objects import dirent_key, inode_key
 from repro.fs.ops import SubOp, SubOpAction
@@ -127,17 +127,6 @@ class ActiveObjectTable:
                     out.append(holder)
         return out
 
-    def holder_of(self, keys: Iterable[Any]) -> Optional[OpId]:
-        """The most recent pending op holding any of ``keys``."""
-        holders = self.holders_of(keys)
-        return holders[-1] if holders else None
-
-    def keys_of(self, op_id: OpId) -> List[Any]:
-        return self._keys_of.get(op_id, [])
-
-    def is_active(self, op_id: OpId) -> bool:
-        return op_id in self._keys_of
-
     # -- blocking ------------------------------------------------------------
 
     def block(self, holder: OpId, msg: Message) -> None:
@@ -158,6 +147,15 @@ class ActiveObjectTable:
 
     def blocked_behind(self, holder: OpId) -> List[Message]:
         return list(self._blocked.get(holder, ()))
+
+    def find_blocked(self, op_id: OpId) -> Optional[Tuple[OpId, Message]]:
+        """Locate ``op_id``'s blocked request and its holder, if any."""
+        for holder, msgs in self._blocked.items():
+            for m in msgs:
+                sub = m.payload.get("subop")
+                if sub is not None and sub.op_id == op_id:
+                    return holder, m
+        return None
 
     # -- release ---------------------------------------------------------------
 

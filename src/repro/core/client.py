@@ -17,7 +17,7 @@ server-side duplicate tables guarantee exactly-once execution.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Generator, Optional
+from typing import TYPE_CHECKING, Dict, Generator
 
 from repro.cluster.client import ClientProcess, OpResult
 from repro.core.hints import ResponseHint, settled
@@ -86,10 +86,6 @@ def cx_client_perform(
 
     def receive():
         """Get the next response, resending requests on timeout."""
-        if retry_timeout is None:
-            # Hot path: a plain anonymous-handle get (no retry arming).
-            msg = yield channel.get_h()
-            return msg
         pending_get = channel.get()
         while True:
             winner, value = yield sim.any_of(

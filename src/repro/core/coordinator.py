@@ -32,9 +32,6 @@ _COMMIT = RecordType.COMMIT.value
 _ABORT = RecordType.ABORT.value
 _COMPLETE = RecordType.COMPLETE.value
 
-#: Sentinel: `_rpc` should use ``params.commit_rpc_timeout``.
-_DEFAULT_TIMEOUT = object()
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.role import CxRole
 
@@ -48,19 +45,18 @@ class CommitManager:
         #: path instead of a chain of lookups per op (the tracer is
         #: fixed at cluster build time, so caching it is safe).
         self.tracer = role.server.tracer
-        self.metrics = role.server.metrics
-        # Meter handles resolve lazily on first use — eager creation
-        # would add zero-valued entries to metrics snapshots and change
-        # replay results.
-        self._m_batches = None
-        self._m_batch_size = None
-        self._m_immediate = None
-        self._m_lazy = None
-        self._m_decisions = None
-        self._m_latency = None
-        self._m_queue_depth = None
-        self._m_rpc_timeouts = None
-        self._m_parked = None
+        metrics = role.server.metrics
+        self._m_batches = metrics.counter("commit.batches")
+        self._m_batch_size = metrics.histogram("commit.batch_size")
+        self._m_immediate = metrics.counter("commit.immediate_ops")
+        self._m_lazy = metrics.counter("commit.lazy_ops")
+        self._m_decisions = metrics.counter("commit.decisions")
+        self._m_latency = metrics.histogram("commit.latency")
+        self._m_queue_depth = metrics.gauge("commit.queue_depth")
+        self._m_rpc_timeouts = metrics.counter("commit.rpc_timeouts")
+        self._m_rpc_retries = metrics.counter("commit.rpc_retries")
+        self._m_rpc_failed = metrics.counter("commit.rpc_failed")
+        self._m_parked = metrics.counter("commit.parked")
         #: coord/single-role pendings awaiting lazy commitment.
         self.lazy: Dict[OpId, PendingOp] = {}
         #: Immediate-commitment requests that arrived before the op
@@ -95,19 +91,13 @@ class CommitManager:
             pend.all_no_dst = pend.all_no_dst or dst
             pend.immediate_requested = True
 
-    def _queue_depth_gauge(self):
-        g = self._m_queue_depth
-        if g is None:
-            g = self._m_queue_depth = self.metrics.gauge("commit.queue_depth")
-        return g
-
     def enqueue(self, pend: PendingOp) -> None:
         """A coord/single-role op finished executing; queue it."""
         if pend.state is not PendingState.EXECUTED:
             return  # an immediate commitment already picked it up
         pend.enqueued_at = self.role.sim.now
         self.lazy[pend.op_id] = pend
-        self._queue_depth_gauge().set(len(self.lazy))
+        self._m_queue_depth.set(len(self.lazy))
         if pend.immediate_requested:
             self.launch_ops([pend], "immediate")
         else:
@@ -169,80 +159,79 @@ class CommitManager:
                     role=p.role, reason=reason,
                 )
         self.batches_launched += 1
-        m = self._m_batches
-        if m is None:
-            m = self._m_batches = self.metrics.counter("commit.batches")
-            self._m_batch_size = self.metrics.histogram("commit.batch_size")
-        m.inc()
+        self._m_batches.inc()
         self._m_batch_size.observe(len(ops))
         if reason == "immediate":
             self.immediate_commits += len(ops)
-            m = self._m_immediate
-            if m is None:
-                m = self._m_immediate = self.metrics.counter("commit.immediate_ops")
-            m.inc(len(ops))
+            self._m_immediate.inc(len(ops))
         else:
             self.lazy_commits += len(ops)
-            m = self._m_lazy
-            if m is None:
-                m = self._m_lazy = self.metrics.counter("commit.lazy_ops")
-            m.inc(len(ops))
+            self._m_lazy.inc(len(ops))
         self.role.sim.process(self._commit_batch(ops))
 
     # -- the batch process ------------------------------------------------------------
 
-    def _rpc(
-        self, dst, kind, payload, size=None, span_id=None,
-        timeout=_DEFAULT_TIMEOUT,
+    def rpc(
+        self, dst, kind, payload, *, timeout, attempts=1, size=None,
+        span_id=None,
     ):
-        """Commitment RPC with an optional liveness watchdog.
+        """The one server-to-server request of the commitment protocol.
 
         A reply that never comes (the request or the reply was dropped
         by a partition, or the request was delivered just before the
         peer crashed — nobody dead-letters those) would otherwise hang
-        the batch process forever.  With ``commit_rpc_timeout`` set, an
-        overdue reply is abandoned as a connection failure, which the
-        callers' ConnectionError handling turns into retry-or-park.
-        ``None`` (the default) keeps the RPC unbounded and schedules no
+        the calling process forever.  ``timeout`` bounds each attempt in
+        virtual time; ``None`` keeps the RPC unbounded and schedules no
         timer at all — fault-free replays are byte-identical.
 
-        Raises :class:`StaleEpoch` when the server crashed while the
-        RPC was in flight — the caller must unwind without touching any
+        Raises :class:`ConnectionError` once every attempt failed
+        (dead-lettered, partition-dropped or overdue): the caller
+        retries later, skips the peer or parks the work.  Raises
+        :class:`StaleEpoch` when *this* server crashed while the RPC was
+        in flight — the caller must unwind without touching any
         protocol state (it all belongs to the next epoch now).
         """
         role = self.role
+        sim = role.sim
+        tracer = self.tracer
         epoch = role.epoch
-        try:
-            ev = role.server.request(dst, kind, payload, size=size, span_id=span_id)
-            if timeout is _DEFAULT_TIMEOUT:
-                timeout = role.params.commit_rpc_timeout
-            if timeout is None:
-                resp = yield ev
+        for attempt in range(attempts):
+            if attempt:
+                self._m_rpc_retries.inc()
+                if tracer.enabled:
+                    tracer.event(
+                        "commit.rpc_retry", role.server.node_id,
+                        cat="protocol", kind=kind.value, peer=dst,
+                        attempt=attempt,
+                    )
+            try:
+                ev = role.server.request(
+                    dst, kind, payload, size=size, span_id=span_id
+                )
+                if timeout is None:
+                    val = yield ev
+                    winner = ev
+                else:
+                    winner, val = yield sim.any_of([ev, sim.timeout(timeout)])
+            except ConnectionError:
+                # *Our* crash also fails our in-flight RPCs with
+                # ConnectionError; that must unwind as StaleEpoch (torn
+                # state), not as retry-or-park against the dead peer.
                 if role.epoch != epoch:
                     raise StaleEpoch
-                return resp
-            winner, val = yield role.sim.any_of([ev, role.sim.timeout(timeout)])
-        except ConnectionError:
-            # *Our* crash also fails our in-flight RPCs with
-            # ConnectionError; that must unwind as StaleEpoch (torn
-            # state), not as retry-or-park against the dead peer.
+                continue  # dead-lettered: the peer is down right now
             if role.epoch != epoch:
                 raise StaleEpoch
-            raise
-        if role.epoch != epoch:
-            raise StaleEpoch
-        if winner is ev:
-            return val
-        m = self._m_rpc_timeouts
-        if m is None:
-            m = self._m_rpc_timeouts = self.metrics.counter("commit.rpc_timeouts")
-        m.inc()
-        if self.tracer.enabled:
-            self.tracer.event(
-                "commit.rpc_timeout", role.server.node_id, cat="protocol",
-                kind=kind.value, peer=dst,
-            )
-        raise ConnectionError(f"{kind.value} to {dst} timed out")
+            if winner is ev:
+                return val
+            self._m_rpc_timeouts.inc()
+            if tracer.enabled:
+                tracer.event(
+                    "commit.rpc_timeout", role.server.node_id, cat="protocol",
+                    kind=kind.value, peer=dst,
+                )
+        self._m_rpc_failed.inc()
+        raise ConnectionError(f"{kind.value} to {dst}: no reply")
 
     def _commit_batch(self, ops: List[PendingOp]):
         role = self.role
@@ -258,11 +247,10 @@ class CommitManager:
         #: Decided *and* acknowledged ops, appended by each group as its
         #: chunks resolve; the batch tail flushes/completes them as one.
         done: List[PendingOp] = []
-        procs = []
-        for part_idx, group in groups.items():
-            procs.append(
-                self.role.sim.process(self._commit_group(part_idx, group, done))
-            )
+        procs = [
+            role.sim.process(self._commit_group(part_idx, group, done))
+            for part_idx, group in groups.items()
+        ]
         # Single-server operations decide locally — no peer round-trip.
         for p in singles:
             self._record_decision(p, p.ok)
@@ -271,25 +259,35 @@ class CommitManager:
             yield self.role.sim.all_of(procs)
             if role.epoch != epoch:
                 return  # crashed mid-batch; this state died with us
-        if not done:
-            return
+        if done:
+            try:
+                yield from self._settle(done)
+            except StaleEpoch:
+                return
+
+    def _settle(self, done: List[PendingOp]):
+        """Steps 6–7 for decided *and* acknowledged operations — the
+        one tail every commitment ends in, whether it got here from a
+        live batch, a parked re-delivery or a recovery pass."""
+        role = self.role
+        epoch = role.epoch
         # "synchronize metadata objects into database": one batched,
         # merged write-back of the decided objects — durable *before*
         # their Complete-Records, so a crash never finds a pruned log
         # with the updates still volatile.
         keys = [k for p in done for k, _v in p.result.updates]
-        flush = self.role.server.kv.flush_keys(keys)
+        flush = role.server.kv.flush_keys(keys)
         if flush is not None:
             yield flush
             if role.epoch != epoch:
-                return
+                raise StaleEpoch
         tracer = self.tracer
         if tracer.enabled:
             # Only decided ops were truly synchronized — a participant
             # crash mid-commitment leaves its ops pending for retry.
             for p in done:
                 tracer.event(
-                    "writeback", self.role.server.node_id, cat="kv",
+                    "writeback", role.server.node_id, cat="kv",
                     op_id=p.op_id, phase=PHASE_WRITEBACK,
                 )
         # Step 7: Complete-Records (coalesced across the whole batch
@@ -306,7 +304,7 @@ class CommitManager:
         tracer.ambient = None
         yield role.sim.all_of(completes)
         if role.epoch != epoch:
-            return
+            raise StaleEpoch
         for p in done:
             self._finalize(p, p.decided)
 
@@ -352,9 +350,7 @@ class CommitManager:
         role = self.role
         server = role.server
         part_node = role.cluster.server_id(part_idx)
-        batch_size = (
-            role.params.msg_base_size + role.params.msg_per_op_size * len(ops)
-        )
+        batch_size = role.batch_size(len(ops))
         # Batched messages carry one span context: the first traced
         # op's commitment span stands in for the whole chunk.
         batch_sid = None
@@ -365,10 +361,12 @@ class CommitManager:
                     break
 
         # Step 3–4: VOTE, collect the participant's per-op results.
-        votes_resp = yield from self._rpc(
+        rpc_timeout = role.params.commit_rpc_timeout
+        votes_resp = yield from self.rpc(
             part_node,
             MessageKind.VOTE,
             {"ops": [p.op_id for p in ops]},
+            timeout=rpc_timeout,
             size=batch_size,
             span_id=batch_sid,
         )
@@ -379,14 +377,14 @@ class CommitManager:
         # all_of over one group-committed flush.
         wal = server.wal
         rsize = role.params.log_record_size
-        decisions: Dict[OpId, bool] = {}
+        decisions: List[bool] = []
         appends = []
         tracer = self.tracer
         tracer.ambient = batch_sid
         for p in ops:
             vote = votes[p.op_id]
             commit = p.ok and vote["ok"]
-            decisions[p.op_id] = commit
+            decisions.append(commit)
             p.vote_errno = vote["errno"]
             if not commit and p.ok:
                 # Our half succeeded but the op aborts: roll back.
@@ -410,19 +408,24 @@ class CommitManager:
             raise StaleEpoch
         # The decisions are durable: from here on, every retry path must
         # re-deliver them — never re-vote.
-        for p in ops:
-            self._record_decision(p, decisions[p.op_id])
+        for p, commit in zip(ops, decisions):
+            self._record_decision(p, commit)
+        yield from self._deliver(part_idx, ops, rpc_timeout, batch_sid)
+        done.extend(ops)
 
-        # Step 5–6: COMMIT-REQ/ABORT-REQ (batched), await the ACK.
-        ack = yield from self._rpc(
-            part_node,
+    def _deliver(self, part_idx: int, ops: List[PendingOp], timeout, span_id=None):
+        """Steps 5–6: one batched COMMIT-REQ/ABORT-REQ carrying the
+        logged decisions of ``ops`` to their participant; await the ACK."""
+        role = self.role
+        ack = yield from self.rpc(
+            role.cluster.server_id(part_idx),
             MessageKind.COMMIT_REQ,
-            {"decisions": decisions},
-            size=batch_size,
-            span_id=batch_sid,
+            {"decisions": {p.op_id: p.decided for p in ops}},
+            timeout=timeout,
+            size=role.batch_size(len(ops)),
+            span_id=span_id,
         )
         assert ack.kind is MessageKind.ACK
-        done.extend(ops)
 
     def _record_decision(self, pend: PendingOp, committed: bool) -> None:
         """The commitment decision for ``pend`` is durable: remember it
@@ -447,10 +450,7 @@ class CommitManager:
     def _park(self, pend: PendingOp) -> None:
         """Shelve a decided-but-unacknowledged op for re-delivery."""
         self.parked[pend.op_id] = pend
-        m = self._m_parked
-        if m is None:
-            m = self._m_parked = self.metrics.counter("commit.parked")
-        m.inc()
+        self._m_parked.inc()
         if pend.commit_span is not None:
             pend.commit_span.end(outcome="parked")
             pend.commit_span = None
@@ -460,6 +460,16 @@ class CommitManager:
                 op_id=pend.op_id,
                 peer=self.role.cluster.server_id(pend.other_server),
             )
+
+    def adopt_decided(self, pend: PendingOp, committed: bool) -> None:
+        """Recovery's entry point for an op whose Commit/Abort record
+        survived without its Complete-Record: the participant may not
+        have heard, so the op re-enters the commitment at decision
+        delivery.  The adopted decision is recorded like a fresh one —
+        the crash may have hit before the first life emitted it."""
+        pend.state = PendingState.COMMITTING
+        self._record_decision(pend, committed)
+        self._park(pend)
 
     def scan_parked(self) -> None:
         """Trigger-scan hook: retry parked decision deliveries.
@@ -472,10 +482,16 @@ class CommitManager:
         if self.role.server.quiesced:
             return
         self._parked_inflight = True
-        self.role.sim.process(self._finish_parked())
+        self.role.sim.process(self.finish_parked())
 
-    def _finish_parked(self):
-        epoch = self.role.epoch
+    def finish_parked(self):
+        """Re-deliver the parked decisions, one batched COMMIT-REQ per
+        participant, and settle what gets acknowledged.  A peer that is
+        still unreachable keeps its ops parked for the next scan."""
+        role = self.role
+        epoch = role.epoch
+        timeout = role.params.recovery_rpc_timeout
+        tracer = self.tracer
         try:
             while self.parked:
                 by_peer: Dict[int, List[PendingOp]] = {}
@@ -484,90 +500,43 @@ class CommitManager:
                 progressed = False
                 for part_idx, group in by_peer.items():
                     try:
-                        yield from self._redeliver_group(part_idx, group)
-                        progressed = True
-                    except StaleEpoch:
-                        return  # crashed; parked table already cleared
+                        yield from self._deliver(part_idx, group, timeout)
                     except ConnectionError:
-                        continue  # peer still unreachable; next scan retries
+                        continue
+                    progressed = True
+                    peer = role.cluster.server_id(part_idx)
+                    for p in group:
+                        del self.parked[p.op_id]
+                        if tracer.enabled:
+                            tracer.event(
+                                "commit.unpark", role.server.node_id,
+                                cat="protocol", op_id=p.op_id, peer=peer,
+                            )
+                    yield from self._settle(group)
                 if not progressed:
                     return
+        except StaleEpoch:
+            return  # crashed; parked table already cleared
         finally:
             # After a crash the inflight flag belongs to the new epoch's
             # scan (on_crash reset it; a fresh scan may already be up).
-            if self.role.epoch == epoch:
+            if role.epoch == epoch:
                 self._parked_inflight = False
-
-    def _redeliver_group(self, part_idx: int, group: List[PendingOp]):
-        """Re-deliver logged decisions to a (hopefully) recovered peer,
-        then flush + complete the acknowledged ops, exactly as the
-        normal batch tail would have."""
-        role = self.role
-        part_node = role.cluster.server_id(part_idx)
-        decisions = {p.op_id: p.decided for p in group}
-        size = (
-            role.params.msg_base_size
-            + role.params.msg_per_op_size * len(group)
-        )
-        ack = yield from self._rpc(
-            part_node,
-            MessageKind.COMMIT_REQ,
-            {"decisions": decisions},
-            size=size,
-            timeout=role.params.recovery_rpc_timeout,
-        )
-        assert ack.kind is MessageKind.ACK
-        epoch = role.epoch
-        keys = [k for p in group for k, _v in p.result.updates]
-        flush = role.server.kv.flush_keys(keys)
-        if flush is not None:
-            yield flush
-            if role.epoch != epoch:
-                raise StaleEpoch
-        tracer = self.tracer
-        if tracer.enabled:
-            for p in group:
-                tracer.event(
-                    "commit.unpark", role.server.node_id, cat="protocol",
-                    op_id=p.op_id, peer=part_node,
-                )
-                tracer.event(
-                    "writeback", role.server.node_id, cat="kv",
-                    op_id=p.op_id, phase=PHASE_WRITEBACK,
-                )
-        wal = role.server.wal
-        rsize = role.params.log_record_size
-        completes = [
-            wal.append(LogRecord(p.op_id, _COMPLETE, size=rsize), urgent=True)
-            for p in group
-        ]
-        yield role.sim.all_of(completes)
-        if role.epoch != epoch:
-            raise StaleEpoch
-        for p in group:
-            self.parked.pop(p.op_id, None)
-            self._finalize(p, p.decided)
 
     def _finalize(self, pend: PendingOp, committed: bool) -> None:
         role = self.role
-        m = self._m_decisions
-        if m is None:
-            m = self._m_decisions = self.metrics.counter("commit.decisions")
-        m.inc()
+        self._m_decisions.inc()
         if pend.enqueued_at is not None:
-            m = self._m_latency
-            if m is None:
-                m = self._m_latency = self.metrics.histogram("commit.latency")
-            m.observe(role.sim.now - pend.enqueued_at)
+            self._m_latency.observe(role.sim.now - pend.enqueued_at)
         if pend.commit_span is not None:
             pend.commit_span.end(committed=committed)
             pend.commit_span = None
         role.server.wal.prune_op(pend.op_id)
         self.lazy.pop(pend.op_id, None)
-        self._queue_depth_gauge().set(len(self.lazy))
+        self._m_queue_depth.set(len(self.lazy))
         role.pending.pop(pend.op_id, None)
         pend.state = PendingState.DONE
-        errno = pend.result.errno if not pend.ok else getattr(pend, "vote_errno", None)
+        errno = pend.result.errno if not pend.ok else pend.vote_errno
         role.completed[pend.op_id] = {"committed": committed, "errno": errno}
         released = role.active.release(pend.op_id, committed=True)
         role.reinject_blocked(released, ordered_after=pend)

@@ -38,8 +38,8 @@ paper's equal-hints rule; with the corner cases above it terminates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.storage.wal import OpId
 

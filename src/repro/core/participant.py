@@ -45,21 +45,17 @@ class ParticipantHalf:
         self.role = role
         #: Hoisted tracer handle (fixed at cluster build time).
         self.tracer = role.server.tracer
-        self.metrics = role.server.metrics
-        # Lazily resolved meter handles (eager creation would change
-        # metrics snapshots — see CommitManager).
-        self._m_votes_answered = None
-        self._m_votes_deferred = None
-        self._m_invalidations = None
-        self._m_decisions = None
-        self._m_votes_lost = None
-        self._m_resolicits = None
+        metrics = role.server.metrics
+        self._m_votes_answered = metrics.counter("votes.answered")
+        self._m_votes_deferred = metrics.counter("votes.deferred")
+        self._m_invalidations = metrics.counter("disorder.invalidations")
+        self._m_decisions = metrics.counter("commit.decisions")
+        self._m_votes_lost = metrics.counter("votes.lost")
+        self._m_resolicits = metrics.counter("votes.resolicited")
         #: Votes waiting for an op to execute here:
         #: op_id -> [(event, armed_at virtual time)].
         self._vote_waiters: Dict[OpId, List[Tuple[Event, float]]] = {}
         self.invalidations = 0
-        self.deferred_votes = 0
-        self.resolicits = 0
 
     def on_crash(self) -> None:
         self._vote_waiters.clear()
@@ -80,52 +76,28 @@ class ParticipantHalf:
 
     # -- VOTE -----------------------------------------------------------------
 
-    def vote_fast(self, msg: Message) -> bool:
-        """Answer a VOTE inline when every voted op already executed here.
+    def handle_vote(self, msg: Message) -> Optional[Generator]:
+        """Cast the requested votes and answer YES with the lot.
 
-        The common case: by the time a lazy commitment's VOTE arrives,
-        the participant finished its half long ago.  Must stay
-        side-effect-identical to the all-pending walk of
-        :meth:`handle_vote`; returns ``False`` (touching nothing) when
-        any op needs the deferred/disordered machinery.
+        The common case — by the time a lazy commitment's VOTE arrives,
+        every voted op finished its half here long ago — is answered
+        inline.  At the first op that is not executed and logged yet
+        the same walk continues as a generator, which may wait.
         """
-        role = self.role
-        pending = role.pending
+        pending = self.role.pending
         ops = msg.payload["ops"]
-        for op_id in ops:
+        votes: Dict[OpId, dict] = {}
+        for i, op_id in enumerate(ops):
             pend = pending.get(op_id)
             if pend is None or not pend.logged:
-                return False
-        server = role.server
-        tracer = self.tracer
-        traced = tracer.enabled
-        votes: Dict[OpId, dict] = {}
-        for op_id in ops:
-            pend = pending[op_id]
-            votes[op_id] = {"ok": pend.ok, "errno": pend.result.errno}
-            pend.state = PendingState.COMMITTING
-            if traced and pend.commit_span is None:
-                pend.commit_span = tracer.begin(
-                    "commitment", server.node_id, op_id=op_id,
-                    phase=PHASE_COMMIT, parent=msg.span_id, role="part",
-                )
-        m = self._m_votes_answered
-        if m is None:
-            m = self._m_votes_answered = self.metrics.counter("votes.answered")
-        m.inc(len(votes))
-        size = (
-            role.params.msg_base_size
-            + role.params.msg_per_op_size * len(votes)
-        )
-        server.send_reply(msg, MessageKind.YES, {"votes": votes}, size=size)
-        return True
+                return self._vote_waiting(msg, ops[i:], votes)
+            self._cast(msg, pend, votes)
+        self._send_votes(msg, votes)
+        return None
 
-    def handle_vote(self, msg: Message) -> Generator:
+    def _vote_waiting(self, msg: Message, ops, votes: Dict[OpId, dict]) -> Generator:
         role = self.role
-        server = role.server
-        tracer = server.tracer
-        votes: Dict[OpId, dict] = {}
-        for op_id in msg.payload["ops"]:
+        for op_id in ops:
             pend = role.pending.get(op_id)
             if pend is None:
                 done = role.completed.get(op_id)
@@ -147,35 +119,34 @@ class ParticipantHalf:
                 # explicit lost-abort so the coordinator can resolve the
                 # batch instead of wedging forever.
                 votes[op_id] = {"ok": False, "errno": "ELOST", "lost": True}
-                m = self._m_votes_lost
-                if m is None:
-                    m = self._m_votes_lost = self.metrics.counter("votes.lost")
-                m.inc()
-                if tracer.enabled:
-                    tracer.event(
-                        "vote.lost", server.node_id, cat="protocol",
+                self._m_votes_lost.inc()
+                if self.tracer.enabled:
+                    self.tracer.event(
+                        "vote.lost", role.server.node_id, cat="protocol",
                         op_id=op_id,
                     )
                 continue
-            votes[op_id] = {"ok": pend.ok, "errno": pend.result.errno}
-            # Once voted, the op may no longer be invalidated.
-            pend.state = PendingState.COMMITTING
-            # The participant's commitment phase opens at its vote (a
-            # coordinator retry after a crash finds the span open).
-            if tracer.enabled and pend.commit_span is None:
-                pend.commit_span = tracer.begin(
-                    "commitment", server.node_id, op_id=op_id,
-                    phase=PHASE_COMMIT, parent=msg.span_id, role="part",
-                )
-        m = self._m_votes_answered
-        if m is None:
-            m = self._m_votes_answered = self.metrics.counter("votes.answered")
-        m.inc(len(votes))
-        size = (
-            role.params.msg_base_size
-            + role.params.msg_per_op_size * len(votes)
+            self._cast(msg, pend, votes)
+        self._send_votes(msg, votes)
+
+    def _cast(self, msg: Message, pend: PendingOp, votes: Dict[OpId, dict]) -> None:
+        votes[pend.op_id] = {"ok": pend.ok, "errno": pend.result.errno}
+        # Once voted, the op may no longer be invalidated.
+        pend.state = PendingState.COMMITTING
+        # The participant's commitment phase opens at its vote (a
+        # coordinator retry after a crash finds the span open).
+        if self.tracer.enabled and pend.commit_span is None:
+            pend.commit_span = self.tracer.begin(
+                "commitment", self.role.server.node_id, op_id=pend.op_id,
+                phase=PHASE_COMMIT, parent=msg.span_id, role="part",
+            )
+
+    def _send_votes(self, msg: Message, votes: Dict[OpId, dict]) -> None:
+        self._m_votes_answered.inc(len(votes))
+        self.role.server.send_reply(
+            msg, MessageKind.YES, {"votes": votes},
+            size=self.role.batch_size(len(votes)),
         )
-        role.server.send_reply(msg, MessageKind.YES, {"votes": votes}, size=size)
 
     def _materialize(self, op_id: OpId) -> Generator:
         """Get the voted op executed here, whatever its current state.
@@ -189,7 +160,7 @@ class ParticipantHalf:
             if pend is not None and pend.logged:
                 return pend
             if pend is None:
-                blocked = self._find_blocked(op_id)
+                blocked = role.active.find_blocked(op_id)
                 if blocked is not None:
                     holder, blocked_msg = blocked
                     holder_pend = role.pending.get(holder)
@@ -213,11 +184,7 @@ class ParticipantHalf:
             # waiters right after it.)
             ev = Event(role.sim)
             self._vote_waiters.setdefault(op_id, []).append((ev, role.sim.now))
-            self.deferred_votes += 1
-            m = self._m_votes_deferred
-            if m is None:
-                m = self._m_votes_deferred = self.metrics.counter("votes.deferred")
-            m.inc()
+            self._m_votes_deferred.inc()
             if self.tracer.enabled:
                 self.tracer.event(
                     "vote.deferred", role.server.node_id, cat="protocol",
@@ -226,16 +193,6 @@ class ParticipantHalf:
             val = yield ev
             if val == "abandon":
                 return None
-
-    def _find_blocked(self, op_id: OpId) -> Optional[Tuple[OpId, Message]]:
-        """Locate ``op_id``'s blocked request and its holder, if any."""
-        active = self.role.active
-        for holder, msgs in list(active._blocked.items()):
-            for m in msgs:
-                sub = m.payload.get("subop")
-                if sub is not None and sub.op_id == op_id:
-                    return holder, m
-        return None
 
     def invalidate(self, holder: PendingOp) -> None:
         """Undo an executed-but-uncommitted op and requeue its request.
@@ -247,10 +204,7 @@ class ParticipantHalf:
         """
         role = self.role
         self.invalidations += 1
-        m = self._m_invalidations
-        if m is None:
-            m = self._m_invalidations = self.metrics.counter("disorder.invalidations")
-        m.inc()
+        self._m_invalidations.inc()
         if self.tracer.enabled:
             self.tracer.event(
                 "invalidate", role.server.node_id, cat="protocol",
@@ -279,10 +233,6 @@ class ParticipantHalf:
         rsize = role.params.log_record_size
         tracer = self.tracer
         m_decisions = self._m_decisions
-        if m_decisions is None:
-            m_decisions = self._m_decisions = self.metrics.counter(
-                "commit.decisions"
-            )
         decisions: Dict[OpId, bool] = msg.payload["decisions"]
         appends = []
         to_release: List[Tuple[PendingOp, bool]] = []
@@ -342,12 +292,9 @@ class ParticipantHalf:
         for pend, _commit in to_release:
             released = role.active.release(pend.op_id, committed=True)
             role.reinject_blocked(released, ordered_after=pend)
-        size = (
-            role.params.msg_base_size
-            + role.params.msg_per_op_size * len(decisions)
-        )
         role.server.send_reply(
-            msg, MessageKind.ACK, {"acked": list(decisions)}, size=size
+            msg, MessageKind.ACK, {"acked": list(decisions)},
+            size=role.batch_size(len(decisions)),
         )
 
     # -- vote-retry timer ---------------------------------------------------
@@ -395,13 +342,7 @@ class ParticipantHalf:
                 backoff = min((pend.resolicit_backoff or vrt) * 2.0, cap)
                 pend.resolicit_backoff = backoff
                 pend.resolicit_at = now + backoff
-                self.resolicits += 1
-                m = self._m_resolicits
-                if m is None:
-                    m = self._m_resolicits = self.metrics.counter(
-                        "votes.resolicited"
-                    )
-                m.inc()
+                self._m_resolicits.inc()
                 coord_node = role.cluster.server_id(pend.other_server)
                 if self.tracer.enabled:
                     self.tracer.event(

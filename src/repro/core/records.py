@@ -15,15 +15,13 @@ Three record families, each tagged with the operation id that owns it:
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
+from repro.core.active import conflict_keys
 from repro.fs.namespace import ExecResult
 from repro.fs.ops import SubOp
 from repro.net.message import Message
 from repro.storage.wal import LogRecord, OpId
-
-if TYPE_CHECKING:  # pragma: no cover
-    pass
 
 
 class RecordType(str, enum.Enum):
@@ -81,6 +79,28 @@ def make_result_record(
     )
 
 
+def log_state(
+    records: List[LogRecord],
+) -> Tuple[Optional[LogRecord], Optional[bool], bool]:
+    """The commitment step one operation's surviving records prove.
+
+    Returns ``(result_record, decided, complete)``: the valid
+    Result-Record (None when only invalidated or decision records are
+    left), the logged decision (None while undecided) and whether the
+    Complete-Record made it to disk.
+    """
+    valid = [r for r in records if not r.invalid]
+    types = {r.rtype for r in valid}
+    result_rec = next(
+        (r for r in valid if r.rtype == RecordType.RESULT.value), None
+    )
+    if RecordType.COMMIT.value in types:
+        decided = True
+    else:
+        decided = False if RecordType.ABORT.value in types else None
+    return result_rec, decided, RecordType.COMPLETE.value in types
+
+
 class PendingOp:
     """One executed-but-uncommitted operation on one server.
 
@@ -105,18 +125,8 @@ class PendingOp:
         result: ExecResult,
         record: LogRecord,
         keys: Optional[List[Any]] = None,
-        state: PendingState = PendingState.EXECUTED,
         hint: Optional[OpId] = None,
         req_msg: Optional[Message] = None,
-        all_no_dst: Optional[str] = None,
-        last_response: Optional[Dict[str, Any]] = None,
-        waiters: Optional[List[Any]] = None,
-        lcom_sent: bool = False,
-        immediate_requested: bool = False,
-        vote_errno: Optional[str] = None,
-        enqueued_at: Optional[float] = None,
-        commit_span: Any = None,
-        exec_span_id: Optional[int] = None,
     ) -> None:
         self.op_id = op_id
         self.subop = subop
@@ -130,36 +140,36 @@ class PendingOp:
         self.record = record
         #: Conflict keys registered in the active-object table.
         self.keys = [] if keys is None else keys
-        self.state = state
+        self.state = PendingState.EXECUTED
         #: Hint attached to the execution response ([null] or [op_id']).
         self.hint = hint
         #: The original client REQ (kept so a re-queued/invalidated
         #: sub-op can be re-dispatched and re-answered).
         self.req_msg = req_msg
         #: Node id of a client waiting for ALL-NO after an L-COM.
-        self.all_no_dst = all_no_dst
-        #: The last response payload sent for this op (resent on
-        #: duplicate REQs after a client-side retry).
-        self.last_response = last_response
+        self.all_no_dst: Optional[str] = None
+        #: The last response ``(kind, payload)`` sent for this op
+        #: (resent on duplicate REQs after a client-side retry).
+        self.last_response: Optional[Tuple[Any, Dict[str, Any]]] = None
         #: Events to succeed when this op's commitment completes.
-        self.waiters = [] if waiters is None else waiters
+        self.waiters: List[Any] = []
         #: Participant-role only: an L-COM for this op was already sent
         #: to the coordinator (avoid spamming on repeated conflicts).
-        self.lcom_sent = lcom_sent
+        self.lcom_sent = False
         #: An immediate commitment was requested before this op executed
         #: here (pre-request); honored as soon as it is enqueued.
-        self.immediate_requested = immediate_requested
+        self.immediate_requested = False
         #: Coordinator-role only: the participant's errno from its vote.
-        self.vote_errno = vote_errno
+        self.vote_errno: Optional[str] = None
         #: Virtual time this op entered the lazy queue (feeds the
         #: commitment-latency histogram).
-        self.enqueued_at = enqueued_at
+        self.enqueued_at: Optional[float] = None
         #: Open tracing span for the in-flight commitment on this server
         #: (:class:`repro.obs.tracer.Span`; None without a tracer).
-        self.commit_span = commit_span
+        self.commit_span: Any = None
         #: Span id of this op's execution span here (the causal parent
         #: of its eventual commitment; None without a tracer).
-        self.exec_span_id = exec_span_id
+        self.exec_span_id: Optional[int] = None
         #: True once the Result-Record is durable.  A participant may
         #: only vote on durable results (a YES whose record is still in
         #: flight could not be honored after a crash).
@@ -174,6 +184,27 @@ class PendingOp:
         #: Current re-solicit backoff interval (doubles per retry, up
         #: to ``vote_retry_timeout * vote_retry_backoff_cap``).
         self.resolicit_backoff: Optional[float] = None
+
+    @classmethod
+    def from_record(cls, record: LogRecord) -> "PendingOp":
+        """Rebuild the pending entry of a sub-op from its durable
+        Result-Record — how every operation re-enters the commitment
+        after a crash."""
+        payload = record.payload
+        subop = payload["subop"]
+        res = ExecResult(
+            ok=payload["ok"],
+            errno=payload["errno"],
+            updates=list(payload["updates"]),
+            undo=list(payload["undo"]),
+        )
+        cross = subop.role in ("coord", "part")
+        pend = cls(
+            record.op_id, subop, subop.role, payload["other_server"], res,
+            record, keys=conflict_keys(subop) if res.ok and cross else [],
+        )
+        pend.logged = True
+        return pend
 
     def __repr__(self) -> str:
         return (

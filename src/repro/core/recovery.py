@@ -8,37 +8,38 @@ responding new requests.  The main idea of our recovery protocol is to
 resume all half-completed commitments of cross-server operations left
 in the log file on a server before it crashed."
 
-Per surviving record set of an operation, the rebooted server acts as:
+Recovery is not a second protocol: it classifies what the log holds
+and hands every operation back to the live commitment
+(:class:`~repro.core.coordinator.CommitManager`) at the step its
+records prove it had reached.
 
-===========  ==========================  =====================================
-role         records found               action
-===========  ==========================  =====================================
-any          Complete                    prune (fully done)
-coordinator  Commit/Abort, no Complete   reconcile the shard against the
-                                         decision, re-send the decision
-                                         (bounded retries; park on failure),
-                                         write Complete, prune
-coordinator  Result only                 redo the update from the record,
-                                         re-register it pending, commit now
-participant  Commit/Abort                reconcile the shard against the
-                                         decision, then prune (terminal)
-participant  Result only                 redo the update, re-register pending;
-                                         the (alive) coordinator re-commits it
-===========  ==========================  =====================================
+===========  =====================  ==================  =====================
+role         log state found        step re-entered     shared code finishing
+===========  =====================  ==================  =====================
+any          Complete               done                (prune)
+coordinator  Commit/Abort,          5–6 deliver the     ``adopt_decided`` →
+             no Complete            logged decision     ``finish_parked`` →
+                                                        ``_settle``
+coordinator  Result only            3 vote              ``launch_ops`` →
+                                                        ``_commit_batch``
+participant  Commit/Abort           done (terminal)     (reconcile, prune)
+participant  Result only            4 awaits its VOTE   ``handle_vote`` /
+                                                        ``handle_decide``
+===========  =====================  ==================  =====================
 
-The *reconcile* step is the orphan-scan: a crash inside the commitment
-window can leave the decision durable in the log while the namespace
-shard misses (or wrongly keeps) the operation's objects — exactly the
-orphan inodes / dangling entries the consistency oracle flags.
-Reconciliation re-links keys that should exist and reclaims keys that
-should not, but never rewrites a key that exists with a *different*
-value (shared parent-stub counters may legitimately have moved on).
+What stays here is recovery's own: the RECOVERY-BEGIN/END fan-out, the
+log scan, redo of undecided updates and the *reconcile* step — the
+orphan scan.  A crash inside the commitment window can leave the
+decision durable in the log while the namespace shard misses (or
+wrongly keeps) the operation's objects — exactly the orphan inodes /
+dangling entries the consistency oracle flags.  Reconciliation
+re-links keys that should exist and reclaims keys that should not, but
+never rewrites a key that exists with a *different* value (shared
+parent-stub counters may legitimately have moved on).
 
-Every server-to-server RPC in this module is tolerant: bounded retries
-on a virtual-time reply timeout, ConnectionError treated as "peer still
-down, try again".  A peer that stays unreachable is skipped (recovery
-must not wedge on a second crash); a decision that cannot be delivered
-parks in the coordinator's parked table for trigger-driven re-delivery.
+A peer that stays unreachable never wedges the pass: a marker it cannot
+take is skipped, a decision it cannot take stays parked for the
+trigger scan, a vote it cannot cast leaves the op in the lazy queue.
 
 The role is determined from the Result-Record itself ("From the
 Result-Record of an operation, the rebooted server can determine
@@ -47,12 +48,12 @@ whether it is the coordinator").
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, List, Optional
+from typing import TYPE_CHECKING, Generator, List, Optional, Tuple
 
 from repro.analysis.consistency import classify_namespace
-from repro.core.records import PendingOp, PendingState, RecordType, StaleEpoch
+from repro.core.records import PendingOp, StaleEpoch, log_state
 from repro.fs.objects import DirEntry, Inode
-from repro.net.message import Message, MessageKind
+from repro.net.message import MessageKind
 from repro.storage.wal import LogRecord, OpId
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -66,84 +67,31 @@ class CxRecovery:
         self.role = role
         self.recoveries = 0
         self.last_resumed_ops = 0
-        # Lazily resolved meter handles (eager creation would change
-        # metrics snapshots — see CommitManager).
-        self._m_rpc_retries = None
-        self._m_rpc_abandoned = None
-        self._m_reclaimed = None
-        self._m_relinked = None
-        self._m_parked = None
-        self._m_suspect = None
-
-    # -- tolerant RPC -------------------------------------------------------
-
-    def _rpc_tolerant(
-        self, dst: str, kind: MessageKind, payload: dict
-    ) -> Generator:
-        """Request with bounded per-attempt timeout and bounded retries.
-
-        Returns the reply message, or ``None`` once every attempt
-        failed (dead-lettered, partition-dropped, or timed out) — the
-        caller decides whether to skip the peer or park the work.
-        """
-        role = self.role
-        sim = role.sim
-        server = role.server
-        metrics = server.metrics
-        tracer = server.tracer
-        epoch = role.epoch
-        attempts = max(1, role.params.recovery_rpc_retries)
-        per_try = role.params.recovery_rpc_timeout
-        for attempt in range(attempts):
-            if attempt:
-                m = self._m_rpc_retries
-                if m is None:
-                    m = self._m_rpc_retries = metrics.counter(
-                        "recovery.rpc_retries"
-                    )
-                m.inc()
-                if tracer.enabled:
-                    tracer.event(
-                        "recovery.rpc_retry", server.node_id, cat="recovery",
-                        kind=kind.value, peer=dst, attempt=attempt,
-                    )
-            try:
-                ev = server.request(dst, kind, payload)
-                winner, val = yield sim.any_of([ev, sim.timeout(per_try)])
-            except ConnectionError:
-                if role.epoch != epoch:
-                    raise StaleEpoch
-                continue  # dead-lettered: peer down right now; retry
-            if role.epoch != epoch:
-                raise StaleEpoch  # crashed again mid-recovery RPC
-            if winner is ev:
-                return val
-        m = self._m_rpc_abandoned
-        if m is None:
-            m = self._m_rpc_abandoned = metrics.counter(
-                "recovery.rpc_abandoned"
-            )
-        m.inc()
-        if tracer.enabled:
-            tracer.event(
-                "recovery.rpc_abandoned", server.node_id, cat="recovery",
-                kind=kind.value, peer=dst,
-            )
-        return None
+        metrics = role.server.metrics
+        self._m_reclaimed = metrics.counter("recovery.orphans_reclaimed")
+        self._m_relinked = metrics.counter("recovery.relinked")
+        self._m_suspect = metrics.counter("recovery.orphans_suspect")
 
     def _fan_out(self, peers, kind: MessageKind) -> Generator:
-        """Deliver a recovery marker to every peer, each on its own
-        tolerant retry loop, concurrently.  Unreachable peers are
-        skipped — they are crashed themselves and will quiesce/resume
-        through their own recovery."""
-        sim = self.role.sim
+        """Deliver a recovery marker to every peer concurrently, each
+        with bounded retries.  Unreachable peers are skipped — they are
+        crashed themselves and will quiesce/resume through their own
+        recovery."""
+        role = self.role
 
         def one(peer):
-            yield from self._rpc_tolerant(peer.node_id, kind, {})
+            try:
+                yield from role.commit_mgr.rpc(
+                    peer.node_id, kind, {},
+                    timeout=role.params.recovery_rpc_timeout,
+                    attempts=max(1, role.params.recovery_rpc_retries),
+                )
+            except ConnectionError:
+                pass  # skipped; rpc counted it (commit.rpc_failed)
 
-        procs = [sim.process(one(p)) for p in peers]
+        procs = [role.sim.process(one(p)) for p in peers]
         if procs:
-            yield sim.all_of(procs)
+            yield role.sim.all_of(procs)
 
     # -- the recovery pass --------------------------------------------------
 
@@ -177,73 +125,60 @@ class CxRecovery:
         if role.epoch != epoch:
             raise StaleEpoch
 
-        # 3. Classify every operation left in the log.
+        # 3. Classify every operation left in the log and rebuild its
+        #    pending entry at the step the records prove.
         resumed: List[PendingOp] = []
-        finish_decides: List[tuple] = []
-        redo_events: List = []
-        reconcile_events: List = []
+        disk_events: List = []
         for op_id in list(server.wal.ops_in_log()):
-            records = server.wal.records_of(op_id)
-            types = {r.rtype for r in records if not r.invalid}
-            result_rec = next(
-                (
-                    r
-                    for r in records
-                    if r.rtype == RecordType.RESULT.value and not r.invalid
-                ),
-                None,
-            )
-            if RecordType.COMPLETE.value in types:
+            result_rec, decided, complete = log_state(server.wal.records_of(op_id))
+            if complete or result_rec is None:
+                # Fully done, or only invalidated/decision records left:
+                # nothing to resume.
                 server.wal.prune_op(op_id)
                 continue
-            if result_rec is None:
-                # Only invalidated/decision records: nothing to resume.
-                server.wal.prune_op(op_id)
-                continue
-            subop = result_rec.payload["subop"]
-            is_coord = subop.role in ("coord", "single")
-            decided = (
-                RecordType.COMMIT.value in types
-                or RecordType.ABORT.value in types
-            )
-            if decided:
-                committed = RecordType.COMMIT.value in types
-                if not is_coord:
-                    # Terminal for the participant — but the decided
-                    # objects may still have been volatile at the crash:
-                    # reconcile the shard before letting the records go.
-                    ev = self._reconcile_decided(
-                        op_id, result_rec.payload, committed
+            is_coord = result_rec.payload["subop"].role in ("coord", "single")
+            if decided is None:
+                # Result only: redo the update and wait for (part) or
+                # re-launch (coord) the commitment.
+                pend, ev = self._redo(result_rec)
+                if is_coord:
+                    resumed.append(pend)
+            else:
+                # The decided objects may still have been volatile at
+                # the crash: reconcile the shard against the decision.
+                ev = self._reconcile_decided(op_id, result_rec.payload, decided)
+                if is_coord:
+                    # The participant may not have heard: the decision
+                    # must be re-delivered before the records can go.
+                    role.commit_mgr.adopt_decided(
+                        self._restore(result_rec), decided
                     )
-                    if ev is not None:
-                        reconcile_events.append(ev)
-                    server.wal.prune_op(op_id)
                 else:
-                    finish_decides.append((op_id, result_rec, committed))
-                continue
-            # Result only: redo and re-register as pending.
-            pend, ev = self._redo(op_id, result_rec)
+                    server.wal.prune_op(op_id)  # terminal for the participant
             if ev is not None:
-                redo_events.append(ev)
-            if is_coord:
-                resumed.append(pend)
+                disk_events.append(ev)
 
-        self.last_resumed_ops = len(resumed) + len(finish_decides)
+        # (The crash emptied the parked table: it now holds exactly the
+        # decided ops adopted above.)
+        self.last_resumed_ops = len(resumed) + len(role.commit_mgr.parked)
 
-        # Redo writes go to the store conservatively (one transaction
-        # per operation): the paper's recovery "submit[s] metadata
-        # objects to BDB", which is what dominates large-footprint
-        # recoveries (Table V).
-        if redo_events:
-            yield sim.all_of(redo_events)
-        if reconcile_events:
-            yield sim.all_of(reconcile_events)
+        # Redo and fix-up writes go to the store conservatively (one
+        # transaction per operation): the paper's recovery "submit[s]
+        # metadata objects to BDB", which is what dominates
+        # large-footprint recoveries (Table V).
+        if disk_events:
+            yield sim.all_of(disk_events)
+            if role.epoch != epoch:
+                raise StaleEpoch
+
+        # 4. Finish half-decided commitments: one batched COMMIT-REQ
+        #    per participant, then the live settle tail.  What an
+        #    unreachable peer leaves parked is the trigger scan's job
+        #    once the file system has resumed; the records stay in the
+        #    log, so a second crash here re-derives it.
+        yield from role.commit_mgr.finish_parked()
         if role.epoch != epoch:
             raise StaleEpoch
-
-        # 4. Finish half-decided commitments (resend the decision).
-        for op_id, result_rec, committed in finish_decides:
-            yield from self._finish_decide(op_id, result_rec, committed)
 
         # 5. Commit everything that was still pending, in bounded
         #    batches (a crash with a huge valid-record footprint must
@@ -265,7 +200,7 @@ class CxRecovery:
                 pend.waiters.append(ev)
                 done_events.append(ev)
             role.commit_mgr.launch_ops(chunk, "recovery")
-            winner, _val = yield sim.any_of(
+            yield sim.any_of(
                 [sim.all_of(done_events), sim.timeout(chunk_bound)]
             )
             if role.epoch != epoch:
@@ -285,49 +220,32 @@ class CxRecovery:
 
     # -- helpers ----------------------------------------------------------------
 
-    def _redo(self, op_id: OpId, result_rec: LogRecord) -> PendingOp:
-        """Rebuild a pending op from its Result-Record (redo updates)."""
+    def _restore(self, result_rec: LogRecord) -> PendingOp:
+        """Re-register a logged sub-op in the pending and active-object
+        tables, as its execution had left them."""
         role = self.role
-        payload = result_rec.payload
-        subop = payload["subop"]
-        ok = payload["ok"]
+        pend = PendingOp.from_record(result_rec)
+        if pend.keys:
+            role.active.register(pend.op_id, pend.keys)
+        role.pending[pend.op_id] = pend
+        return pend
 
-        from repro.core.active import conflict_keys
-        from repro.fs.namespace import ExecResult
-
-        res = ExecResult(
-            ok=ok,
-            errno=payload["errno"],
-            updates=list(payload["updates"]),
-            undo=list(payload["undo"]),
-        )
-        keys = conflict_keys(subop)
+    def _redo(self, result_rec: LogRecord) -> Tuple[PendingOp, Optional[object]]:
+        """Rebuild an undecided op from its Result-Record and redo its
+        updates; returns the pending entry and the redo's disk event."""
+        role = self.role
+        pend = self._restore(result_rec)
         redo_event = None
-        if ok:
+        if pend.ok:
             # Conservative redo: write-through, one txn per operation.
-            events = role.server.shard.apply_sync(res.updates)
+            events = role.server.shard.apply_sync(pend.result.updates)
             redo_event = events[0] if events else None
-            if subop.role in ("coord", "part"):
-                role.active.register(op_id, keys)
-        pend = PendingOp(
-            op_id=op_id,
-            subop=subop,
-            role=subop.role,
-            other_server=payload["other_server"],
-            result=res,
-            record=result_rec,
-            keys=keys if (ok and subop.role in ("coord", "part")) else [],
-            state=PendingState.EXECUTED,
-        )
-        # The Result-Record was read back from the durable log.
-        pend.logged = True
-        role.pending[op_id] = pend
-        if subop.role in ("coord", "single"):
-            role.commit_mgr.lazy[op_id] = pend
-        else:
+        if pend.role == "part":
             # A coordinator's commitment may already be waiting on this
             # op's vote (it retried while we were down).
-            role.participant.fulfill_vote_waiters(op_id)
+            role.participant.fulfill_vote_waiters(pend.op_id)
+        else:
+            role.commit_mgr.lazy[pend.op_id] = pend
         return pend, redo_event
 
     def _reconcile_decided(
@@ -369,19 +287,8 @@ class CxRecovery:
             # else: present with some value — possibly newer; hands off.
         if not fixes:
             return None
-        metrics = server.metrics
-        if reclaimed:
-            m = self._m_reclaimed
-            if m is None:
-                m = self._m_reclaimed = metrics.counter(
-                    "recovery.orphans_reclaimed"
-                )
-            m.inc(reclaimed)
-        if relinked:
-            m = self._m_relinked
-            if m is None:
-                m = self._m_relinked = metrics.counter("recovery.relinked")
-            m.inc(relinked)
+        self._m_reclaimed.inc(reclaimed)
+        self._m_relinked.inc(relinked)
         if server.tracer.enabled:
             server.tracer.event(
                 "recovery.reconcile", server.node_id, cat="recovery",
@@ -390,79 +297,6 @@ class CxRecovery:
             )
         events = role.server.shard.apply_sync(fixes)
         return events[0] if events else None
-
-    def _finish_decide(
-        self, op_id: OpId, result_rec: LogRecord, committed: bool
-    ) -> Generator:
-        """Coordinator crashed between its decision and Complete: the
-        participant may not have heard — reconcile our half, then
-        resend the decision (tolerantly; park it if the peer stays
-        unreachable)."""
-        role = self.role
-        server = role.server
-        epoch = role.epoch
-        payload = result_rec.payload
-        ev = self._reconcile_decided(op_id, payload, committed)
-        if ev is not None:
-            yield ev
-            if role.epoch != epoch:
-                raise StaleEpoch
-        other = payload["other_server"]
-        if other is not None:
-            ack = yield from self._rpc_tolerant(
-                role.cluster.server_id(other),
-                MessageKind.COMMIT_REQ,
-                {"decisions": {op_id: committed}},
-            )
-            if ack is None:
-                # Peer unreachable: park the decided op for re-delivery
-                # by the trigger scan.  The records stay in the log so a
-                # second crash here re-parks it.
-                self._park_for_redelivery(op_id, payload, committed)
-                return
-            assert ack.kind is MessageKind.ACK
-        yield server.wal.append_h(
-            LogRecord(op_id, RecordType.COMPLETE.value, size=role.params.log_record_size),
-            urgent=True,
-        )
-        if role.epoch != epoch:
-            raise StaleEpoch
-        server.wal.prune_op(op_id)
-        role.completed[op_id] = {
-            "committed": committed,
-            "errno": payload["errno"],
-        }
-
-    def _park_for_redelivery(
-        self, op_id: OpId, payload: dict, committed: bool
-    ) -> None:
-        from repro.fs.namespace import ExecResult
-
-        role = self.role
-        res = ExecResult(
-            ok=payload["ok"],
-            errno=payload["errno"],
-            updates=list(payload["updates"]),
-            undo=list(payload["undo"]),
-        )
-        pend = PendingOp(
-            op_id=op_id,
-            subop=payload["subop"],
-            role=payload["subop"].role,
-            other_server=payload["other_server"],
-            result=res,
-            record=None,
-            state=PendingState.COMMITTING,
-        )
-        pend.logged = True
-        pend.decided = committed
-        m = self._m_parked
-        if m is None:
-            m = self._m_parked = role.server.metrics.counter(
-                "recovery.parked_ops"
-            )
-        m.inc()
-        role.commit_mgr._park(pend)
 
     def _orphan_sweep(self) -> None:
         """Advisory post-recovery sweep of the *local* durable shard.
@@ -478,17 +312,14 @@ class CxRecovery:
         role = self.role
         server = role.server
         placement = role.cluster.placement
-        in_flight = set()
-        for pend in role.pending.values():
-            target = pend.subop.args.get("target")
-            if target is not None:
-                in_flight.add(target)
+        subops = [pend.subop for pend in role.pending.values()]
         for op_id in server.wal.ops_in_log():
-            for rec in server.wal.records_of(op_id):
-                if rec.rtype == RecordType.RESULT.value and not rec.invalid:
-                    target = rec.payload["subop"].args.get("target")
-                    if target is not None:
-                        in_flight.add(target)
+            result_rec = log_state(server.wal.records_of(op_id))[0]
+            if result_rec is not None:
+                subops.append(result_rec.payload["subop"])
+        in_flight = {
+            s.args["target"] for s in subops if s.args.get("target") is not None
+        }
         dirents = {}
         inodes = {}
         for key, val in server.kv.durable_items():
@@ -511,12 +342,7 @@ class CxRecovery:
         )
         suspects = sum(1 for v in violations if v.kind == "dangling-entry")
         if suspects:
-            m = self._m_suspect
-            if m is None:
-                m = self._m_suspect = server.metrics.counter(
-                    "recovery.orphans_suspect"
-                )
-            m.inc(suspects)
+            self._m_suspect.inc(suspects)
             if server.tracer.enabled:
                 server.tracer.event(
                     "recovery.orphan_suspect", server.node_id,

@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING, Dict, Generator, Optional, Set
 
 from repro.core.active import ActiveObjectTable, conflict_keys, hint_covers_other
 from repro.core.coordinator import CommitManager
-from repro.core.hints import ResponseHint
 from repro.core.participant import ParticipantHalf
 from repro.core.records import PendingOp, PendingState, make_result_record
 from repro.core.recovery import CxRecovery
@@ -44,14 +43,17 @@ class CxRole(ServerRole):
     def __init__(self, server: "MetadataServer", cluster: "Cluster") -> None:
         super().__init__(server, cluster)
         #: Hoisted observability handles (the tracer is fixed at cluster
-        #: build time); meters resolve lazily so snapshots are unchanged.
+        #: build time).
         self.tracer = server.tracer
-        self.metrics = server.metrics
-        self._m_conflicts = None
-        self._m_disagreements = None
-        self._m_unsolicited_acks = None
-        self._m_resolicit_aborts = None
-        self._trigger_meters: Dict[str, object] = {}
+        metrics = server.metrics
+        self._m_conflicts = metrics.counter("conflicts")
+        self._m_disagreements = metrics.counter("disagreements")
+        self._m_unsolicited_acks = metrics.counter("acks.unsolicited")
+        self._m_resolicit_aborts = metrics.counter("resolicit.aborted_unknown")
+        self._trigger_meters = {
+            kind: metrics.counter(f"trigger.{kind}")
+            for kind in ("timeout", "threshold")
+        }
         #: Executed-but-uncommitted operations known to this server.
         self.pending: Dict[OpId, PendingOp] = {}
         #: Resolved operations: op_id -> {"committed": bool, "errno": ...}.
@@ -80,7 +82,10 @@ class CxRole(ServerRole):
         #: registration): duplicate REQs in this window must be dropped,
         #: not re-executed (double execution corrupts the namespace).
         self._executing: Set[OpId] = set()
-        server.wal.on_full = self._on_log_full
+
+    def batch_size(self, n: int) -> int:
+        """Wire size of a batched commitment message carrying ``n`` ops."""
+        return self.params.msg_base_size + self.params.msg_per_op_size * n
 
     def _liveness_scan(self) -> None:
         """Timer-fire piggyback: vote-retry + parked-decision scans."""
@@ -102,10 +107,7 @@ class CxRole(ServerRole):
         )
 
     def _on_trigger_fire(self, kind: str, fires: int = 1) -> None:
-        m = self._trigger_meters.get(kind)
-        if m is None:
-            m = self._trigger_meters[kind] = self.metrics.counter(f"trigger.{kind}")
-        m.inc(fires)
+        self._trigger_meters[kind].inc(fires)
         # Idle timeout fires (empty lazy queue) are counted but not
         # traced — they would dominate the event stream.
         pending = len(self.commit_mgr.lazy)
@@ -148,10 +150,6 @@ class CxRole(ServerRole):
                 return None
             return self._handle_req(msg)
         if kind is MessageKind.VOTE:
-            # The common case — every voted op already executed here —
-            # is answered inline; the rest needs the deferred machinery.
-            if self.participant.vote_fast(msg):
-                return None
             return self.participant.handle_vote(msg)
         if kind is MessageKind.COMMIT_REQ:
             return self.participant.handle_decide(msg)
@@ -212,12 +210,7 @@ class CxRole(ServerRole):
             return
         if op_id in self._executing or self.server.wal.records_of(op_id):
             return
-        m = self._m_resolicit_aborts
-        if m is None:
-            m = self._m_resolicit_aborts = self.metrics.counter(
-                "resolicit.aborted_unknown"
-            )
-        m.inc()
+        self._m_resolicit_aborts.inc()
         if self.tracer.enabled:
             self.tracer.event(
                 "resolicit.abort", self.server.node_id, cat="protocol",
@@ -237,12 +230,7 @@ class CxRole(ServerRole):
         message.  The commit decision is idempotent, so the duplicate
         carries no information — drop it and count.
         """
-        m = self._m_unsolicited_acks
-        if m is None:
-            m = self._m_unsolicited_acks = self.metrics.counter(
-                "acks.unsolicited"
-            )
-        m.inc()
+        self._m_unsolicited_acks.inc()
 
     # -- execution phase --------------------------------------------------------------
 
@@ -256,40 +244,27 @@ class CxRole(ServerRole):
         # processes' pending operations block us.
         owner = (op_id[0], op_id[1])
         holders_of = self.active.holders_of
-
-        def foreign_holders():
-            return [
-                h
-                for h in holders_of(keys)
+        while True:
+            foreign = [
+                h for h in holders_of(keys)
                 if (h[0], h[1]) != owner and h != op_id
             ]
-
-        # First scan inlined: the overwhelmingly common case is an
-        # empty holder list, and the closure call costs as much as the
-        # scan itself.
-        foreign = [
-            h for h in holders_of(keys)
-            if (h[0], h[1]) != owner and h != op_id
-        ]
-        # Disordered conflict, vote-first interleaving: if a commitment
-        # VOTE for this very op is already waiting here, the coordinator
-        # has ordered it before whatever executed-but-uncommitted op is
-        # holding its objects — invalidate the holder(s) and proceed
-        # (paper Fig. 3(b) step 4).
-        while foreign and self.participant.has_vote_waiter(op_id):
+            # Disordered conflict, vote-first interleaving: if a commitment
+            # VOTE for this very op is already waiting here, the coordinator
+            # has ordered it before whatever executed-but-uncommitted op is
+            # holding its objects — invalidate the holder(s) and proceed
+            # (paper Fig. 3(b) step 4).
+            if not foreign or not self.participant.has_vote_waiter(op_id):
+                break
             holder_pend = self.pending.get(foreign[-1])
             if holder_pend is None or holder_pend.state is not PendingState.EXECUTED:
                 break
             self.participant.invalidate(holder_pend)
-            foreign = foreign_holders()
 
         if foreign:
             # Conflict: block this sub-op behind the newest pending
             # operation and get every holder committed immediately.
-            m = self._m_conflicts
-            if m is None:
-                m = self._m_conflicts = self.metrics.counter("conflicts")
-            m.inc()
+            self._m_conflicts.inc()
             if self.tracer.enabled:
                 self.tracer.event(
                     "conflict", self.server.node_id, cat="protocol",
@@ -534,10 +509,7 @@ class CxRole(ServerRole):
         if all_no_dst is not None:
             # Client-driven L-COM: the completion rule saw a YES/NO
             # disagreement (paper §III.B step 7b).
-            m = self._m_disagreements
-            if m is None:
-                m = self._m_disagreements = self.metrics.counter("disagreements")
-            m.inc()
+            self._m_disagreements.inc()
             if self.tracer.enabled:
                 self.tracer.event(
                     "disagreement", self.server.node_id, cat="protocol",

@@ -13,7 +13,7 @@ Time/size axes are at replay scale (see EXPERIMENTS.md).
 from __future__ import annotations
 
 from repro.analysis.metrics import TimelineSampler
-from repro.analysis.tables import render_series, render_table
+from repro.analysis.tables import render_table
 from repro.experiments.common import (
     EXPERIMENT_TIMEOUT,
     ExperimentResult,
@@ -65,7 +65,6 @@ def run_fig7b(trace: str = "home2", seed: int = 0, sample_period=None,
     wl = TraceWorkload(TRACE_SPECS[trace],
                        scale=TRACE_SCALES[trace] * scale_multiplier, seed=seed)
     streams = wl.build(cluster, cluster.all_processes())
-    server = cluster.servers[0]
     sampler = TimelineSampler(
         cluster.sim,
         probe=lambda: sum(s.wal.valid_bytes for s in cluster.servers) / len(cluster.servers),

@@ -169,13 +169,20 @@ class MetricsRegistry:
     # -- reporting -------------------------------------------------------
 
     def snapshot(self) -> Dict[str, object]:
+        """Every meter that was ever written.  One that only exists
+        (owners resolve their handles up front) reports nothing, so
+        which meters a run shows depends on what happened in it, not on
+        who was constructed."""
         out: Dict[str, object] = {}
         for name, c in sorted(self._counters.items()):
-            out[name] = c.snapshot()
+            if c.value:
+                out[name] = c.snapshot()
         for name, g in sorted(self._gauges.items()):
-            out[name] = g.snapshot()
+            if g.value or g.max:
+                out[name] = g.snapshot()
         for name, h in sorted(self._histograms.items()):
-            out[name] = h.snapshot()
+            if h.count:
+                out[name] = h.snapshot()
         return out
 
     def render(self) -> str:

@@ -12,7 +12,7 @@ All times are in seconds, all sizes in bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 

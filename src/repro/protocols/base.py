@@ -20,8 +20,10 @@ import abc
 from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.cluster.client import ClientProcess, OpResult
+from repro.fs.namespace import ExecResult
 from repro.fs.ops import OpPlan, SubOp
 from repro.net.message import Message, MessageKind
+from repro.storage.wal import LogRecord
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.builder import Cluster
@@ -45,6 +47,10 @@ class Protocol(abc.ABC):
         """Generator driving one operation; returns an OpResult."""
 
 
+#: Log record type for the eager rename transaction.
+RENAME_RECORD = "RENAME"
+
+
 class ServerRole(abc.ABC):
     """Server-side message handling for one protocol on one server."""
 
@@ -53,6 +59,10 @@ class ServerRole(abc.ABC):
         self.cluster = cluster
         self.params = server.params
         self.sim = server.sim
+        #: Destination side of in-flight renames: txn id -> undo image
+        #: kept between RENAME-PREP and RENAME-DECIDE.  Volatile — the
+        #: server clears it on a crash.
+        self._rename_pending: dict = {}
 
     def start(self) -> None:
         """Spawn background activities (triggers, flushers). Idempotent."""
@@ -105,56 +115,23 @@ class ServerRole(abc.ABC):
             payload.update(extra)
         self.server.send_reply(msg, MessageKind.RESP, payload, span_id=span_id)
 
-
-def result_from_resp(msg: Message, conflicted: bool = False) -> OpResult:
-    """Build an OpResult from a RESP payload."""
-    p = msg.payload
-    return OpResult(
-        ok=bool(p.get("ok")),
-        errno=p.get("errno"),
-        value=p.get("value"),
-        conflicted=conflicted or bool(p.get("conflicted")),
-    )
-
-
-# ---------------------------------------------------------------- rename
-
-#: Log record type for the eager rename transaction.
-RENAME_RECORD = "RENAME"
-
-
-def rename_client_perform(cluster, process: ClientProcess, plan: OpPlan):
-    """Client side of the eager rename fallback (all protocols).
-
-    Renames are excluded from Cx's optimization (paper footnote 1:
-    operations needing more than two metadata servers); every protocol
-    runs them as one coordinator-driven eager transaction.
-    """
-    resp = yield process.node.request(
-        cluster.server_id(plan.coordinator),
-        MessageKind.REQ,
-        {"rename_plan": plan},
-    )
-    return result_from_resp(resp)
-
-
-class RenameTransactionMixin:
-    """Server-side rename transaction, shared by every protocol role.
-
-    Flow (cross-shard case; coordinator = source-entry server):
-
-    1. validate the source removal locally (no mutation yet);
-    2. RENAME-PREP to the destination server, which executes + applies
-       the insert synchronously, logs it, and answers YES/NO keeping an
-       undo on hand;
-    3. on YES, apply the removal synchronously, log, RENAME-DECIDE
-       commit (destination prunes) and answer the client; on NO,
-       nothing was applied anywhere — answer the failure.
-
-    Note: the eager path intentionally does not consult Cx's
-    active-object table; renames of objects with in-flight pending
-    operations are serialized by the workloads in this reproduction.
-    """
+    # -- rename transaction ---------------------------------------------------
+    #
+    # Server-side rename transaction, shared by every protocol role.
+    #
+    # Flow (cross-shard case; coordinator = source-entry server):
+    #
+    # 1. validate the source removal locally (no mutation yet);
+    # 2. RENAME-PREP to the destination server, which executes + applies
+    #    the insert synchronously, logs it, and answers YES/NO keeping an
+    #    undo on hand;
+    # 3. on YES, apply the removal synchronously, log, RENAME-DECIDE
+    #    commit (destination prunes) and answer the client; on NO,
+    #    nothing was applied anywhere — answer the failure.
+    #
+    # Note: the eager path intentionally does not consult Cx's
+    # active-object table; renames of objects with in-flight pending
+    # operations are serialized by the workloads in this reproduction.
 
     def handle_rename(self, msg: Message):
         if msg.kind is MessageKind.REQ:
@@ -167,8 +144,6 @@ class RenameTransactionMixin:
             raise ValueError(f"not a rename message: {msg.kind}")
 
     def _rename_coordinate(self, msg: Message):
-        from repro.storage.wal import LogRecord
-
         plan: OpPlan = msg.payload["rename_plan"]
         op_id = plan.op.op_id
         yield self.sim.timeout_h(self.params.cpu_subop)
@@ -195,7 +170,7 @@ class RenameTransactionMixin:
             {"subop": plan.part_subop, "txn": op_id},
         )
         if not prep.payload["ok"]:
-            self.reply_result(msg, _failed_result(prep.payload["errno"]))
+            self.reply_result(msg, ExecResult(ok=False, errno=prep.payload["errno"]))
             return
 
         # 3. commit: apply the removal, log, finalize the destination
@@ -220,8 +195,6 @@ class RenameTransactionMixin:
         self.reply_result(msg, res)
 
     def _rename_prepare(self, msg: Message):
-        from repro.storage.wal import LogRecord
-
         subop = msg.payload["subop"]
         op_id = msg.payload["txn"]
         yield self.sim.timeout_h(self.params.cpu_subop)
@@ -233,8 +206,6 @@ class RenameTransactionMixin:
             events = self.server.shard.apply_sync(res.updates)
             if events:
                 yield self.sim.all_of(events)
-            if not hasattr(self, "_rename_pending"):
-                self._rename_pending = {}
             self._rename_pending[op_id] = res.undo
         self.server.send_reply(
             msg, MessageKind.YES if res.ok else MessageKind.NO,
@@ -243,7 +214,7 @@ class RenameTransactionMixin:
 
     def _rename_decide(self, msg: Message):
         op_id = msg.payload["txn"]
-        undo = getattr(self, "_rename_pending", {}).pop(op_id, None)
+        undo = self._rename_pending.pop(op_id, None)
         if not msg.payload["commit"] and undo is not None:
             events = self.server.shard.apply_sync(undo)
             if events:
@@ -260,20 +231,36 @@ class RenameTransactionMixin:
         self.server.send_reply(msg, MessageKind.ACK, {"txn": op_id})
 
 
-def _failed_result(errno):
-    from repro.fs.namespace import ExecResult
+def result_from_resp(msg: Message, conflicted: bool = False) -> OpResult:
+    """Build an OpResult from a RESP payload."""
+    p = msg.payload
+    return OpResult(
+        ok=bool(p.get("ok")),
+        errno=p.get("errno"),
+        value=p.get("value"),
+        conflicted=conflicted or bool(p.get("conflicted")),
+    )
 
-    return ExecResult(ok=False, errno=errno)
+
+# ---------------------------------------------------------------- rename
+
+
+def rename_client_perform(cluster, process: ClientProcess, plan: OpPlan):
+    """Client side of the eager rename fallback (all protocols).
+
+    Renames are excluded from Cx's optimization (paper footnote 1:
+    operations needing more than two metadata servers); every protocol
+    runs them as one coordinator-driven eager transaction.
+    """
+    resp = yield process.node.request(
+        cluster.server_id(plan.coordinator),
+        MessageKind.REQ,
+        {"rename_plan": plan},
+    )
+    return result_from_resp(resp)
 
 
 def is_rename_message(msg: Message) -> bool:
     return msg.kind in (MessageKind.RENAME_PREP, MessageKind.RENAME_DECIDE) or (
         msg.kind is MessageKind.REQ and "rename_plan" in msg.payload
     )
-
-
-# Attach the shared rename transaction to every role.
-ServerRole.handle_rename = RenameTransactionMixin.handle_rename
-ServerRole._rename_coordinate = RenameTransactionMixin._rename_coordinate
-ServerRole._rename_prepare = RenameTransactionMixin._rename_prepare
-ServerRole._rename_decide = RenameTransactionMixin._rename_decide

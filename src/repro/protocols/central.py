@@ -15,9 +15,9 @@ ATC'10] measured at ~7.5% slowdown for 1% cross-server operations.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Generator, List, Tuple
 
-from repro.cluster.client import ClientProcess, OpResult
+from repro.cluster.client import ClientProcess
 from repro.fs.namespace import NamespaceShard
 from repro.fs.objects import inode_key
 from repro.fs.ops import OpPlan

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator
 
-from repro.cluster.client import ClientProcess, OpResult
+from repro.cluster.client import ClientProcess
 from repro.fs.ops import OpPlan
 from repro.net.message import Message, MessageKind
 from repro.obs.tracer import PHASE_CLIENT, PHASE_EXEC, PHASE_WRITEBACK

@@ -15,11 +15,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator, List
 
-from repro.cluster.client import ClientProcess, OpResult
-from repro.fs.ops import OpPlan
 from repro.net.message import Message, MessageKind
 from repro.obs.tracer import PHASE_EXEC, PHASE_RECORD
-from repro.protocols.base import Protocol, ServerRole
+from repro.protocols.base import ServerRole
 from repro.protocols.serial import SerialProtocol
 from repro.sim import Interrupt, Process
 from repro.storage.wal import LogRecord, OpId

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Generator
 
-from repro.cluster.client import ClientProcess, OpResult
+from repro.cluster.client import ClientProcess
 from repro.fs.ops import OpPlan
 from repro.net.message import Message, MessageKind
 from repro.protocols.base import Protocol, ServerRole, result_from_resp

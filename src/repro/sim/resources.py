@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Deque, Generator, Optional
+from typing import TYPE_CHECKING, Any, Deque, Generator
 
 from repro.sim.events import Event
 

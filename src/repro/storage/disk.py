@@ -12,7 +12,7 @@ baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 from repro.params import SimParams
 from repro.sim import Event, Simulator, Store

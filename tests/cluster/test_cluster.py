@@ -117,13 +117,13 @@ class TestServerRuntime:
 class TestFailureInjection:
     def test_crash_loses_volatile_keeps_durable(self):
         cluster = build_cluster("cx")
-        d = cluster.preload_dir(ROOT_HANDLE, "dir")
+        cluster.preload_dir(ROOT_HANDLE, "dir")
         server = cluster.servers[0]
         server.kv.put_sync("durable", 1)
         cluster.sim.run(until=cluster.sim.now + 0.1)
         server.kv.put_deferred("volatile", 2)
         injector = FailureInjector(cluster)
-        valid = injector.crash_server(0)
+        injector.crash_server(0)
         assert server.crashed
         assert server.kv.get("durable") == 1
         assert server.kv.get("volatile") is None

@@ -93,13 +93,18 @@ def make_create(cluster, proc, parent, name, target=None) -> FileOperation:
     )
 
 
+def step_until(cluster, cond, limit: float = 60.0) -> None:
+    """Single-step the simulator to the first instant ``cond()`` holds."""
+    deadline = cluster.sim.now + limit
+    while not cond():
+        if cluster.sim.peek() > deadline:
+            raise AssertionError("condition not reached within the limit")
+        cluster.sim.step()
+
+
 def run_to_completion(cluster, runner, limit: float = 120.0):
     """Drive the simulator until ``runner`` (a Process) completes."""
-    deadline = cluster.sim.now + limit
-    while not runner.processed:
-        if cluster.sim.peek() > deadline:
-            raise AssertionError("runner did not complete within the limit")
-        cluster.sim.step()
+    step_until(cluster, lambda: runner.processed, limit)
     return runner.value
 
 

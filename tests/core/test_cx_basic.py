@@ -1,7 +1,5 @@
 """Cx basic-protocol tests: gracious execution, disagreement, batching."""
 
-import pytest
-
 from repro.cluster.builder import ROOT_HANDLE
 from repro.core.records import RecordType
 from repro.fs.ops import FileOperation, OpType

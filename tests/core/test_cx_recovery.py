@@ -1,13 +1,12 @@
 """Cx recovery protocol tests (paper §III.D / Table V)."""
 
-import pytest
-
 from repro.cluster import FailureInjector
 from repro.cluster.builder import ROOT_HANDLE
 from repro.core.records import RecordType
 from repro.fs.ops import FileOperation, OpType
+from repro.obs import check_trace
 from repro.params import SimParams
-from tests.conftest import build_cluster, run_to_completion
+from tests.conftest import build_cluster, run_to_completion, step_until
 
 
 def cross_create(cluster, proc, parent, tag=""):
@@ -61,7 +60,7 @@ class TestRecoveryBasics:
         cluster, d, ops, victim = self._pending_crash_cluster()
         injector = FailureInjector(cluster)
         injector.crash_server(victim)
-        report = run_to_completion(cluster, injector.recover_server(victim), limit=600)
+        run_to_completion(cluster, injector.recover_server(victim), limit=600)
         cluster.quiesce_protocol()
         assert check_namespace_invariants(cluster, known_dirs=[d]) == []
 
@@ -104,6 +103,88 @@ class TestRecoveryBasics:
         run_to_completion(cluster, injector.recover_server(victim), limit=600)
         settle_cluster(cluster)
         assert cluster.servers[victim].wal.ops_in_log() == []
+
+
+class TestDecidedNotCompleted:
+    """The coordinator crashed after its Commit-Record, before Complete:
+    recovery adopts the logged decision and re-enters the live
+    commitment at decision delivery (deliver → settle)."""
+
+    def _decided_crash(self):
+        """One cross-server create, stepped to the instant its decision
+        is durable on the coordinator (COMMIT-REQ just left)."""
+        cluster = build_cluster("cx")
+        d = cluster.preload_dir(ROOT_HANDLE, "dir")
+        proc = cluster.client_process(0, 0)
+        op = cross_create(cluster, proc, d)
+        (res,) = run_to_completion(cluster, cluster.run_ops(proc, [op]))
+        assert res.ok
+        coord = cluster.servers[cluster.placement.dirent_server(d, op.name)]
+        part = cluster.servers[cluster.placement.inode_server(op.target)]
+        pend = coord.role.pending[op.op_id]
+        step_until(cluster, lambda: pend.decided is not None)
+        assert coord.wal.has_record(op.op_id, RecordType.COMMIT.value)
+        assert not coord.wal.has_record(op.op_id, RecordType.COMPLETE.value)
+        return cluster, op, coord, part
+
+    def _assert_completed(self, cluster, op, coord):
+        assert coord.role.completed[op.op_id]["committed"] is True
+        assert coord.role.commit_mgr.parked == {}
+        assert op.op_id not in coord.role.pending
+        assert coord.wal.ops_in_log() == []
+        cluster.quiesce_protocol()
+        assert check_trace(cluster.tracer) == []
+
+    def test_peer_up_decision_redelivered_and_completed(self):
+        cluster, op, coord, part = self._decided_crash()
+        injector = FailureInjector(cluster)
+        injector.crash_server(coord.index)
+        first_life = len(cluster.tracer.events)
+        run_to_completion(cluster, injector.recover_server(coord.index), limit=600)
+        # Settled inside the recovery pass, before RECOVERY-END.
+        assert part.role.completed[op.op_id]["committed"] is True
+        self._assert_completed(cluster, op, coord)
+        # The adopted decision is on the trace before the shared tail's
+        # write-back (the first life may have died before emitting it).
+        names = [
+            e.name for e in cluster.tracer.events[first_life:]
+            if e.node == coord.node_id and e.op_id == op.op_id
+            and e.name in ("decision", "writeback")
+        ]
+        assert names == ["decision", "writeback"]
+
+    def test_peer_down_stays_parked_then_unparks_through_the_scan(self):
+        cluster, op, coord, part = self._decided_crash()
+        injector = FailureInjector(cluster)
+        injector.crash_server(part.index)  # COMMIT-REQ dies on the wire
+        injector.crash_server(coord.index)
+        run_to_completion(cluster, injector.recover_server(coord.index), limit=600)
+        # Unreachable peer: the op is left parked, records still logged.
+        assert set(coord.role.commit_mgr.parked) == {op.op_id}
+        assert coord.role.pending[op.op_id].decided is True
+        assert op.op_id not in coord.role.completed
+        assert coord.wal.has_record(op.op_id, RecordType.COMMIT.value)
+        assert not coord.quiesced
+        run_to_completion(cluster, injector.recover_server(part.index), limit=600)
+        settle_cluster(cluster)  # the ordinary trigger scan re-delivers
+        assert part.role.completed[op.op_id]["committed"] is True
+        self._assert_completed(cluster, op, coord)
+        assert coord.metrics.counter("commit.parked").value == 1
+
+    def test_second_crash_mid_recovery_rederives_from_the_log(self):
+        cluster, op, coord, part = self._decided_crash()
+        injector = FailureInjector(cluster)
+        injector.crash_server(coord.index)
+        first = injector.recover_server(coord.index)
+        # Adopted from the log, decision delivery in flight.
+        step_until(cluster, lambda: coord.role.commit_mgr.parked)
+        injector.crash_server(coord.index)
+        assert coord.role.commit_mgr.parked == {}  # volatile: died with us
+        assert coord.wal.has_record(op.op_id, RecordType.COMMIT.value)
+        run_to_completion(cluster, injector.recover_server(coord.index), limit=600)
+        assert first.processed  # the torn pass unwound (StaleEpoch)
+        self._assert_completed(cluster, op, coord)
+        assert coord.role.recovery.recoveries == 2
 
 
 class TestParticipantCrash:

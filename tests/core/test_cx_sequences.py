@@ -5,8 +5,6 @@ messages cross the wire, in which order, for the gracious execution
 (Fig. 2a) and the disagreement (Fig. 2b) scenarios.
 """
 
-import pytest
-
 from repro.cluster.builder import ROOT_HANDLE
 from repro.fs.ops import FileOperation, OpType
 from repro.net.message import MessageKind

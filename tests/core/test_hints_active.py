@@ -1,8 +1,6 @@
 """Unit tests for conflict hints, the completion rule, and the
 active-object table."""
 
-import pytest
-
 from repro.core.active import ActiveObjectTable, conflict_keys, hint_covers_other
 from repro.core.hints import ResponseHint, may_supersede, settled
 from repro.fs.objects import dirent_key, inode_key
@@ -134,15 +132,14 @@ class TestActiveObjectTable:
         t = ActiveObjectTable()
         t.register(A, ["k1", "k2"])
         assert t.holders_of(["k1"]) == [A]
-        assert t.holder_of(["k2", "k3"]) == A
-        assert t.holder_of(["k3"]) is None
+        assert t.holders_of(["k2", "k3"]) == [A]
+        assert t.holders_of(["k3"]) == []
 
     def test_multiple_holders_ordered(self):
         t = ActiveObjectTable()
         t.register(A, ["k"])
         t.register(B, ["k"])
-        assert t.holders_of(["k"]) == [A, B]
-        assert t.holder_of(["k"]) == B  # newest
+        assert t.holders_of(["k"]) == [A, B]  # newest last
 
     def test_release_removes_only_own_claim(self):
         t = ActiveObjectTable()
@@ -183,5 +180,5 @@ class TestActiveObjectTable:
         t.register(A, ["k"])
         t.block(A, self._msg(B))
         t.clear()
-        assert t.holder_of(["k"]) is None
+        assert t.holders_of(["k"]) == []
         assert t.blocked_behind(A) == []

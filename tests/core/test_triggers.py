@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.triggers import CommitTriggers
-from repro.sim import Simulator
 
 
 class TestValidation:

@@ -5,15 +5,11 @@ import pytest
 from repro.fs import (
     DirEntry,
     FileType,
-    Inode,
     NamespaceShard,
     OpType,
     SubOp,
     SubOpAction,
-    dirent_key,
-    inode_key,
 )
-from repro.params import SimParams
 from repro.storage import Disk, KVStore
 
 
@@ -38,7 +34,7 @@ def apply_ok(shard, sop, now=0.0):
 
 class TestInsertEntry:
     def test_creates_entry_and_parent_stub(self, shard):
-        res = apply_ok(shard, subop([SubOpAction.INSERT_ENTRY]))
+        apply_ok(shard, subop([SubOpAction.INSERT_ENTRY]))
         entry = shard.get_dirent(1, "f")
         assert entry == DirEntry(1, "f", 100)
         stub = shard.get_inode(1)

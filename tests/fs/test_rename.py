@@ -4,10 +4,11 @@ every protocol."""
 
 import pytest
 
+from repro.cluster import FailureInjector
 from repro.cluster.builder import ROOT_HANDLE
 from repro.fs.objects import dirent_key, inode_key
 from repro.fs.ops import FileOperation, OpType, split_operation
-from tests.conftest import build_cluster, run_to_completion
+from tests.conftest import build_cluster, run_to_completion, step_until
 
 ALL_PROTOCOLS = ["ofs", "ofs-batched", "2pc", "ce", "cx"]
 
@@ -128,3 +129,29 @@ class TestRenameSemantics:
         assert all(r.ok for r in results)
         cluster.quiesce_protocol()
         assert check_namespace_invariants(cluster, known_dirs=[d1, d2]) == []
+
+
+@pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
+class TestRenameCrash:
+    def test_destination_crash_drops_the_undo_image(self, protocol):
+        """The undo image the destination keeps between RENAME-PREP and
+        RENAME-DECIDE is volatile: a crash in that window must not carry
+        it into the rebooted server."""
+        cluster = build_cluster(protocol)
+        d1 = cluster.preload_dir(ROOT_HANDLE, "a")
+        d2 = cluster.preload_dir(ROOT_HANDLE, "b")
+        h = cluster.preload_file(d1, "old")
+        proc = cluster.client_process(0, 0)
+        op = rename_op(cluster, proc, d1, "old", d2, "new", h)
+        src = cluster.placement.dirent_server(d1, "old")
+        dst = cluster.servers[cluster.placement.dirent_server(d2, "new")]
+        assert dst.index != src  # cross-shard: PREP/DECIDE are messages
+        cluster.run_ops(proc, [op])
+        # Prepared; the DECIDE has not arrived yet.
+        step_until(cluster, lambda: dst.role._rename_pending)
+        assert list(dst.role._rename_pending) == [op.op_id]
+        injector = FailureInjector(cluster)
+        injector.crash_server(dst.index)
+        assert dst.role._rename_pending == {}
+        run_to_completion(cluster, injector.recover_server(dst.index), limit=600)
+        assert dst.role._rename_pending == {}

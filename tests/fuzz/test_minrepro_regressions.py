@@ -31,9 +31,9 @@ contract"):
 from repro.faultfuzz import Fault, run_schedule
 
 
-def _replay(fault_dicts):
+def _replay(fault_dicts, seed=0):
     faults = [Fault.from_dict(d) for d in fault_dicts]
-    res = run_schedule(faults, seed=0)
+    res = run_schedule(faults, seed=seed)
     assert res.verdict == "ok", (
         f"verdict={res.verdict} violations={res.violations} "
         f"error={res.error}"
@@ -109,3 +109,41 @@ class TestMinreproRegressions:
             {"kind": "crash", "at": 2477, "a": 1, "b": -1,
              "until": -1, "extra": 0.0},
         ])
+
+
+class TestRecoveryReentersLivePipeline:
+    """Not former failures: the two certified schedules that load the
+    path recovery shares with the live commitment hardest, pinned
+    verdict-``ok`` so a change to deliver/settle meets them first."""
+
+    def test_thirteen_decided_ops_in_one_recovery(self):
+        """Seed 0 schedule 8: the crash leaves 13 coordinator ops
+        decided but not completed — one batched COMMIT-REQ per
+        participant and one settle, where recovery used to pay a round
+        trip and a Complete flush per op."""
+        _replay([
+            {"kind": "drop", "at": 180, "a": -1, "b": -1,
+             "until": -1, "extra": 0.0},
+            {"kind": "crash", "at": 1567, "a": 3, "b": -1,
+             "until": -1, "extra": 0.0},
+        ])
+
+    def test_decided_op_parked_by_recovery_behind_a_partition(self):
+        """Seed 1 schedule 43: server 0 crashes inside a 0–3 partition,
+        so its recovery adopts four decisions and can deliver only two;
+        the rest stay parked and the ordinary trigger scan re-delivers
+        them after the heal."""
+        _replay([
+            {"kind": "delay", "at": 14, "a": -1, "b": -1,
+             "until": -1, "extra": 0.743228},
+            {"kind": "drop", "at": 51, "a": -1, "b": -1,
+             "until": -1, "extra": 0.0},
+            {"kind": "dup", "at": 167, "a": -1, "b": -1,
+             "until": -1, "extra": 0.330524},
+            {"kind": "partition", "at": 942, "a": 0, "b": 3,
+             "until": 4304, "extra": 0.0},
+            {"kind": "crash", "at": 1331, "a": 0, "b": -1,
+             "until": -1, "extra": 0.0},
+            {"kind": "crash", "at": 1484, "a": 0, "b": -1,
+             "until": -1, "extra": 0.0},
+        ], seed=1)

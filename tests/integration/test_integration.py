@@ -6,7 +6,7 @@ import pytest
 from repro.analysis.consistency import check_atomicity, check_namespace_invariants
 from repro.cluster import FailureInjector
 from repro.cluster.builder import ROOT_HANDLE
-from repro.fs.objects import dirent_key, inode_key
+from repro.fs.objects import inode_key
 from repro.fs.ops import FileOperation, OpType
 from repro.net.message import MessageKind
 from repro.params import SimParams

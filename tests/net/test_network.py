@@ -4,7 +4,6 @@ import pytest
 
 from repro.net import Message, MessageKind, Network, Node
 from repro.net.network import UnknownNode
-from repro.params import SimParams
 
 
 @pytest.fixture

@@ -81,6 +81,27 @@ class TestSnapshots:
         assert snap["wal.sync_bytes"]["p50"] == pytest.approx(64.0)
         assert snap["wal.sync_bytes"]["p999"] == pytest.approx(64.0)
 
+    def test_unwritten_meters_stay_out_of_the_snapshot(self):
+        """Owners resolve their handles at construction; a meter shows
+        up only once something was recorded into it."""
+        reg = MetricsRegistry("mds0")
+        parked = reg.counter("commit.parked")
+        depth = reg.gauge("commit.queue_depth")
+        latency = reg.histogram("commit.latency")
+        assert reg.snapshot() == {}
+        assert reg.render() == "[mds0]"
+        parked.inc()
+        assert reg.snapshot() == {"commit.parked": 1}
+        depth.set(2)
+        depth.set(0)  # back to zero: the high-water mark keeps it visible
+        latency.observe(0.0)  # a zero-valued sample is still a sample
+        snap = reg.snapshot()
+        assert set(snap) == {
+            "commit.parked", "commit.queue_depth", "commit.latency",
+        }
+        assert snap["commit.queue_depth"] == {"value": 0, "max": 2}
+        assert snap["commit.latency"]["count"] == 1
+
     def test_empty_histogram_snapshot(self):
         snap = MetricsRegistry("x").histogram("h").snapshot()
         assert snap["count"] == 0
@@ -126,3 +147,18 @@ class TestMerge:
         merged = merge_snapshots([a, b])
         assert merged["h"]["count"] == 1
         assert merged["h"]["min"] == 5.0
+
+    def test_merge_unaffected_by_unwritten_meters(self):
+        a, b = MetricsRegistry("mds0"), MetricsRegistry("mds1")
+        for reg in (a, b):  # both servers resolve every handle
+            reg.counter("commit.parked")
+            reg.gauge("commit.queue_depth")
+            reg.histogram("commit.latency")
+        a.counter("commit.parked").inc(2)
+        a.gauge("commit.queue_depth").set(3)
+        a.histogram("commit.latency").observe(1.5)
+        merged = merge_snapshots([a, b])
+        assert merged == merge_snapshots([a])
+        assert merged["commit.parked"] == 2
+        assert merged["commit.queue_depth"] == {"value": 3, "max": 3}
+        assert merged["commit.latency"]["count"] == 1

@@ -1,7 +1,5 @@
 """Tests for the ablation protocol variants."""
 
-import pytest
-
 from repro.cluster.builder import ROOT_HANDLE
 from repro.fs.ops import FileOperation, OpType
 from repro.params import SimParams

@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.sim import (
-    AllOf,
-    AnyOf,
-    Event,
-    EventAlreadyTriggered,
-    Simulator,
-    Timeout,
-)
+from repro.sim import EventAlreadyTriggered, Simulator
 from repro.sim.core import SimulationError
 
 

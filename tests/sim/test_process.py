@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Interrupt, Simulator
+from repro.sim import Interrupt
 from repro.sim.core import SimulationError
 
 

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.params import SimParams
 from repro.storage import Disk, LogRecord, WriteAheadLog
 
 

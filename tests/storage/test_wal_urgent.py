@@ -7,7 +7,6 @@ log (found by the Figure 7(a) sweep; see DESIGN.md §5).
 
 import pytest
 
-from repro.params import SimParams
 from repro.storage import Disk, LogRecord, WriteAheadLog
 
 
