@@ -231,19 +231,13 @@ class TimelineSampler:
         self._proc = sim.process(self._loop())
 
     def _loop(self):
-        from repro.sim import Interrupt
-
-        try:
-            while True:
-                self.samples.append((self.sim.now, float(self.probe())))
-                yield self.sim.timeout(self.period)
-        except Interrupt:
-            return
+        while True:
+            self.samples.append((self.sim.now, float(self.probe())))
+            yield self.sim.timeout(self.period)
 
     def stop(self) -> None:
         """Halt sampling (e.g. when the observed replay has ended)."""
-        if self._proc.is_alive:
-            self._proc.interrupt("sampler stopped")
+        self._proc.kill()
 
     def __enter__(self) -> "TimelineSampler":
         return self

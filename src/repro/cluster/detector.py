@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Optional
 from repro.net.message import MessageKind
 from repro.net.network import Node
 from repro.obs.registry import MetricsRegistry
-from repro.sim import Interrupt, Process
+from repro.sim import Process
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.builder import Cluster
@@ -70,8 +70,7 @@ class FailureDetector:
 
     def stop(self) -> None:
         for proc in self._procs:
-            if proc.is_alive:
-                proc.interrupt("detector stopped")
+            proc.kill()
         self._procs = []
 
     def clear(self, index: int) -> None:
@@ -84,24 +83,21 @@ class FailureDetector:
     def _watch(self, index: int):
         sim = self.cluster.sim
         node_id = self.cluster.server_id(index)
-        try:
-            while True:
-                yield sim.timeout(self.interval)
-                alive = yield from self._probe(node_id)
-                if alive:
-                    self.misses[index] = 0
-                    continue
-                self.misses[index] += 1
-                if (
-                    self.misses[index] >= self.misses_to_declare
-                    and index not in self.declared
-                ):
-                    self.declared.add(index)
-                    self.declarations += 1
-                    if self.on_crash is not None:
-                        self.on_crash(index)
-        except Interrupt:
-            return
+        while True:
+            yield sim.timeout(self.interval)
+            alive = yield from self._probe(node_id)
+            if alive:
+                self.misses[index] = 0
+                continue
+            self.misses[index] += 1
+            if (
+                self.misses[index] >= self.misses_to_declare
+                and index not in self.declared
+            ):
+                self.declared.add(index)
+                self.declarations += 1
+                if self.on_crash is not None:
+                    self.on_crash(index)
 
     def _probe_failed(self, node_id: str, reason: str) -> None:
         """Record a failed probe: counter + tracer event, never silent."""

@@ -1,8 +1,8 @@
 """Failure injection: crash and reboot nodes mid-run.
 
-A server crash loses all volatile state (inbox, handler processes,
-pending protocol tables, KV overlay/dirty set) but keeps durable state
-(the on-disk log and the flushed KV contents).  A client crash simply
+A server crash loses all volatile state (inbox, every process the server
+owns, pending protocol tables, KV overlay/dirty set) but keeps durable
+state (the on-disk log and the flushed KV contents).  A client crash simply
 silences the client — which is how the paper's SE baseline ends up with
 orphan objects (the CLEAR message never goes out).
 
@@ -98,7 +98,9 @@ class FailureInjector:
         """Process body: reboot ``index`` and run the protocol recovery.
 
         Returns a :class:`RecoveryReport`.  The role's ``recover``
-        generator does the actual work (quiesce, log scan, resumption).
+        generator does the actual work (quiesce, log scan, resumption)
+        as a process of the rebooted server, so a second crash kills the
+        pass — the report then ends at that instant.
         Recovering a server that is not crashed raises immediately —
         rebooting a live server would wipe its volatile protocol state
         mid-operation, which no caller legitimately wants.
@@ -116,7 +118,7 @@ class FailureInjector:
             role = server.role
             if role is not None and hasattr(role, "recover"):
                 try:
-                    yield from role.recover()
+                    yield server.spawn(role.recover())
                 except ConnectionError:
                     # Backstop: a peer died mid-recovery on a path the
                     # guarded RPC's callers don't cover.  The recovery

@@ -11,19 +11,24 @@ Each handler runs on a :class:`_HandlerSlot`, a ``Process`` that drives
 the role's generator directly (no wrapper generator or bookkeeping
 closure per message) and skips the generator altogether when the role
 serves the message inline.
+
+The server *owns* its activities — handler slots and whatever a role
+starts through :meth:`MetadataServer.spawn` — and a crash kills them
+all before anything else, so no generator of a dead server ever runs
+again (paper §III.D: a crashed server loses all volatile state).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Deque, Optional, Set
+from typing import TYPE_CHECKING, Deque, Generator, Optional, Set
 
 from repro.fs.namespace import NamespaceShard
 from repro.net.message import Message, MessageKind
 from repro.net.network import Network, Node
 from repro.obs.registry import MetricsRegistry
 from repro.params import SimParams
-from repro.sim import Event, Interrupt, Process, Simulator
+from repro.sim import Event, Process, Simulator
 from repro.sim.resources import ResourceClosed
 from repro.storage.disk import Disk
 from repro.storage.kvstore import KVStore
@@ -43,12 +48,6 @@ def server_node_id(index: int) -> str:
     return f"mds{index}"
 
 
-def _never_started():
-    """Stand-in generator for a handler interrupted before its bootstrap."""
-    return
-    yield
-
-
 class _HandlerSlot(Process):
     """The driver of one message handler.
 
@@ -63,9 +62,9 @@ class _HandlerSlot(Process):
 
     __slots__ = ("server", "msg")
 
-    #: Teardown signals: the server (or a peer) crashed out from under
-    #: the handler, which is not a failure of the simulation.
-    QUIET_EXITS = (Interrupt, ResourceClosed, ConnectionError)
+    #: Teardown signals: a peer crashed out from under the handler,
+    #: which is not a failure of the simulation.
+    QUIET_EXITS = (ResourceClosed, ConnectionError)
 
     def __init__(self, server: "MetadataServer", msg: Message) -> None:
         Event.__init__(self, server.sim)
@@ -73,27 +72,13 @@ class _HandlerSlot(Process):
         self.msg = msg
         self.name = "handler"
         self._gen = None
-        self._target = None
-        self._resume_cb = self._resume
-        # Untrack once the completion event is processed.  The kernel
-        # drops the callback list then, and _finish dropped _resume_cb,
-        # so a finished slot holds no reference to itself.
-        self.callbacks.append(self._untrack)  # type: ignore[union-attr]
-        server.sim.init_h(self._start)
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the handler (crash teardown)."""
-        if self._gen is None and not self.triggered:
-            # The bootstrap is still queued: the handler must never run.
-            # _start backs off when it finds a generator in place, and
-            # the Interrupt thrown into the stand-in completes the slot.
-            self._gen = _never_started()
-        super().interrupt(cause)
+        #: What the kernel holds for this slot (kill() detaches it by
+        #: identity): the bootstrap now, _resume once a generator runs.
+        self._resume_cb = self._start
+        self._target = server.sim.init_h(self._resume_cb)
 
     def _start(self, h: int) -> None:
         """Bootstrap callback: run the handler at the dispatch instant."""
-        if self._gen is not None:
-            return  # interrupted before it started
         server = self.server
         server.requests_served += 1
         role = server.role
@@ -109,12 +94,10 @@ class _HandlerSlot(Process):
             self._finish(None)  # served inline
             return
         self._gen = gen
+        self._resume_cb = self._resume
         # The bootstrap handle carries (H_OK, value=None), exactly what
         # the first generator resume needs.
         self._resume(h)
-
-    def _untrack(self, _ev: Event) -> None:
-        self.server._handlers.discard(self)
 
 
 class MetadataServer(Node):
@@ -155,7 +138,9 @@ class MetadataServer(Node):
         #: file system stops responding new requests").
         self.quiesced = False
         self._quiesce_buffer: Deque[Message] = deque()
-        self._handlers: Set[_HandlerSlot] = set()
+        #: Every live activity: handler slots and :meth:`spawn`-ed
+        #: processes.  Finished ones drop out; :meth:`crash` kills the rest.
+        self._owned: Set[Process] = set()
         self._loop: Optional[Process] = None
         self.requests_served = 0
 
@@ -217,7 +202,22 @@ class MetadataServer(Node):
                 self._quiesce_buffer.append(msg)
                 continue
             yield timeout_h(cpu_dispatch)
-            self._handlers.add(_HandlerSlot(self, msg))
+            self._own(_HandlerSlot(self, msg))
+
+    def spawn(self, gen: Generator) -> Process:
+        """Run ``gen`` as an activity of this server: a crash kills it.
+        Roles start every free-running generator (commitment batches,
+        timers, recovery) here — one started on the bare simulator would
+        outlive the crash."""
+        return self._own(Process(self.sim, gen))
+
+    def _own(self, proc: Process) -> Process:
+        self._owned.add(proc)
+        # Untrack once the completion event is processed.  The kernel
+        # drops the callback list then, and _finish dropped _resume_cb,
+        # so a finished process holds no reference to itself.
+        proc.callbacks.append(self._owned.discard)  # type: ignore[union-attr]
+        return proc
 
     # -- quiesce (recovery state) ----------------------------------------------
 
@@ -236,17 +236,16 @@ class MetadataServer(Node):
         the durable KV contents survive."""
         self.tracer.event("server.crash", self.node_id, cat="server")
         self.metrics.counter("server.crashes").inc()
+        # First: once this loop ends nothing the server was doing can see
+        # the torn state below — no code after a yield asks "did I crash?".
+        for proc in list(self._owned):
+            proc.kill()
+        self._owned.clear()
         super().crash()  # close inbox, fail pending RPCs
-        for proc in list(self._handlers):
-            proc.interrupt("server crash")
-        self._handlers.clear()
         self._quiesce_buffer.clear()
         self.kv.crash()
         self.wal.crash()
         if self.role is not None:
-            # Every role's rename undo images are volatile, whatever its
-            # own on_crash drops.
-            self.role._rename_pending.clear()
             self.role.on_crash()
         self._loop = None
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.core.records import PendingOp, PendingState, RecordType, StaleEpoch
+from repro.core.records import PendingOp, PendingState, RecordType
 from repro.fs.objects import inode_key
 from repro.net.message import MessageKind
 from repro.obs.tracer import PHASE_COMMIT, PHASE_WRITEBACK
@@ -67,7 +67,8 @@ class CommitManager:
         #: — never re-voted — once the peer is reachable again.  The
         #: trigger scan drives re-delivery.
         self.parked: Dict[OpId, PendingOp] = {}
-        self._parked_inflight = False
+        #: The one re-delivery process the scan may have in flight.
+        self._redelivery = None
         self.batches_launched = 0
         self.immediate_commits = 0
         self.lazy_commits = 0
@@ -76,7 +77,6 @@ class CommitManager:
         self.lazy.clear()
         self._pre_requests.clear()
         self.parked.clear()
-        self._parked_inflight = False
 
     # -- queueing ------------------------------------------------------------
 
@@ -167,7 +167,7 @@ class CommitManager:
         else:
             self.lazy_commits += len(ops)
             self._m_lazy.inc(len(ops))
-        self.role.sim.process(self._commit_batch(ops))
+        self.role.server.spawn(self._commit_batch(ops))
 
     # -- the batch process ------------------------------------------------------------
 
@@ -186,15 +186,12 @@ class CommitManager:
 
         Raises :class:`ConnectionError` once every attempt failed
         (dead-lettered, partition-dropped or overdue): the caller
-        retries later, skips the peer or parks the work.  Raises
-        :class:`StaleEpoch` when *this* server crashed while the RPC was
-        in flight — the caller must unwind without touching any
-        protocol state (it all belongs to the next epoch now).
+        retries later, skips the peer or parks the work.  Our *own*
+        crash never surfaces here: it kills the calling process first.
         """
         role = self.role
         sim = role.sim
         tracer = self.tracer
-        epoch = role.epoch
         for attempt in range(attempts):
             if attempt:
                 self._m_rpc_retries.inc()
@@ -209,19 +206,10 @@ class CommitManager:
                     dst, kind, payload, size=size, span_id=span_id
                 )
                 if timeout is None:
-                    val = yield ev
-                    winner = ev
-                else:
-                    winner, val = yield sim.any_of([ev, sim.timeout(timeout)])
+                    return (yield ev)
+                winner, val = yield sim.any_of([ev, sim.timeout(timeout)])
             except ConnectionError:
-                # *Our* crash also fails our in-flight RPCs with
-                # ConnectionError; that must unwind as StaleEpoch (torn
-                # state), not as retry-or-park against the dead peer.
-                if role.epoch != epoch:
-                    raise StaleEpoch
                 continue  # dead-lettered: the peer is down right now
-            if role.epoch != epoch:
-                raise StaleEpoch
             if winner is ev:
                 return val
             self._m_rpc_timeouts.inc()
@@ -234,8 +222,7 @@ class CommitManager:
         raise ConnectionError(f"{kind.value} to {dst}: no reply")
 
     def _commit_batch(self, ops: List[PendingOp]):
-        role = self.role
-        epoch = role.epoch
+        spawn = self.role.server.spawn
         groups: Dict[int, List[PendingOp]] = {}
         singles: List[PendingOp] = []
         for p in ops:
@@ -248,7 +235,7 @@ class CommitManager:
         #: chunks resolve; the batch tail flushes/completes them as one.
         done: List[PendingOp] = []
         procs = [
-            role.sim.process(self._commit_group(part_idx, group, done))
+            spawn(self._commit_group(part_idx, group, done))
             for part_idx, group in groups.items()
         ]
         # Single-server operations decide locally — no peer round-trip.
@@ -257,20 +244,14 @@ class CommitManager:
             done.append(p)
         if procs:
             yield self.role.sim.all_of(procs)
-            if role.epoch != epoch:
-                return  # crashed mid-batch; this state died with us
         if done:
-            try:
-                yield from self._settle(done)
-            except StaleEpoch:
-                return
+            yield from self._settle(done)
 
     def _settle(self, done: List[PendingOp]):
         """Steps 6–7 for decided *and* acknowledged operations — the
         one tail every commitment ends in, whether it got here from a
         live batch, a parked re-delivery or a recovery pass."""
         role = self.role
-        epoch = role.epoch
         # "synchronize metadata objects into database": one batched,
         # merged write-back of the decided objects — durable *before*
         # their Complete-Records, so a crash never finds a pruned log
@@ -279,8 +260,6 @@ class CommitManager:
         flush = role.server.kv.flush_keys(keys)
         if flush is not None:
             yield flush
-            if role.epoch != epoch:
-                raise StaleEpoch
         tracer = self.tracer
         if tracer.enabled:
             # Only decided ops were truly synchronized — a participant
@@ -303,8 +282,6 @@ class CommitManager:
             )
         tracer.ambient = None
         yield role.sim.all_of(completes)
-        if role.epoch != epoch:
-            raise StaleEpoch
         for p in done:
             self._finalize(p, p.decided)
 
@@ -314,11 +291,6 @@ class CommitManager:
         try:
             for chunk in _split_nonconflicting(group):
                 yield from self._commit_group_once(part_idx, chunk, done)
-        except StaleEpoch:
-            # We crashed mid-exchange: every pend here was already torn
-            # down by on_crash — touching it (park, state reset) would
-            # resurrect pre-crash state into the new epoch.
-            return
         except ConnectionError:
             # Participant crashed (or partitioned away) mid-commitment.
             done_ids = {d.op_id for d in done}
@@ -396,16 +368,7 @@ class CommitManager:
                 )
             )
         tracer.ambient = None
-        epoch = role.epoch
         yield role.sim.all_of(appends)
-        if role.epoch != epoch:
-            # Crash window: the records above were either torn out of
-            # the log (the crash dropped the in-flight flush batch, yet
-            # its completion handles still fired) or survive for the
-            # *recovery* pass to finish.  Either way this generator is
-            # a zombie — emitting the decision or messaging the peer
-            # here would write protocol history for a dead server.
-            raise StaleEpoch
         # The decisions are durable: from here on, every retry path must
         # re-deliver them — never re-vote.
         for p, commit in zip(ops, decisions):
@@ -477,51 +440,40 @@ class CommitManager:
         Runs no sim events when nothing is parked (the common case and
         every fault-free replay); at most one re-delivery process is in
         flight at a time."""
-        if not self.parked or self._parked_inflight:
+        if not self.parked or self.role.server.quiesced:
             return
-        if self.role.server.quiesced:
-            return
-        self._parked_inflight = True
-        self.role.sim.process(self.finish_parked())
+        if self._redelivery is None or self._redelivery.triggered:
+            self._redelivery = self.role.server.spawn(self.finish_parked())
 
     def finish_parked(self):
         """Re-deliver the parked decisions, one batched COMMIT-REQ per
         participant, and settle what gets acknowledged.  A peer that is
         still unreachable keeps its ops parked for the next scan."""
         role = self.role
-        epoch = role.epoch
         timeout = role.params.recovery_rpc_timeout
         tracer = self.tracer
-        try:
-            while self.parked:
-                by_peer: Dict[int, List[PendingOp]] = {}
-                for p in self.parked.values():
-                    by_peer.setdefault(p.other_server, []).append(p)
-                progressed = False
-                for part_idx, group in by_peer.items():
-                    try:
-                        yield from self._deliver(part_idx, group, timeout)
-                    except ConnectionError:
-                        continue
-                    progressed = True
-                    peer = role.cluster.server_id(part_idx)
-                    for p in group:
-                        del self.parked[p.op_id]
-                        if tracer.enabled:
-                            tracer.event(
-                                "commit.unpark", role.server.node_id,
-                                cat="protocol", op_id=p.op_id, peer=peer,
-                            )
-                    yield from self._settle(group)
-                if not progressed:
-                    return
-        except StaleEpoch:
-            return  # crashed; parked table already cleared
-        finally:
-            # After a crash the inflight flag belongs to the new epoch's
-            # scan (on_crash reset it; a fresh scan may already be up).
-            if role.epoch == epoch:
-                self._parked_inflight = False
+        while self.parked:
+            by_peer: Dict[int, List[PendingOp]] = {}
+            for p in self.parked.values():
+                by_peer.setdefault(p.other_server, []).append(p)
+            progressed = False
+            for part_idx, group in by_peer.items():
+                try:
+                    yield from self._deliver(part_idx, group, timeout)
+                except ConnectionError:
+                    continue
+                progressed = True
+                peer = role.cluster.server_id(part_idx)
+                for p in group:
+                    del self.parked[p.op_id]
+                    if tracer.enabled:
+                        tracer.event(
+                            "commit.unpark", role.server.node_id,
+                            cat="protocol", op_id=p.op_id, peer=peer,
+                        )
+                yield from self._settle(group)
+            if not progressed:
+                return
 
     def _finalize(self, pend: PendingOp, committed: bool) -> None:
         role = self.role

@@ -52,6 +52,7 @@ class ParticipantHalf:
         self._m_decisions = metrics.counter("commit.decisions")
         self._m_votes_lost = metrics.counter("votes.lost")
         self._m_resolicits = metrics.counter("votes.resolicited")
+        self._m_decisions_unknown = metrics.counter("commit.decisions_unknown")
         #: Votes waiting for an op to execute here:
         #: op_id -> [(event, armed_at virtual time)].
         self._vote_waiters: Dict[OpId, List[Tuple[Event, float]]] = {}
@@ -164,18 +165,15 @@ class ParticipantHalf:
                 if blocked is not None:
                     holder, blocked_msg = blocked
                     holder_pend = role.pending.get(holder)
-                    if (
-                        holder_pend is not None
-                        and holder_pend.state is PendingState.EXECUTED
-                    ):
+                    if self.can_invalidate(holder_pend):
                         # Disordered conflict: enforce the coordinator's
                         # order.  Detach the voted request first so the
                         # invalidation's requeue does not double-dispatch
                         # it.
                         role.active.unblock_one(holder, blocked_msg)
                         self.invalidate(holder_pend)
-                        pend = yield from role.execute_now(blocked_msg)
-                        return pend
+                        return (yield from role.execute_now(
+                            blocked_msg, voted=True))
                     # Holder is mid-commitment: once it resolves, the
                     # blocked request is re-injected and executes; wait
                     # for that.
@@ -193,6 +191,18 @@ class ParticipantHalf:
             val = yield ev
             if val == "abandon":
                 return None
+
+    @staticmethod
+    def can_invalidate(pend: Optional[PendingOp]) -> bool:
+        """Only an op no commitment has ordered yet may be undone.
+
+        ``COMMITTING`` covers both ways a vote orders an op here: the
+        vote was cast, or the op was executed inline *for* a VOTE and
+        its cast is only waiting for the Result-Record.  Undoing either
+        would leave the coordinator deciding on a result this server no
+        longer holds.
+        """
+        return pend is not None and pend.state is PendingState.EXECUTED
 
     def invalidate(self, holder: PendingOp) -> None:
         """Undo an executed-but-uncommitted op and requeue its request.
@@ -239,7 +249,17 @@ class ParticipantHalf:
         tracer.ambient = msg.span_id
         for op_id, commit in decisions.items():
             pend = role.pending.pop(op_id, None)
-            if pend is None:  # pragma: no cover - duplicate decide
+            if pend is None:
+                if op_id not in role.completed:
+                    # Not a duplicate: a decision for an op this server
+                    # does not hold (it voted ELOST, or lost the op).
+                    self._m_decisions_unknown.inc()
+                    if tracer.enabled:
+                        tracer.event(
+                            "decision.unknown", server.node_id,
+                            cat="protocol", op_id=op_id,
+                            parent=msg.span_id, committed=commit,
+                        )
                 continue
             if not commit and pend.ok:
                 role.server.shard.apply_deferred(pend.result.undo)
@@ -277,10 +297,9 @@ class ParticipantHalf:
         if flush is not None:
             yield flush
         # Terminal for the participant: its records become prunable.
-        # Only the ops decided *by this call*: a duplicate decide (or
-        # one racing a crash that already tore the pending table down)
-        # must not blanket-prune — the op's Result-Record may be the
-        # only redo copy recovery has left.
+        # Only the ops decided *by this call*: a duplicate decide must
+        # not blanket-prune — the op's Result-Record may be the only
+        # redo copy recovery has left.
         for pend, _commit in to_release:
             role.server.wal.prune_op(pend.op_id)
         if tracer.enabled:

@@ -31,22 +31,6 @@ class RecordType(str, enum.Enum):
     COMPLETE = "COMPLETE"
 
 
-class StaleEpoch(Exception):
-    """The server crashed underneath a long-lived protocol generator.
-
-    Commitment batches, parked-decision re-deliveries, and the recovery
-    pass all run as free simulator processes — a crash interrupts the
-    server's message-handler slots but cannot reach into these.  Worse,
-    a WAL flush that was in flight at the crash still fires its
-    completion handles when the disk IO lands, so such a generator can
-    *wake up* after the crash and act on records the crash already tore
-    out of the log (emit a decision, message a peer) — a zombie writing
-    protocol history for a dead server.  Every such generator snapshots
-    ``role.epoch`` when it starts and raises this after any yield that
-    observed a newer epoch; owners unwind without side effects.
-    """
-
-
 class PendingState(str, enum.Enum):
     #: Executed and logged; commitment not yet launched.
     EXECUTED = "executed"

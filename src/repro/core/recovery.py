@@ -51,7 +51,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Generator, List, Optional, Tuple
 
 from repro.analysis.consistency import classify_namespace
-from repro.core.records import PendingOp, StaleEpoch, log_state
+from repro.core.records import PendingOp, log_state
 from repro.fs.objects import DirEntry, Inode
 from repro.net.message import MessageKind
 from repro.storage.wal import LogRecord, OpId
@@ -89,26 +89,19 @@ class CxRecovery:
             except ConnectionError:
                 pass  # skipped; rpc counted it (commit.rpc_failed)
 
-        procs = [role.sim.process(one(p)) for p in peers]
+        procs = [role.server.spawn(one(p)) for p in peers]
         if procs:
             yield role.sim.all_of(procs)
 
     # -- the recovery pass --------------------------------------------------
 
     def run(self) -> Generator:
-        try:
-            yield from self._run()
-        except StaleEpoch:
-            # Crashed again mid-recovery.  Everything this pass rebuilt
-            # died with the crash; the next reboot's recovery re-derives
-            # it all from the (durable) log.
-            return
-
-    def _run(self) -> Generator:
+        """One pass.  A second crash kills it wherever it stands:
+        everything it rebuilt dies with the server, and the next
+        reboot's pass re-derives it all from the (durable) log."""
         role = self.role
         server = role.server
         sim = role.sim
-        epoch = role.epoch
         self.recoveries += 1
 
         # 1. Tell every collaborating server to enter the recovery
@@ -122,8 +115,6 @@ class CxRecovery:
         # 2. Reboot overhead, then sequentially scan the on-disk log.
         yield sim.timeout(role.params.recovery_reboot_cost)
         yield sim.timeout(server.wal.scan_cost())
-        if role.epoch != epoch:
-            raise StaleEpoch
 
         # 3. Classify every operation left in the log and rebuild its
         #    pending entry at the step the records prove.
@@ -168,8 +159,6 @@ class CxRecovery:
         # large-footprint recoveries (Table V).
         if disk_events:
             yield sim.all_of(disk_events)
-            if role.epoch != epoch:
-                raise StaleEpoch
 
         # 4. Finish half-decided commitments: one batched COMMIT-REQ
         #    per participant, then the live settle tail.  What an
@@ -177,8 +166,6 @@ class CxRecovery:
         #    once the file system has resumed; the records stay in the
         #    log, so a second crash here re-derives it.
         yield from role.commit_mgr.finish_parked()
-        if role.epoch != epoch:
-            raise StaleEpoch
 
         # 5. Commit everything that was still pending, in bounded
         #    batches (a crash with a huge valid-record footprint must
@@ -203,8 +190,6 @@ class CxRecovery:
             yield sim.any_of(
                 [sim.all_of(done_events), sim.timeout(chunk_bound)]
             )
-            if role.epoch != epoch:
-                raise StaleEpoch
 
         # 6. Advisory orphan sweep over the local shard (metrics only).
         self._orphan_sweep()
@@ -213,8 +198,6 @@ class CxRecovery:
         flush = server.kv.flush()
         if flush is not None:
             yield flush
-            if role.epoch != epoch:
-                raise StaleEpoch
         yield from self._fan_out(peers, MessageKind.RECOVERY_END)
         server.unquiesce()
 

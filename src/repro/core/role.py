@@ -71,11 +71,6 @@ class CxRole(ServerRole):
             scan=self._liveness_scan,
             idle=self._trigger_idle,
         )
-        #: Crash generation.  Free-running protocol generators (batch
-        #: commitments, parked re-delivery, recovery) snapshot this and
-        #: unwind via StaleEpoch when a crash bumps it underneath them
-        #: — see :class:`~repro.core.records.StaleEpoch`.
-        self.epoch = 0
         #: Op ids currently blocked on this server (duplicate-REQ guard).
         self._blocked_ops: Set[OpId] = set()
         #: Op ids mid-execution (between dispatch and the pending-table
@@ -127,7 +122,7 @@ class CxRole(ServerRole):
         self.commit_mgr.launch_all("flush-now")
 
     def on_crash(self) -> None:
-        self.epoch += 1
+        super().on_crash()
         self.triggers.stop()
         self.pending.clear()
         self.completed.clear()
@@ -257,7 +252,7 @@ class CxRole(ServerRole):
             if not foreign or not self.participant.has_vote_waiter(op_id):
                 break
             holder_pend = self.pending.get(foreign[-1])
-            if holder_pend is None or holder_pend.state is not PendingState.EXECUTED:
+            if not self.participant.can_invalidate(holder_pend):
                 break
             self.participant.invalidate(holder_pend)
 
@@ -345,10 +340,12 @@ class CxRole(ServerRole):
             return True  # already queued behind a commitment; drop the dup
         return False
 
-    def execute_now(self, msg: Message, keys=None) -> Generator:
+    def execute_now(self, msg: Message, keys=None, voted=False) -> Generator:
         """Execute an update sub-op: steps 1–2 of the basic protocol.
 
-        Also used inline by the participant's disordered-conflict path.
+        Also used inline by the participant's disordered-conflict path,
+        with ``voted``: a VOTE ordered this execution (as does one found
+        waiting for it), so nothing may invalidate the op any more.
         ``keys`` lets :meth:`_handle_req` pass the conflict footprint it
         already computed instead of re-deriving it.  Returns the new
         :class:`PendingOp`.
@@ -418,6 +415,10 @@ class CxRole(ServerRole):
             hint=mp.get("ordered_after"),
             req_msg=msg,
         )
+        if voted or self.participant.has_vote_waiter(op_id):
+            # A VOTE is waiting on this very execution: the op is born
+            # mid-commitment (see ParticipantHalf.can_invalidate).
+            pend.state = PendingState.COMMITTING
         self.pending[op_id] = pend
         self._executing.discard(op_id)
         self.commit_mgr.adopt_pre_request(pend)

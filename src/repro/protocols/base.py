@@ -60,8 +60,7 @@ class ServerRole(abc.ABC):
         self.params = server.params
         self.sim = server.sim
         #: Destination side of in-flight renames: txn id -> undo image
-        #: kept between RENAME-PREP and RENAME-DECIDE.  Volatile — the
-        #: server clears it on a crash.
+        #: kept between RENAME-PREP and RENAME-DECIDE.  Volatile.
         self._rename_pending: dict = {}
 
     def start(self) -> None:
@@ -83,13 +82,27 @@ class ServerRole(abc.ABC):
         """Force any lazy/batched work to be scheduled immediately."""
 
     def on_crash(self) -> None:
-        """Drop protocol volatile state (pending tables, queues)."""
+        """Drop protocol volatile state (pending tables, queues); the
+        server has already killed every activity it owns.  Overriders
+        call ``super().on_crash()``."""
+        self._rename_pending.clear()
 
     def on_reboot(self) -> None:
         """Re-arm background activities after a reboot."""
         self.start()
 
     # -- shared helpers ------------------------------------------------------
+
+    def reject(self, msg: Message) -> None:
+        """``handle``'s last branch: a kind this protocol never receives.
+
+        Except one: a reply whose RPC waiter died with our own crash
+        reaches the inbox as an ordinary message after the reboot.  It
+        answers a question nobody remembers asking — count and drop.
+        """
+        if msg.reply_to is None:
+            raise ValueError(f"{type(self).__name__} got unexpected {msg.kind}")
+        self.server.metrics.counter("replies.unsolicited").inc()
 
     def execute_readonly(self, subop: SubOp):
         """Common read path: CPU cost then a shard read, no disk."""

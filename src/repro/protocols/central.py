@@ -51,7 +51,7 @@ class CentralRole(ServerRole):
         elif msg.kind is MessageKind.MIGRATE_BACK:
             yield from self._migrate_back(msg)
         else:  # pragma: no cover - protocol error
-            raise ValueError(f"CE server got unexpected {msg.kind}")
+            self.reject(msg)
 
     # -- executing server ----------------------------------------------------
 

@@ -40,7 +40,7 @@ class SerialRole(ServerRole):
         elif msg.kind is MessageKind.CLEAR:
             yield from self._handle_clear(msg)
         else:  # pragma: no cover - protocol error
-            raise ValueError(f"SE server got unexpected {msg.kind}")
+            self.reject(msg)
 
     def _handle_req(self, msg: Message) -> Generator:
         subop = msg.payload["subop"]

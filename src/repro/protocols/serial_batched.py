@@ -19,7 +19,7 @@ from repro.net.message import Message, MessageKind
 from repro.obs.tracer import PHASE_EXEC, PHASE_RECORD
 from repro.protocols.base import ServerRole
 from repro.protocols.serial import SerialProtocol
-from repro.sim import Interrupt, Process
+from repro.sim import Process
 from repro.storage.wal import LogRecord, OpId
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -37,7 +37,6 @@ class SerialBatchedRole(ServerRole):
         super().__init__(server, cluster)
         #: Operations whose object images sit in the log awaiting flush.
         self._logged_ops: List[OpId] = []
-        self._flusher: Process = None  # type: ignore[assignment]
         self._timer: Process = None  # type: ignore[assignment]
         self.server.wal.on_full = self.flush_now
 
@@ -45,25 +44,21 @@ class SerialBatchedRole(ServerRole):
 
     def start(self) -> None:
         if self._timer is None or self._timer.triggered:
-            self._timer = self.sim.process(self._timer_loop())
+            self._timer = self.server.spawn(self._timer_loop())
         self.server.wal.on_full = self.flush_now
 
     def on_crash(self) -> None:
-        if self._timer is not None and self._timer.is_alive:
-            self._timer.interrupt("crash")
+        super().on_crash()
         self._logged_ops.clear()
 
     def _timer_loop(self):
         period = self.params.commit_timeout or 10.0
-        try:
-            while True:
-                yield self.sim.timeout(period)
-                yield from self._flush()
-        except Interrupt:
-            return
+        while True:
+            yield self.sim.timeout(period)
+            yield from self._flush()
 
     def flush_now(self) -> None:
-        self.sim.process(self._flush())
+        self.server.spawn(self._flush())
 
     def _flush(self):
         """Flush the dirty KV set, then prune the covered log records."""
@@ -83,7 +78,7 @@ class SerialBatchedRole(ServerRole):
         elif msg.kind is MessageKind.CLEAR:
             yield from self._handle_clear(msg)
         else:  # pragma: no cover - protocol error
-            raise ValueError(f"OFS-batched server got unexpected {msg.kind}")
+            self.reject(msg)
 
     def _handle_req(self, msg: Message) -> Generator:
         subop = msg.payload["subop"]

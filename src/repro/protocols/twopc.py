@@ -35,6 +35,7 @@ class TwoPCRole(ServerRole):
         self._pending: Dict[OpId, object] = {}
 
     def on_crash(self) -> None:
+        super().on_crash()
         self._pending.clear()
 
     def handle(self, msg: Message) -> Generator:
@@ -45,7 +46,7 @@ class TwoPCRole(ServerRole):
         elif msg.kind in (MessageKind.COMMIT_REQ, MessageKind.ABORT_REQ):
             yield from self._participant_decide(msg)
         else:  # pragma: no cover - protocol error
-            raise ValueError(f"2PC server got unexpected {msg.kind}")
+            self.reject(msg)
 
     # -- coordinator ------------------------------------------------------------
 

@@ -19,7 +19,6 @@ from repro.sim.events import (
     AnyOf,
     Event,
     EventAlreadyTriggered,
-    Interrupt,
     QueueDrained,
     SimulationError,
     Timeout,
@@ -37,7 +36,6 @@ __all__ = [
     "AnyOf",
     "Event",
     "EventAlreadyTriggered",
-    "Interrupt",
     "KERNEL_VARIANT",
     "Periodic",
     "Process",

@@ -110,8 +110,8 @@ class Periodic:
 
     Costs exactly the timeline entries of the generator loop
     ``while True: yield sim.timeout_h(period); tick()`` run as a
-    :class:`~repro.sim.process.Process` and stopped by interrupt — fault
-    schedules address events by index, so the accounting is contract:
+    :class:`~repro.sim.process.Process` — fault schedules address events
+    by index, so the accounting is contract:
 
     * ``start()`` queues an urgent bootstrap that arms the first tick;
     * every tick re-arms *after* its body, burning one sequence number;
@@ -344,19 +344,14 @@ class Simulator:
         self._aval[h] = exc
         self._enqueue(h, 0.0, PRIORITY_NORMAL)
 
-    def init_h(
-        self, callback: Callable[[int], None], throw: Optional[BaseException] = None
-    ) -> int:
-        """An urgent, already-triggered handle with ``callback`` attached.
+    def init_h(self, callback: Callable[[int], None]) -> int:
+        """An urgent, already-succeeded handle with ``callback`` attached.
 
         Dispatches at the current instant ahead of normal-priority
-        traffic: a process bootstrap (succeeded with ``None``) or, with
-        ``throw``, an interrupt delivery (failed, pre-defused — the
-        throw into the generator is the handling).
+        traffic: a process bootstrap, a timer arming itself.
         """
         h = self.event_h()
-        self._ast[h] = H_OK if throw is None else (H_FAIL | H_DEFUSED)
-        self._aval[h] = throw
+        self._ast[h] = H_OK
         self._acb[h] = callback
         self._enqueue(h, 0.0, PRIORITY_URGENT)
         return h

@@ -24,8 +24,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: that succeeded with ``None``.
 _PENDING = object()
 
-#: Scheduling priority for urgent bookkeeping events (interrupts,
-#: process initialization).  Lower sorts earlier at equal timestamps.
+#: Scheduling priority for urgent bookkeeping events (process
+#: initialization, timer arming).  Lower sorts earlier at equal timestamps.
 PRIORITY_URGENT = 0
 #: Default scheduling priority for ordinary events.
 PRIORITY_NORMAL = 1
@@ -46,17 +46,6 @@ class QueueDrained(SimulationError):
 
 class EventAlreadyTriggered(RuntimeError):
     """Raised when ``succeed``/``fail`` is called on a triggered event."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process generator by :meth:`Process.interrupt`.
-
-    ``cause`` carries an arbitrary user payload (e.g. a crash reason).
-    """
-
-    @property
-    def cause(self) -> Any:
-        return self.args[0] if self.args else None
 
 
 class Event:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Generator, Optional, Union
 
-from repro.sim.events import H_DEFUSED, H_FAIL, Event, Interrupt
+from repro.sim.events import H_DEFUSED, H_FAIL, Event
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.core import Simulator
@@ -35,49 +35,50 @@ class Process(Event):
         super().__init__(sim)
         self._gen = generator
         self.name = name or getattr(generator, "__name__", "process")
-        #: The event or handle this process is waiting on (None when running).
-        self._target: Optional[Union[Event, int]] = None
         #: ``self._resume`` bound exactly once: handle waiter slots are
         #: detached by identity (``acb[h] is self._resume_cb``), which
         #: only works with a stable bound-method object — and it saves
         #: allocating one per yield on the resume hot path.
         self._resume_cb = self._resume
-        # Bootstrap: resume the generator at the current instant, but via
-        # the queue so that process startup is ordered like everything else.
-        sim.init_h(self._resume_cb)
+        #: The event or handle this process is waiting on (None while
+        #: running).  Bootstrap: resume the generator at the current
+        #: instant, but via the queue so that process startup is ordered
+        #: like everything else.
+        self._target: Optional[Union[Event, int]] = sim.init_h(self._resume_cb)
 
     @property
     def is_alive(self) -> bool:
         """True while the generator has not finished."""
         return not self.triggered
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current instant.
+    def kill(self) -> None:
+        """Stop the process for good, before this call returns.
 
-        Used by failure injection to tear down server activities.  A
-        completed process cannot be interrupted (no-op), matching the
-        semantics of killing an already-dead thread.
+        Detaches the waiter slot (the old target wakes nothing), closes
+        the generator (``GeneratorExit`` at its yield: ``finally`` blocks
+        run, nothing else does) and completes the process quietly, which
+        releases whoever waits on it.  One still awaiting its bootstrap
+        never runs; a finished one is left alone.  Call it between
+        dispatches, not from a callback of the event the victim awaits.
         """
-        if not self.triggered:
-            self.sim.init_h(self._resume_interrupt, throw=Interrupt(cause))
-
-    # -- internals -------------------------------------------------------
-
-    def _resume_interrupt(self, h: int) -> None:
         if self.triggered:
-            return  # finished between scheduling and delivery
+            return
         target = self._target
         if type(target) is int:
-            # Drop the waiter slot so the stale wakeup (if it ever
-            # fires) dispatches into nothing.
             if self.sim._acb[target] is self._resume_cb:
                 self.sim._acb[target] = None
-        elif target is not None and target.callbacks is not None:
-            try:
-                target.callbacks.remove(self._resume_cb)
-            except ValueError:  # pragma: no cover - defensive
-                pass
-        self._resume(h)
+        elif target is not None:
+            target.callbacks.remove(self._resume_cb)
+            if not target.callbacks:
+                # Nobody is left to hear this wait's outcome: a failure
+                # of it (an RPC our own crash fails, say) was addressed
+                # to the killed process, not lost.
+                target.defuse()
+        if self._gen is not None:  # a handler slot may not have one yet
+            self._gen.close()
+        self._finish(None)
+
+    # -- internals -------------------------------------------------------
 
     def _finish(self, exc: Optional[BaseException], value: Any = None) -> None:
         """The generator ended: trigger this process's own event."""

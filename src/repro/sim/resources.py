@@ -88,7 +88,7 @@ class Store:
             return  # messages to a crashed node are dropped
         getters = self._getters
         while getters:
-            # A getter whose waiter was cancelled (interrupted process)
+            # A getter whose waiter was detached (a killed process)
             # is still pending: it takes the item and wakes into nothing.
             if self.sim.succeed_pending(getters.popleft(), item):
                 return

@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.fs.ops import FileOperation, OpType
-from repro.sim import Interrupt
 from repro.workloads.replay import deadlock_reported
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -128,8 +127,7 @@ class ConflictInjector:
 
     def stop(self) -> None:
         for proc in self._procs:
-            if proc.is_alive:
-                proc.interrupt("stop")
+            proc.kill()
         self._procs = []
 
     # -- probing ------------------------------------------------------------
@@ -140,15 +138,12 @@ class ConflictInjector:
 
     def _loop(self):
         sim = self.cluster.sim
-        try:
-            while True:
-                yield sim.timeout(self.period)
-                op = self._pick_active_target()
-                if op is None:
-                    continue
-                self.probes_sent += 1
-                result = yield from self.probe_process.perform(op)
-                if result.conflicted:
-                    self.probes_hit += 1
-        except Interrupt:
-            return
+        while True:
+            yield sim.timeout(self.period)
+            op = self._pick_active_target()
+            if op is None:
+                continue
+            self.probes_sent += 1
+            result = yield from self.probe_process.perform(op)
+            if result.conflicted:
+                self.probes_hit += 1

@@ -13,8 +13,9 @@ import pytest
 from repro import SimParams
 from repro.cluster import FailureInjector
 from repro.cluster.builder import ROOT_HANDLE
+from repro.net.message import MessageKind
 from repro.obs import InvariantChecker
-from tests.conftest import build_cluster, make_create, run_to_completion
+from tests.conftest import build_cluster, make_create, run_to_completion, step_until
 
 
 class TestCrashEdges:
@@ -48,6 +49,61 @@ class TestCrashEdges:
         assert not cluster.servers[0].crashed
         assert report.server == 0
         assert report.duration > 0
+
+
+class TestRecoveryCutShort:
+    def test_peer_killed_mid_recovery_end_fan_out(self):
+        """A peer dying while RECOVERY-END is on the wire is skipped by
+        the guarded fan-out: the pass still resumes the file system."""
+        cluster = build_cluster("cx")
+        injector = FailureInjector(cluster)
+        injector.crash_server(0)
+        report_proc = injector.recover_server(0)
+        sent = cluster.network.stats.count
+        step_until(cluster, lambda: sent(MessageKind.RECOVERY_END) == 3)
+        injector.crash_server(2)
+        report = run_to_completion(cluster, report_proc, limit=600)
+        assert report.server == 0 and report.duration > 0
+        assert not cluster.servers[0].quiesced
+        assert [s.quiesced for s in cluster.servers if not s.crashed] == [False] * 3
+        assert cluster.servers[0].metrics.counter("commit.rpc_failed").value == 1
+
+    def test_connection_error_backstop_resumes_the_file_system(self):
+        """A ConnectionError that escapes the role's pass (none of
+        today's paths lets one through) must not leave the cluster
+        quiesced: peers are released, the report is still returned."""
+        cluster = build_cluster("cx")
+        server, peers = cluster.servers[0], cluster.servers[1:]
+        injector = FailureInjector(cluster)
+        injector.crash_server(0)
+        real_pass = server.role.recover
+
+        def torn_pass():
+            gen = real_pass()
+            for target in gen:  # RECOVERY-BEGIN fan-out, reboot cost
+                yield target
+                if all(p.quiesced for p in peers):
+                    gen.close()
+                    raise ConnectionError("peer lost on an unguarded path")
+
+        server.role.recover = torn_pass
+        report = run_to_completion(cluster, injector.recover_server(0), limit=600)
+        assert report.server == 0
+        assert server.metrics.counter("recovery.aborted").value == 1
+        cluster.sim.run(until=cluster.sim.now + 1.0)  # RECOVERY-ENDs land
+        assert [s.quiesced for s in cluster.servers] == [False] * 4
+
+    def test_second_crash_kills_the_pass_and_still_reports(self):
+        cluster = build_cluster("cx")
+        injector = FailureInjector(cluster)
+        injector.crash_server(0)
+        report_proc = injector.recover_server(0)
+        step_until(cluster, lambda: cluster.servers[0].quiesced)
+        injector.crash_server(0)
+        report = run_to_completion(cluster, report_proc)
+        assert report.server == 0
+        assert report.recovery_end == cluster.sim.now
+        assert cluster.servers[0].crashed and not cluster.servers[0]._owned
 
 
 class TestCrashAtEvent:

@@ -71,7 +71,7 @@ def test_one_busy_server_keeps_the_whole_cluster_ticking(table):
     stuck = SimpleNamespace(role="coord", state=None)
     for cluster in (fast, step):
         role = cluster.servers[3].role
-        role.commit_mgr._parked_inflight = True  # a re-delivery "in flight"
+        role.commit_mgr._redelivery = cluster.sim.event()  # "in flight"
         {
             "pending": role.pending,
             "lazy": role.commit_mgr.lazy,

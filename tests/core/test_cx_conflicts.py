@@ -7,7 +7,7 @@ from repro.cluster.builder import ROOT_HANDLE
 from repro.fs.ops import FileOperation, OpType
 from repro.net.message import MessageKind
 from repro.params import SimParams
-from tests.conftest import build_cluster, run_to_completion
+from tests.conftest import build_cluster, run_to_completion, step_until
 
 
 def pick_cross_link(cluster, parent, name, handle):
@@ -204,3 +204,124 @@ class TestConflictCascade:
             inode_key(shared))
         assert inode.nlink == 16  # 1 + 15 links
         assert check_namespace_invariants(cluster) == []
+
+
+def _assert_nothing_orphaned(cluster):
+    """No decision went to an op its server no longer held, and no
+    pending entry was left for nobody to decide."""
+    assert sum(
+        s.metrics.counter("commit.decisions_unknown").value
+        for s in cluster.servers
+    ) == 0
+    assert [len(s.role.pending) for s in cluster.servers] == [0] * len(
+        cluster.servers
+    )
+
+
+class TestVoteOrderedOpIsNotInvalidated:
+    """An op executed because a VOTE ordered it must survive a second
+    VOTE that finds it holding, even while its Result-Record is still in
+    flight: undoing it orphans the first vote's cast, and the decision
+    that follows lands on nothing."""
+
+    @pytest.mark.parametrize("path", ["inline", "req"])
+    def test_second_vote_in_the_unlogged_window(self, path):
+        """Fig. 3(b) with a third party.  B holds the inode at the
+        participant, A and Y queue behind it, A's VOTE displaces B —
+        executing A inline from ``_materialize`` (``inline``: A's REQ
+        was blocked first) or from ``_handle_req`` (``req``: the VOTE
+        was waiting first).  Y's VOTE then arrives while A is pending
+        but not yet logged."""
+        cluster = build_cluster(
+            "cx", num_clients=3, params=SimParams(commit_timeout=60.0)
+        )
+        d = cluster.preload_dir(ROOT_HANDLE, "dir")
+        shared = setup_shared_file(cluster, d)
+        name, yname = [
+            n for n in (f"x{i}" for i in range(128))
+            if pick_cross_link(cluster, d, n, shared)
+        ][:2]
+        pa, pb, pc = (cluster.client_process(c, 0) for c in range(3))
+        op_a, op_b, op_y = (
+            FileOperation(OpType.LINK, p.new_op_id(), parent=d, name=n, target=shared)
+            for p, n in ((pa, name), (pb, name), (pc, yname))
+        )
+        part = cluster.servers[cluster.placement.inode_server(shared)]
+        #: Plays Y's coordinator for the one VOTE that matters.
+        fake = cluster.clients[2]
+        net = cluster.network
+        orig_delay = net.delay_for
+
+        def delay_for(msg):
+            base = orig_delay(msg)
+            if msg.dst != part.node_id:
+                return base
+            if (msg.kind is MessageKind.REQ
+                    and msg.payload.get("op_id") == op_a.op_id):
+                # After B (and Y) reached the participant.
+                return base + (0.0015 if path == "inline" else 0.003)
+            if msg.kind is MessageKind.VOTE:
+                if msg.src == fake.node_id:
+                    return 1e-6
+                if path == "inline" and op_a.op_id in msg.payload["ops"]:
+                    return base + 0.002  # after A's REQ was blocked
+            return base
+
+        net.delay_for = delay_for
+        sim = cluster.sim
+
+        def later(proc, op, at):
+            def body():
+                yield sim.timeout(at)
+                return (yield from proc.perform(op))
+            return sim.process(body())
+
+        ra = cluster.run_ops(pa, [op_a])
+        rb = later(pb, op_b, 0.001)
+        ry = later(pc, op_y, 0.0013)
+        role = part.role
+        step_until(cluster, lambda: op_a.op_id in role.pending)
+        # The window: A displaced B, is pending, unlogged, and holds Y.
+        assert role.participant.invalidations == 1
+        assert not role.pending[op_a.op_id].logged
+        assert role.active.find_blocked(op_y.op_id) is not None
+        vote = fake.request(part.node_id, MessageKind.VOTE, {"ops": [op_y.op_id]})
+
+        res_a = run_to_completion(cluster, ra)[0]
+        res_b = run_to_completion(cluster, rb)
+        res_y = run_to_completion(cluster, ry)
+        cluster.quiesce_protocol()
+        assert res_a.ok and res_y.ok
+        assert not res_b.ok and res_b.errno == "EEXIST"
+        # Y's vote waited for A's commitment instead of undoing A.
+        assert role.participant.invalidations == 1
+        assert vote.value.payload["votes"][op_y.op_id]["ok"]
+        _assert_nothing_orphaned(cluster)
+        from repro.analysis.consistency import check_namespace_invariants
+        from repro.fs.objects import inode_key
+
+        assert part.kv.get(inode_key(shared)).nlink == 3
+        assert check_namespace_invariants(cluster) == []
+
+    def test_fig9b_threshold_64_cell_completes(self):
+        """The Figure 9(b) cell that used to deadlock (home2, threshold
+        trigger only, unlimited log): invalidations happen, every
+        decision finds its op, nothing is left pending."""
+        from repro.experiments.common import (
+            TRACE_SCALES, build_trace_cluster, experiment_params,
+        )
+        from repro.workloads import TRACE_SPECS, TraceWorkload, replay_streams
+
+        params = experiment_params(
+            commit_timeout=None, commit_threshold=64, log_capacity=None
+        )
+        cluster = build_trace_cluster("cx", params=params, seed=0)
+        wl = TraceWorkload(
+            TRACE_SPECS["home2"], scale=TRACE_SCALES["home2"], seed=0
+        )
+        replay_streams(cluster, wl.build(cluster, cluster.all_processes()))
+        cluster.quiesce_protocol()
+        assert sum(
+            s.role.participant.invalidations for s in cluster.servers
+        ) >= 1
+        _assert_nothing_orphaned(cluster)

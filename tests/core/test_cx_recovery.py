@@ -182,7 +182,7 @@ class TestDecidedNotCompleted:
         assert coord.role.commit_mgr.parked == {}  # volatile: died with us
         assert coord.wal.has_record(op.op_id, RecordType.COMMIT.value)
         run_to_completion(cluster, injector.recover_server(coord.index), limit=600)
-        assert first.processed  # the torn pass unwound (StaleEpoch)
+        assert first.processed  # the torn pass was killed with the server
         self._assert_completed(cluster, op, coord)
         assert coord.role.recovery.recoveries == 2
 

@@ -6,6 +6,10 @@ commitment protocol itself.  These scans fail on the first line that
 re-grows a second implementation: a decision delivery or Complete tail
 in ``recovery.py``, a second Complete-Record builder anywhere in
 ``core/``, or a reach into the active-object table's blocked queues.
+
+One owner of crash teardown, too: the server kills what it spawned, so
+a protocol generator started on the bare simulator, or any return of
+the epoch / interrupt guards that ownership replaced, fails here.
 """
 
 import ast
@@ -56,3 +60,18 @@ def test_blocked_queues_are_private_to_the_active_table():
     paths = [p for p in sorted(SRC.rglob("*.py")) if p != CORE / "active.py"]
     reach = [re.compile(r"\b(active|table)\._blocked\b")]
     assert _offenders(paths, reach) == []
+
+
+def test_protocol_activities_are_spawned_on_their_server():
+    paths = sorted(CORE.glob("*.py")) + sorted((SRC / "protocols").glob("*.py"))
+    assert _offenders(paths, [re.compile(r"sim\.process\(")]) == []
+
+
+def test_no_second_way_to_stop_a_process():
+    gone = [re.compile(r"StaleEpoch|\bInterrupt\b|\.interrupt\(")]
+    assert _offenders(sorted(SRC.rglob("*.py")), gone) == []
+
+
+def test_roles_carry_no_crash_epoch():
+    # Node.epoch (staleness of in-flight *messages*) is the network's.
+    assert _offenders(sorted(SRC.rglob("*.py")), [re.compile(r"role\.epoch")]) == []

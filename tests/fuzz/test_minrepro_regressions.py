@@ -75,9 +75,9 @@ class TestMinreproRegressions:
         generator after ``wal.crash()`` tore its records out of the
         log; it emitted a decision, committed the peer, and parked —
         then recovery re-voted the op and aborted the other half
-        ([dangling-entry]).  The epoch guard (StaleEpoch) plus the
-        decide handler pruning only the ops it actually processed
-        close both windows."""
+        ([dangling-entry]).  The server now kills the batch process in
+        ``crash()`` itself (it owns what it spawned), and the decide
+        handler prunes only the ops it actually processed."""
         _replay([
             {"kind": "drop", "at": 18, "a": -1, "b": -1,
              "until": -1, "extra": 0.0},
@@ -94,11 +94,10 @@ class TestMinreproRegressions:
     def test_crash_instant_rpc_failure_unwinds_as_stale(self):
         """Seed 0 schedule 3: partition plus crash.  The crash failed
         the coordinator's own pending RPCs with ConnectionError thrown
-        *into* the yield, bypassing the epoch check on the normal
-        resume path — the commit group parked five pre-crash decisions
-        into the new epoch's table.  The RPC wrapper now converts a
-        crash-instant ConnectionError into StaleEpoch so the zombie
-        unwinds without side effects."""
+        *into* the yield — the commit group took it for a peer loss and
+        parked five pre-crash decisions into the next incarnation's
+        table.  The group is dead before the crash fails those RPCs
+        now, and a wait whose only waiter was killed is defused."""
         _replay([
             {"kind": "delay", "at": 121, "a": -1, "b": -1,
              "until": -1, "extra": 1.251815},

@@ -9,8 +9,12 @@ against values committed in ``replay_golden.json``:
 * ``fig5_CTH_cx`` — the CTH trace under Cx (the paper's headline cell
   and the bench's timing cell);
 * ``fig8_home2_cx_inject0.12`` — home2 under Cx with injected
-  disordered conflicts, which exercises the invalidation / deferred
-  vote machinery the fast paths must bypass correctly.
+  conflicting probes (Fig. 8's lookups on active objects): 1,433
+  blocked requests and 898 immediately committed ops (``conflicts``,
+  ``commit.immediate_ops``) against CTH's 13 each, i.e. the ordered
+  conflict path of Fig. 3(a).  It performs **no** disordered-conflict
+  invalidation and defers no vote (neither meter is ever written);
+  those are pinned by ``tests/core/test_cx_conflicts.py``.
 
 Byte-identical here means: event count, every ops/latency/message
 statistic, and every per-server metrics snapshot (meter *sets* as well

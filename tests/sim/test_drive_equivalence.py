@@ -90,10 +90,7 @@ class Script:
         elif kind == "timeout_h":  # normal priority, succeeds
             sim.timeout_h(delay, label, lambda h: self._fired(label, children))
         elif kind == "init_h":  # urgent, delay 0
-            sim.init_h(
-                lambda h: self._fired(label, children),
-                throw=Boom(label) if fails else None,
-            )
+            sim.init_h(lambda h: self._fired(label, children))
         else:  # await_h: fail_h / succeed_h (normal, delay 0) under a process
             h = sim.event_h()
             if fails:

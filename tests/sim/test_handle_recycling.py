@@ -2,7 +2,7 @@
 
 The struct-of-arrays timeline hands out integer event handles whose
 slots return to the simulator's free list at dispatch.  These tests
-churn the allocate/trigger/interrupt paths hard enough that steady
+churn the allocate/trigger/kill paths hard enough that steady
 state *must* reuse slots, then pin both the bound on column growth and
 the determinism of the resulting schedule.
 """
@@ -10,7 +10,7 @@ the determinism of the resulting schedule.
 import pytest
 
 from repro.params import SimParams
-from repro.sim import Interrupt, Simulator, Store
+from repro.sim import Simulator, Store
 from repro.storage import Disk, LogRecord, WriteAheadLog
 
 
@@ -51,8 +51,8 @@ class TestHandleRecycling:
         # the run churned through.
         assert _column_size(sim) < 4 * workers
 
-    def test_interrupt_abandons_stale_handle_safely(self):
-        """An interrupted waiter's handle fires into nothing, then recycles."""
+    def test_kill_abandons_stale_handle_safely(self):
+        """A killed waiter's handle fires into nothing, then recycles."""
         sim = Simulator()
         outcomes = []
 
@@ -60,22 +60,23 @@ class TestHandleRecycling:
             try:
                 yield sim.timeout_h(100.0)
                 outcomes.append("woke")
-            except Interrupt:
-                outcomes.append("interrupted")
-                # Immediately re-wait on a fresh handle: the stale one
-                # must not be able to resume us.
-                yield sim.timeout_h(500.0)
-                outcomes.append("woke-late")
+            finally:
+                outcomes.append("killed")
 
         proc = sim.process(sleeper())
 
         def killer():
             yield sim.timeout_h(1.0)
-            proc.interrupt("stop")
+            proc.kill()
+            # The stale handle stays queued until t=100; whoever takes
+            # the slot after that must not wake the dead sleeper.
+            yield sim.timeout_h(500.0)
+            outcomes.append("woke-late")
 
         sim.process(killer())
         sim.run()
-        assert outcomes == ["interrupted", "woke-late"]
+        assert outcomes == ["killed", "woke-late"]
+        assert sim.now == 501.0
 
     def test_store_get_churn_recycles(self):
         """Store.get_h slots (granted and parked) return to the pool."""
@@ -107,23 +108,20 @@ class TestHandleRecycling:
             store = Store(sim)
 
             def noisy(k: int):
-                try:
-                    for i in range(300):
-                        if i % 7 == 0:
-                            store.put((k, i))
-                        elif i % 7 == 3 and store._items:
-                            yield store.get_h()
-                        else:
-                            yield sim.timeout_h((i % 4) * 0.002)
-                except Interrupt:
-                    pass
+                for i in range(300):
+                    if i % 7 == 0:
+                        store.put((k, i))
+                    elif i % 7 == 3 and store._items:
+                        yield store.get_h()
+                    else:
+                        yield sim.timeout_h((i % 4) * 0.002)
 
             procs = [sim.process(noisy(k)) for k in range(20)]
 
             def reaper():
                 yield sim.timeout_h(0.1)
                 for p in procs[::3]:
-                    p.interrupt("churn")
+                    p.kill()
 
             sim.process(reaper())
             sim.run()

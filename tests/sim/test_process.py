@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.sim import Interrupt
 from repro.sim.core import SimulationError
 
 
@@ -107,66 +106,157 @@ class TestBasics:
         ]
 
 
-class TestInterrupt:
-    def test_interrupt_delivers_cause(self, sim):
+class TestKill:
+    def test_kill_runs_finally_and_nothing_else(self, sim):
+        ran = []
+
         def proc(sim):
             try:
                 yield sim.timeout(100.0)
-            except Interrupt as intr:
-                return ("interrupted", intr.cause, sim.now)
+                ran.append("resumed")
+            except Exception:  # GeneratorExit is not an Exception
+                ran.append("caught")
+            finally:
+                ran.append(("finally", sim.now))
+            ran.append("after")
 
         p = sim.process(proc(sim))
 
         def killer(sim):
             yield sim.timeout(2.0)
-            p.interrupt("crash")
+            p.kill()
+            # Synchronous: all of it happened before kill() returned.
+            assert ran == [("finally", 2.0)] and p.triggered
 
         sim.process(killer(sim))
         sim.run()
-        assert p.value == ("interrupted", "crash", 2.0)
+        assert ran == [("finally", 2.0)]
 
-    def test_interrupt_detaches_from_target(self, sim):
-        """The interrupted process must not be resumed again when its
-        old target event finally fires."""
+    def test_kill_detaches_from_handle_target(self, sim):
+        """The killed process must not be resumed when its old target
+        finally fires; the stale handle dispatches into nothing."""
         resumed = []
 
         def proc(sim):
-            try:
-                yield sim.timeout(5.0)
-                resumed.append("timeout")
-            except Interrupt:
-                yield sim.timeout(10.0)
-                resumed.append("after-interrupt")
+            yield sim.timeout_h(5.0)
+            resumed.append("timeout")
 
         p = sim.process(proc(sim))
-
-        def killer(sim):
-            yield sim.timeout(1.0)
-            p.interrupt()
-
-        sim.process(killer(sim))
+        sim.run(until=1.0)
+        p.kill()
         sim.run()
-        assert resumed == ["after-interrupt"]
-        assert sim.now == 11.0
+        assert resumed == [] and sim.now == 5.0
 
-    def test_interrupt_completed_process_is_noop(self, sim):
+    def test_kill_detaches_from_event_target(self, sim):
+        """A failure of the abandoned wait was addressed to the killed
+        process: it is neither delivered nor an unhandled failure."""
+        resumed = []
+        ev = sim.event()
+
+        def proc(sim):
+            try:
+                yield ev
+            finally:
+                resumed.append("finally")
+            resumed.append("after")
+
+        p = sim.process(proc(sim))
+        sim.run(until=1.0)
+        p.kill()
+        assert ev.callbacks == []
+        ev.fail(ConnectionError("addressed to the dead"))
+        sim.run()
+        assert resumed == ["finally"]
+
+    def test_kill_inside_any_of(self, sim):
+        resumed = []
+        rpc = sim.event()
+
+        def proc(sim):
+            yield sim.any_of([rpc, sim.timeout(5.0)])
+            resumed.append("woke")
+
+        p = sim.process(proc(sim))
+        sim.run(until=1.0)
+        p.kill()
+        # The condition outlives its waiter and still hears the children.
+        rpc.fail(ConnectionError("peer gone"))
+        sim.run()
+        assert resumed == [] and sim.now == 5.0
+
+    def test_kill_before_bootstrap_never_runs(self, sim):
+        ran = []
+
+        def proc(sim):
+            ran.append("started")
+            yield sim.timeout(1.0)
+
+        p = sim.process(proc(sim))
+        p.kill()
+        assert p.triggered
+        sim.run()
+        assert ran == [] and p.ok and p.value is None
+
+    def test_kill_completed_process_is_noop(self, sim):
         def proc(sim):
             yield sim.timeout(1.0)
             return "done"
 
         p = sim.process(proc(sim))
         sim.run()
-        p.interrupt("too late")
+        p.kill()
         sim.run()
         assert p.value == "done"
 
-    def test_uncaught_interrupt_fails_process(self, sim):
+    def test_kill_completes_quietly_and_releases_waiters(self, sim):
         def proc(sim):
             yield sim.timeout(100.0)
 
         p = sim.process(proc(sim))
-        p.defuse()
-        p.interrupt("kill")
+        got = []
+
+        def waiter(sim):
+            got.append((yield p))
+
+        sim.process(waiter(sim))
+        sim.run(until=1.0)
+        p.kill()
         sim.run()
-        assert p.ok is False
-        assert isinstance(p.value, Interrupt)
+        assert p.ok is True and got == [None]
+
+    def test_killed_children_do_not_wedge_a_parent_killed_with_them(self, sim):
+        """Parent waits on all_of(children); a crash kills all three in
+        set order.  The orphaned condition completes into nothing."""
+        ran = []
+
+        def child(sim, k):
+            try:
+                yield sim.timeout(10.0 * k)
+            finally:
+                ran.append(k)
+
+        kids = [sim.process(child(sim, k)) for k in (1, 2)]
+
+        def parent(sim):
+            yield sim.all_of(kids)
+            ran.append("parent")
+
+        par = sim.process(parent(sim))
+        sim.run(until=1.0)
+        for p in (kids[0], par, kids[1]):
+            p.kill()
+        sim.run()
+        assert ran == [1, 2]
+        assert all(p.processed and p.ok for p in kids + [par])
+
+    def test_kill_from_inside_the_victim_is_loud(self, sim):
+        holder = []
+
+        def proc(sim):
+            yield sim.timeout(1.0)
+            holder[0].kill()
+
+        holder.append(sim.process(proc(sim)))
+        holder[0].defuse()
+        sim.run()
+        assert isinstance(holder[0].value, ValueError)
