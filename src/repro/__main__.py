@@ -32,21 +32,6 @@ always-on 1-in-N sampling tracer, ``--ring K`` bounds the store to a
 flight-recorder ring buffer, and ``--flight FILE`` dumps the recorder's
 recent events (always for analyze; on violations or a crash for trace).
 
-Performance::
-
-    python -m repro profile fig5               # cProfile the canonical cell
-    python -m repro profile fig5 --trace CTH   # explicit workload trace
-    python -m repro profile fig8 --top 40 --json prof.json
-    python -m repro perf-gate                  # quick bench vs committed
-                                               # BENCH_kernel.json (CI gate)
-
-``profile`` runs one experiment's replay cell under cProfile and
-prints the top hotspots by cumulative time.  ``perf-gate`` reruns the
-quick kernel bench and fails (exit 1) if any events/sec number drops
-below 0.6x the committed baseline, warning below 0.9x.  Note: for the
-``profile`` command ``--trace`` names the *workload trace* to replay
-(CTH, home2, ...), not a Chrome-trace output file.
-
 Each experiment prints the regenerated artifact; see EXPERIMENTS.md for
 the paper-vs-measured discussion.
 """
@@ -157,21 +142,19 @@ def main(argv=None) -> int:
     parser.add_argument(
         "experiment",
         help="experiment id (table1..table5, fig4..fig9), 'scale', "
-             "'trace <exp>', 'analyze <exp>', 'profile <exp>', 'bench', "
-             "'perf-gate', 'fuzz', 'all', or 'list'",
+             "'trace <exp>', 'analyze <exp>', 'fuzz', 'all', or 'list'",
     )
     parser.add_argument(
         "target", nargs="?", default=None,
-        help="experiment to trace, analyze, or profile (only with the "
-             "'trace', 'analyze', and 'profile' commands)",
+        help="experiment to trace or analyze (only with the 'trace' "
+             "and 'analyze' commands)",
     )
     parser.add_argument("--seed", type=int, default=0,
                         help="master RNG seed (default 0)")
     parser.add_argument("--jobs", "-j", type=int, default=None,
                         help="worker processes for experiment grids "
                              "(1 = serial, 0 = all cores; results are "
-                             "identical for any value; default: serial, "
-                             "or 8 for bench's parallel arm)")
+                             "identical for any value; default: serial)")
     parser.add_argument("--trace", metavar="FILE", default=None,
                         help="run a traced replay and write the Chrome "
                              "trace-event JSON to FILE")
@@ -189,26 +172,17 @@ def main(argv=None) -> int:
     parser.add_argument("--scale", type=float, default=None,
                         help="replay scale override for a traced replay")
     parser.add_argument("--quick", action="store_true",
-                        help="bench/scale: smaller grid and replay scale "
+                        help="scale: smaller grid and stream length "
                              "(CI smoke configuration)")
     parser.add_argument("--out-dir", metavar="DIR", default=".",
-                        help="bench/scale: directory for BENCH_*.json "
-                             "(default .)")
-    parser.add_argument("--rounds", type=int, default=3, metavar="N",
-                        help="bench/perf-gate: repeat each kernel cell N "
-                             "times and record the best wall time "
-                             "(default 3)")
+                        help="scale/fuzz: directory for BENCH_scale.json "
+                             "or the fuzz artifacts (default .)")
     parser.add_argument("--protocol", default=None,
-                        help="profile: protocol override for the "
-                             "profiled replay cell")
-    parser.add_argument("--top", type=int, default=25,
-                        help="profile: hotspot rows to show (default 25)")
+                        help="trace/analyze: protocol to replay "
+                             "(default cx)")
     parser.add_argument("--json", metavar="FILE", default=None,
-                        help="profile: also write the hotspot report "
-                             "as JSON to FILE")
-    parser.add_argument("--baseline", metavar="FILE", default=None,
-                        help="perf-gate: committed baseline to compare "
-                             "against (default BENCH_kernel.json)")
+                        help="analyze: also write the per-phase "
+                             "breakdown as JSON to FILE")
     parser.add_argument("--sample", type=int, default=None, metavar="N",
                         help="trace/analyze: always-on mode, record a "
                              "deterministic 1-in-N of operations by op id")
@@ -255,15 +229,6 @@ def main(argv=None) -> int:
               f"{elapsed:.1f}s wall]\n")
         return 1 if report.failures else 0
 
-    if args.experiment == "bench":
-        from repro.runner.bench import run_bench
-
-        if args.rounds < 1:
-            parser.error("--rounds must be >= 1")
-        run_bench(jobs=args.jobs, quick=args.quick, seed=args.seed,
-                  out_dir=args.out_dir, rounds=args.rounds)
-        return 0
-
     if args.experiment == "scale":
         from repro.experiments.scale import run_scale
 
@@ -281,33 +246,6 @@ def main(argv=None) -> int:
         print(f"[scale regenerated in {elapsed:.1f}s wall; "
               f"BENCH_scale.json written to {args.out_dir}]\n")
         return 0
-
-    if args.experiment == "profile":
-        from repro.runner.profile import profile_experiment
-
-        if args.target is None:
-            parser.error("profile needs an experiment id, e.g. 'profile fig5'")
-        # For this command --trace names the workload trace to replay
-        # (there is no Chrome-trace output on the profile path).
-        report = profile_experiment(
-            args.target,
-            workload=args.trace or args.workload,
-            protocol=args.protocol,
-            seed=args.seed,
-            scale=args.scale,
-            top=args.top,
-            json_file=args.json,
-        )
-        print(report.text)
-        return 0
-
-    if args.experiment == "perf-gate":
-        from repro.runner.perfgate import run_perf_gate
-
-        if args.rounds < 1:
-            parser.error("--rounds must be >= 1")
-        return run_perf_gate(baseline_path=args.baseline, seed=args.seed,
-                             rounds=args.rounds)
 
     if args.experiment == "analyze":
         return _run_analyze(args, parser)

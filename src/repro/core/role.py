@@ -372,7 +372,7 @@ class CxRole(ServerRole):
         tracer = self.tracer
         # One sampling decision for the whole execution path: skipping
         # the begin()/ambient work wholesale for sampled-out ops is what
-        # keeps the always-on tracer inside the perf-gate budget.
+        # keeps the always-on tracer cheap (obs.tracer_overhead_frac).
         traced = tracer.enabled and tracer.sampled(op_id)
         exec_span = (
             tracer.begin(

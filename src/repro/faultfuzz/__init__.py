@@ -1,4 +1,4 @@
-"""Deterministic fault-schedule explorer (the correctness perf-gate).
+"""Deterministic fault-schedule explorer (the correctness gate).
 
 ``repro.faultfuzz`` replays a fixed metadata workload under seeded
 *fault schedules* — server crashes pinned to exact event indices on

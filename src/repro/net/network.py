@@ -135,7 +135,7 @@ class Network:
             op_id = msg.payload.get("op_id") or msg.payload.get("op")
             # Sampled-out ops skip the hop record *and* its id/args
             # construction — this guard is what keeps the always-on
-            # tracer inside the perf-gate's overhead budget.
+            # tracer cheap (``obs.tracer_overhead_frac`` in ``bench/``).
             if self.tracer.sampled(op_id):
                 # The hop gets a span of its own: parented on the
                 # sender's current span, and handed to the receiver by

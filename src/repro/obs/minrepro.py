@@ -3,9 +3,9 @@
 One JSONL file per failing schedule: a header with the verdict, the
 original and (when shrunk) minimal fault lists, every violation the
 oracle reported, the applied-action log, and the exact command that
-regenerates the failure.  CI uploads these next to the perf-gate
-payloads; a developer replays one with the recorded seed and fault
-list and gets the identical trace.
+regenerates the failure.  CI's ``fuzz-smoke`` job uploads these; a
+developer replays one with the recorded seed and fault list and gets
+the identical trace.
 """
 
 from __future__ import annotations

@@ -27,8 +27,8 @@ from repro.sim.process import Process
 from repro.sim.resources import Resource, Store
 from repro.sim.rng import RngRegistry
 
-#: The kernel implementation in use; bench payloads stamp it.  There is
-#: only the interpreted kernel.
+#: Only the interpreted kernel exists; kept because the frozen
+#: ``bench/run.py`` stamps it into its payloads.
 KERNEL_VARIANT = "pure"
 
 __all__ = [

@@ -1,9 +1,12 @@
 """Tests for the ``python -m repro`` CLI."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+from repro import __main__ as cli
 from repro.__main__ import main
 
 
@@ -16,8 +19,28 @@ class TestCli:
         assert "trace" in out
 
     def test_unknown_experiment_errors(self):
-        with pytest.raises(SystemExit):
-            main(["nonsense"])
+        # Removed subcommand names fail like any unknown word: they
+        # must not fall through to a traced run or a default.
+        for command in ("nonsense", "bench", "profile", "perf-gate"):
+            with pytest.raises(SystemExit):
+                main([command])
+
+    def test_docs_name_only_live_commands(self):
+        """Every ``python -m repro <word>`` in the docs is a command
+        the CLI still has."""
+        live = set(cli._experiments()) | {
+            "list", "all", "scale", "trace", "analyze", "fuzz"}
+        root = Path(__file__).resolve().parents[2]
+        texts = {name: (root / name).read_text(encoding="utf-8")
+                 for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md")}
+        texts["repro.__main__"] = cli.__doc__
+        dead = {
+            (name, word)
+            for name, text in texts.items()
+            for word in re.findall(r"python -m repro ([a-z][\w-]*)", text)
+            if word not in live
+        }
+        assert not dead, f"docs name removed commands: {sorted(dead)}"
 
     def test_spec_table_runs(self, capsys):
         assert main(["table1"]) == 0

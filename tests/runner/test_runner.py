@@ -1,7 +1,7 @@
 """The parallel experiment runner: determinism, ordering, failure capture.
 
 The replay cells here are tiny (sub-second) so the suite stays fast;
-the full-scale equivalence run lives in ``python -m repro bench``.
+the full-scale grids are the experiments themselves (``--jobs N``).
 """
 
 import pytest

@@ -70,14 +70,3 @@ def test_scale_tasks_grid_shape():
     tasks = [t for _m, t in cells]
     assert all(t.kind == "synth" for t in tasks)
     assert all(t.total_ops == 1_000_000 for t in tasks)
-
-
-def test_bench_scale_payload(monkeypatch):
-    import repro.runner.bench as bench
-
-    monkeypatch.setattr(bench, "SCALE_BENCH_OPS_QUICK", 500)
-    payload = bench.bench_scale(jobs=1, quick=True, seed=0)
-    assert payload["bench"] == "scale"
-    assert payload["cells"] == len(payload["rows"]) == 12
-    assert payload["total_ops_per_cell"] == 500
-    assert payload["host"]["kernel_variant"] == "pure"
