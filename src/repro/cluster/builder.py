@@ -254,16 +254,9 @@ class Cluster:
 
     # -- namespace preloading --------------------------------------------------------
 
-    def preload_dir(self, parent: int, name: str,
-                    handle: Optional[int] = None) -> int:
-        """Instantly install a directory (setup only, durable, no IO time).
-
-        ``handle`` replays a previously recorded install (stream-plan
-        reuse, see :class:`~repro.workloads.traces.StreamPlan`) without
-        touching the placement allocator.
-        """
-        if handle is None:
-            handle = self.placement.allocate_handle()
+    def preload_dir(self, parent: int, name: str) -> int:
+        """Instantly install a directory (setup only, durable, no IO time)."""
+        handle = self.placement.allocate_handle()
         iserver = self.servers[self.placement.inode_server(handle)]
         iserver.kv._durable[inode_key(handle)] = Inode(
             handle, FileType.DIRECTORY, nlink=2
@@ -274,11 +267,10 @@ class Cluster:
         )
         return handle
 
-    def preload_file(self, parent: int, name: str, server: Optional[int] = None,
-                     handle: Optional[int] = None) -> int:
+    def preload_file(self, parent: int, name: str,
+                     server: Optional[int] = None) -> int:
         """Instantly install a regular file (setup only)."""
-        if handle is None:
-            handle = self.placement.allocate_handle(server)
+        handle = self.placement.allocate_handle(server)
         iserver = self.servers[self.placement.inode_server(handle)]
         iserver.kv._durable[inode_key(handle)] = Inode(handle, FileType.REGULAR, nlink=1)
         dserver = self.servers[self.placement.dirent_server(parent, name)]

@@ -50,24 +50,13 @@ class ClientNode(Node):
         super().__init__(sim, network, f"client{client_id}")
         self.client_id = client_id
         self._op_channels: Dict[OpId, Store] = {}
-        #: Recycled per-operation channels: a process runs one op at a
-        #: time, so a handful of stores serve the whole replay.
-        self._free_channels: list = []
 
     def register_op(self, op_id: OpId) -> Store:
-        free = self._free_channels
-        ch = free.pop() if free else Store(self.sim)
-        self._op_channels[op_id] = ch
+        ch = self._op_channels[op_id] = Store(self.sim)
         return ch
 
     def unregister_op(self, op_id: OpId) -> None:
-        ch = self._op_channels.pop(op_id, None)
-        if ch is not None and not ch._closed and not ch._getters:
-            # Safe to recycle only when nothing is parked on it: no
-            # waiter to misdeliver to, and any leftover items (a
-            # superseded duplicate response) are stale by definition.
-            ch._items.clear()
-            self._free_channels.append(ch)
+        self._op_channels.pop(op_id, None)
 
     def deliver(self, msg: Message) -> None:
         if self.crashed:

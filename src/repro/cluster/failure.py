@@ -27,7 +27,6 @@ class RecoveryReport:
     """Timing breakdown of one server recovery."""
 
     server: int
-    crash_time: float
     recovery_start: float
     recovery_end: float
     valid_bytes_at_crash: int = 0
@@ -111,7 +110,6 @@ class FailureInjector:
             raise RuntimeError(f"server {index} is not crashed")
 
         def _recover():
-            crash_time = cluster.sim.now
             valid = server.wal.valid_bytes
             start = cluster.sim.now
             server.reboot()
@@ -140,7 +138,6 @@ class FailureInjector:
             end = cluster.sim.now
             return RecoveryReport(
                 server=index,
-                crash_time=crash_time,
                 recovery_start=start,
                 recovery_end=end,
                 valid_bytes_at_crash=valid,

@@ -128,10 +128,10 @@ class MetadataServer(Node):
             base_offset=LOG_REGION_BASE,
             capacity=params.log_capacity,
             name=f"wal{index}",
+            metrics=self.metrics,
+            tracer=self.tracer,
+            trace_node=self.node_id,
         )
-        self.wal.tracer = self.tracer
-        self.wal.metrics = self.metrics
-        self.wal.trace_node = self.node_id
         self.role: Optional["ServerRole"] = None
         #: True while the cluster is in the recovery state — client
         #: requests are buffered, not served (paper §III.D: "the whole

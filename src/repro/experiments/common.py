@@ -13,9 +13,8 @@ relative numbers, like the paper's figures do.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.cluster.builder import Cluster
 from repro.params import SimParams
@@ -81,41 +80,6 @@ def build_trace_cluster(
     )
 
 
-#: MRU cache of generated trace stream plans.  A fig5 row replays the
-#: same (trace, seed) under three protocols; the streams depend only on
-#: the key below, so two of the three generations are pure waste.  The
-#: cache is per-process: parallel runner workers each warm their own.
-_STREAM_CACHE: "OrderedDict[Tuple, TraceWorkload]" = OrderedDict()
-_STREAM_CACHE_MAX = 8
-
-
-def trace_streams(
-    cluster: Cluster, trace: str, scale: float, seed: int
-) -> Tuple[TraceWorkload, Dict]:
-    """Build — or reuse from the cache — the stream set for ``trace``.
-
-    Returns ``(workload, streams)`` exactly as a fresh
-    ``TraceWorkload(...).build(...)`` would; reuse is byte-identical
-    because generation depends only on the cache key (trace identity,
-    scale, seed, and cluster shape), never on the protocol under test.
-    """
-    key = (
-        trace, scale, seed,
-        len(cluster.servers), len(cluster.clients), cluster.procs_per_client,
-    )
-    processes = cluster.all_processes()
-    workload = _STREAM_CACHE.get(key)
-    if workload is not None:
-        _STREAM_CACHE.move_to_end(key)
-        return workload, workload.replay_onto(cluster, processes)
-    workload = TraceWorkload(TRACE_SPECS[trace], scale=scale, seed=seed)
-    streams = workload.build(cluster, processes)
-    _STREAM_CACHE[key] = workload
-    while len(_STREAM_CACHE) > _STREAM_CACHE_MAX:
-        _STREAM_CACHE.popitem(last=False)
-    return workload, streams
-
-
 def run_trace_protocol(
     trace: str,
     protocol_name: str,
@@ -135,12 +99,12 @@ def run_trace_protocol(
         protocol_name, params=params, num_servers=num_servers, seed=seed,
         trace=traced,
     )
-    _workload, streams = trace_streams(
-        cluster, trace,
+    workload = TraceWorkload(
+        TRACE_SPECS[trace],
         scale=scale if scale is not None else TRACE_SCALES[trace],
         seed=seed,
     )
-    return replay_streams(cluster, streams)
+    return replay_streams(cluster, workload.build(cluster, cluster.all_processes()))
 
 
 def grid_summaries(tasks, jobs: int = 1):

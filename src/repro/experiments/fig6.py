@@ -28,20 +28,6 @@ THINK_TIME = 1.0e-3
 SYSTEMS = ("ofs", "ofs-batched", "cx")
 
 
-def run_one(num_servers: int, update_fraction: float, protocol: str,
-            ops_per_process: int = 30, preload_per_server: int = 400,
-            seed: int = 1):
-    """One Metarates point, executed in-process (kept for direct use)."""
-    from repro.runner import execute_task
-
-    return execute_task(ReplayTask(
-        kind="metarates", protocol=protocol, num_servers=num_servers,
-        update_fraction=update_fraction, ops_per_process=ops_per_process,
-        preload_per_server=preload_per_server, think_time=THINK_TIME,
-        seed=seed,
-    ))
-
-
 def run_fig6(server_counts=(4, 8, 16, 32), workloads=("update", "read"),
              ops_per_process: int = 30, seed: int = 1,
              jobs: int = 1) -> ExperimentResult:

@@ -33,17 +33,10 @@ _EXCLUDED = MessageStats.EXCLUDED
 class Network:
     """Registry of nodes plus the delivery mechanism.
 
-    Deliveries ride on event handles carrying an
-    ``[arrival, msgs, dsts, epochs]`` batch: back-to-back sends that
-    land at the same arrival instant — a Cx commit fan-out, the
-    client's coordinator+participant REQ pair — coalesce into *one*
-    timeline entry delivering N messages in one dispatch.  Coalescing
-    is legal only when nothing else entered the timeline between the
-    sends (checked via the simulator's sequence counter) and the
-    arrival times match exactly; each coalesced message still burns a
-    sequence number and counts as one processed event, so the schedule
-    — and the golden event counts — are bit-identical to per-message
-    delivery.
+    One message, one timeline entry: every send schedules its own
+    delivery handle carrying ``(msg, dst, epoch)``, so each delivery is
+    an event index a fault probe can land on — including the gap
+    between the two REQs of one cross-server operation.
 
     Crash semantics: every message is stamped at send time with the
     destination's crash *epoch* (bumped on every :meth:`Node.crash`).
@@ -77,17 +70,10 @@ class Network:
         self.tracer = tracer or NULL_TRACER
         #: node id -> (net.sent, net.sent_bytes) counters, resolved once.
         self._send_counters: Dict[str, Optional[tuple]] = {}
-        #: the batch still accepting coalesced sends (None once closed).
-        self._open_batch: Optional[list] = None
-        #: the next sim sequence number iff nothing was scheduled since
-        #: the last send (the coalescing precondition).
-        self._batch_next_seq = -1
         #: Optional ``msg -> None | ("drop",) | ("dup", extra_delay) |
         #: ("delay", extra_delay)`` callback — the fault explorer's
         #: message-fault injection point.
         self.fault_hook = None
-        # Bound once; this is the delivery dispatch callback.
-        self._deliver_cb = self._deliver_batch
 
     def register(self, node: "Node") -> None:
         if node.node_id in self.nodes:
@@ -153,6 +139,7 @@ class Network:
                 )
                 msg.span_id = hop_id
 
+        epoch = dst.epoch
         hook = self.fault_hook
         if hook is not None:
             action = hook(msg)
@@ -163,73 +150,28 @@ class Network:
                     # dead-letters the message at its arrival instant,
                     # failing the sender's RPC there (a lost message
                     # surfaces as a connection reset, not a hang).
-                    self._schedule_single(msg, dst, delay, -1)
-                    return
-                if what == "dup":
-                    self._schedule_single(msg, dst, delay + action[1],
-                                          dst.epoch)
+                    epoch = -1
+                elif what == "dup":
+                    self.sim.timeout_h(delay + action[1], (msg, dst, epoch),
+                                       self._deliver)
                 elif what == "delay":
                     delay += action[1]
+        self.sim.timeout_h(delay, (msg, dst, epoch), self._deliver)
 
-        sim = self.sim
-        arrival = sim.now + delay
-        batch = self._open_batch
-        if (batch is not None and batch[0] == arrival
-                and sim.burn_seq() == self._batch_next_seq):
-            # Coalesce: consecutive sends with no intervening schedule
-            # and the same arrival instant extend the in-flight batch.
-            # Burn the sequence number the per-message delivery would
-            # have taken, so every other event keeps its exact slot.
-            self._batch_next_seq = sim.burn_seq(1)
-            batch[1].append(msg)
-            batch[2].append(dst)
-            batch[3].append(dst.epoch)
-            return
-        batch = self._open_batch = [arrival, [msg], [dst], [dst.epoch]]
-        sim.timeout_h(delay, batch, self._deliver_cb)
-        self._batch_next_seq = sim.burn_seq()
+    def _deliver(self, h: int) -> None:
+        """Dispatch callback: deliver one message.
 
-    def _schedule_single(self, msg: Message, dst: "Node", delay: float,
-                         epoch: int) -> None:
-        """Schedule a one-message delivery outside the coalescing path.
-
-        Fault-injection helper (forced drops, duplicates): the batch is
-        never left open for later sends to coalesce into, and a
-        sentinel ``epoch=-1`` guarantees the delivery-time epoch check
-        dead-letters the message.
-        """
-        self.sim.timeout_h(
-            delay, [self.sim.now + delay, [msg], [dst], [epoch]], self._deliver_cb
-        )
-
-    def _deliver_batch(self, h: int) -> None:
-        """Dispatch callback: deliver every message of one batch.
-
-        A message is dead-lettered when the destination is down *or*
+        The message is dead-lettered when the destination is down *or*
         its send-time epoch stamp is stale (the destination crashed
         while the message was in flight, even if it has rebooted
         since): a crashed server is silent until recovery, and nothing
         sent to its previous incarnation may reach the new one.
         """
-        sim = self.sim
-        batch = sim.value_h(h)
-        if self._open_batch is batch:
-            self._open_batch = None
-        msgs = batch[1]
-        dsts = batch[2]
-        epochs = batch[3]
-        n = len(msgs)
-        if n > 1:
-            # One pop carried n logical delivery events; keep
-            # events_processed identical to per-message delivery.
-            sim.count_extra_events(n - 1)
-        for i in range(n):
-            msg = msgs[i]
-            dst = dsts[i]
-            if dst.crashed or dst.epoch != epochs[i]:
-                self._dead_letter(msg)
-            else:
-                dst.deliver(msg)
+        msg, dst, epoch = self.sim.value_h(h)
+        if dst.crashed or dst.epoch != epoch:
+            self._dead_letter(msg)
+        else:
+            dst.deliver(msg)
 
     def _dead_letter(self, msg: Message) -> None:
         """Drop an undeliverable message, failing the sender's RPC.

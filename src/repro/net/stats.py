@@ -56,19 +56,3 @@ class MessageStats:
             out["DEAD_LETTERS"] = self.dead_letters
         return out
 
-    @property
-    def commitment_messages(self) -> int:
-        """Messages attributable to commitment traffic (server<->server)."""
-        return sum(
-            self.by_kind[k]
-            for k in (
-                MessageKind.VOTE,
-                MessageKind.YES,
-                MessageKind.NO,
-                MessageKind.COMMIT_REQ,
-                MessageKind.ABORT_REQ,
-                MessageKind.ACK,
-                MessageKind.L_COM,
-                MessageKind.ALL_NO,
-            )
-        )

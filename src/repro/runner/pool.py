@@ -140,9 +140,8 @@ def run_tasks(
 ) -> RunnerResult:
     """Execute every task; return outcomes in task order.
 
-    ``jobs=1`` runs in-process (and benefits from the per-process
-    stream-plan cache across cells of the same trace); ``jobs>1`` fans
-    across a ``ProcessPoolExecutor``.  ``jobs=None`` or ``0`` uses all
+    ``jobs=1`` runs in-process; ``jobs>1`` fans across a
+    ``ProcessPoolExecutor``.  ``jobs=None`` or ``0`` uses all
     cores.  With ``raise_on_error=False``, failed cells come back as
     outcomes with ``error`` set instead of raising :class:`TaskFailed`.
 

@@ -175,9 +175,13 @@ def _execute_task(task: ReplayTask) -> ReplaySummary:
         NUM_SERVERS,
         TRACE_SCALES,
         build_trace_cluster,
-        trace_streams,
     )
-    from repro.workloads import replay_streams, replay_streams_with_injection
+    from repro.workloads import (
+        TRACE_SPECS,
+        TraceWorkload,
+        replay_streams,
+        replay_streams_with_injection,
+    )
 
     num_servers = task.num_servers if task.num_servers is not None else NUM_SERVERS
 
@@ -189,7 +193,9 @@ def _execute_task(task: ReplayTask) -> ReplaySummary:
             seed=task.seed,
         )
         scale = task.scale if task.scale is not None else TRACE_SCALES[task.trace]
-        _wl, streams = trace_streams(cluster, task.trace, scale=scale, seed=task.seed)
+        streams = TraceWorkload(
+            TRACE_SPECS[task.trace], scale=scale, seed=task.seed
+        ).build(cluster, cluster.all_processes())
         if task.kind == KIND_TRACE:
             return _summarize(cluster, replay_streams(cluster, streams))
         measures = replay_streams_with_injection(

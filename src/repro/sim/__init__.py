@@ -5,7 +5,7 @@ style of SimPy, purpose-built for the Cx reproduction.  Simulated
 entities (servers, client processes, disks, the network) are
 :class:`~repro.sim.process.Process` objects wrapping Python generators;
 they advance virtual time by yielding :class:`~repro.sim.events.Event`
-objects (timeouts, resource grants, message arrivals).
+objects (timeouts, message arrivals).
 
 Determinism: event ordering is a total order on
 ``(time, priority, sequence-number)`` where the sequence number is the
@@ -24,7 +24,7 @@ from repro.sim.events import (
     Timeout,
 )
 from repro.sim.process import Process
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Store
 from repro.sim.rng import RngRegistry
 
 #: Only the interpreted kernel exists; kept because the frozen
@@ -40,7 +40,6 @@ __all__ = [
     "Periodic",
     "Process",
     "QueueDrained",
-    "Resource",
     "RngRegistry",
     "SimulationError",
     "Simulator",

@@ -210,8 +210,8 @@ class Simulator:
         # -- event accounting -------------------------------------------
         #: entries popped off the timeline and dispatched
         self._n_dispatched = 0
-        #: logical events not popped one by one: the extras of batched
-        #: dispatches, and idle periodic ticks replayed in place
+        #: logical events not popped one by one: idle periodic ticks
+        #: replayed in place (fed by ``_skip_idle_ticks`` alone)
         self._n_extra = 0
         #: event index at which the armed probe fires; -1 when disarmed
         self._probe_at = -1
@@ -227,10 +227,9 @@ class Simulator:
     @property
     def events_processed(self) -> int:
         """The *logical* event count: timeline entries dispatched, plus
-        the deliveries a batched dispatch carried and the idle ticks a
-        fast-forward replayed.  Fuzz fault coordinates, the probe index
-        and the golden counts are written in this unit, so it does not
-        depend on how many entries were physically popped."""
+        the idle ticks a fast-forward replayed.  Fuzz fault coordinates,
+        the probe index and the golden counts are written in this unit,
+        so it does not depend on whether idle ticks were popped."""
         return self._n_dispatched + self._n_extra
 
     def peek(self) -> float:
@@ -265,25 +264,11 @@ class Simulator:
         self._acb[h] = event._fire
         self._enqueue(h, delay, priority)
 
-    def burn_seq(self, n: int = 0) -> int:
-        """Consume ``n`` sequence numbers; return the next one to be assigned.
-
-        For dispatch paths that fold several logical events into one
-        queued entry (the network's delivery batches): each folded event
-        burns the number its own entry would have taken, and an
-        unchanged return value proves nothing was scheduled in between.
-        """
-        self._seq += n
+    @property
+    def seq(self) -> int:
+        """The next sequence number to be assigned (read-only): two
+        equal readings prove nothing was scheduled in between."""
         return self._seq
-
-    def count_extra_events(self, n: int) -> None:
-        """Account ``n`` extra logical events carried by one dispatch.
-
-        A batched dispatch pops one timeline entry for N logical events;
-        it reports the other ``N - 1`` here so ``events_processed`` stays
-        comparable with the committed golden counts.
-        """
-        self._n_extra += n
 
     # -- handle API -------------------------------------------------------
     #
@@ -429,13 +414,13 @@ class Simulator:
         """Fire ``callback`` once ``events_processed`` reaches ``at_index``.
 
         The fault explorer's injection point: the callback runs *between*
-        events, at the first instant the processed-event count (including
-        batched-delivery extras) is ``>= at_index``.  The callback may
-        re-arm the probe to chain injections.  Only one probe can be
-        armed at a time.  A drive call notices the probe when it starts
-        (arm it between calls or from the probe callback, not from an
-        event callback) and publishes exact counts per event while it is
-        armed; an unarmed probe costs nothing per event.
+        events, at the first instant the processed-event count is
+        ``>= at_index``.  The callback may re-arm the probe to chain
+        injections.  Only one probe can be armed at a time.  A drive
+        call notices the probe when it starts (arm it between calls or
+        from the probe callback, not from an event callback) and
+        publishes exact counts per event while it is armed; an unarmed
+        probe costs nothing per event.
         """
         if at_index < 0:
             raise ValueError(f"negative probe index {at_index!r}")

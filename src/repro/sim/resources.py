@@ -1,9 +1,9 @@
-"""Shared-resource primitives: counting resources and message stores."""
+"""The message store: an unbounded FIFO channel with crash teardown."""
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Deque, Generator
+from typing import TYPE_CHECKING, Any, Deque
 
 from repro.sim.events import Event
 
@@ -12,53 +12,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class ResourceClosed(RuntimeError):
-    """Raised to waiters when a Store/Resource is torn down (crash)."""
-
-
-class Resource:
-    """A counting resource (semaphore) with FIFO granting.
-
-    ``request()`` returns an event that succeeds when a slot is granted;
-    ``release()`` frees a slot.  Use via the ``acquire`` generator for
-    with-like scoping inside a process::
-
-        yield disk_resource.request()
-        try:
-            ...
-        finally:
-            disk_resource.release()
-    """
-
-    def __init__(self, sim: "Simulator", capacity: int = 1) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.sim = sim
-        self.capacity = capacity
-        self.in_use = 0
-        self._waiters: Deque[Event] = deque()
-
-    def request(self) -> Event:
-        ev = Event(self.sim)
-        if self.in_use < self.capacity:
-            self.in_use += 1
-            ev.succeed()
-        else:
-            self._waiters.append(ev)
-        return ev
-
-    def release(self) -> None:
-        if self.in_use <= 0:
-            raise RuntimeError("release() without matching request()")
-        while self._waiters:
-            waiter = self._waiters.popleft()
-            if not waiter.triggered:  # skip cancelled waiters
-                waiter.succeed()
-                return
-        self.in_use -= 1
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
+    """Raised to waiters when a Store is torn down (crash)."""
 
 
 class Store:
@@ -138,16 +92,3 @@ class Store:
     def reopen(self) -> None:
         """Re-enable the store after a reboot."""
         self._closed = False
-
-
-def hold(resource: Resource, work: Generator) -> Generator:
-    """Run ``work`` (a generator) while holding one slot of ``resource``.
-
-    Yields the work generator's final value.
-    """
-    yield resource.request()
-    try:
-        result = yield resource.sim.process(work)
-    finally:
-        resource.release()
-    return result

@@ -93,6 +93,9 @@ class WriteAheadLog:
         base_offset: int = 0,
         capacity: Optional[int] = None,
         name: str = "wal",
+        metrics=None,  # Optional[repro.obs.registry.MetricsRegistry]
+        tracer: Tracer = NULL_TRACER,
+        trace_node: Optional[str] = None,
     ) -> None:
         self.sim = sim
         self.disk = disk
@@ -116,19 +119,27 @@ class WriteAheadLog:
         #: Hook invoked (once per blocking append) when the log is full;
         #: the Cx server uses it to launch an urgent pruning commitment.
         self.on_full: Optional[Callable[[], None]] = None
-        #: Observability hooks, wired by the owning server (kept as
-        #: plain attributes so standalone WALs need no extra arguments).
-        self.tracer: Tracer = NULL_TRACER
-        self.metrics = None  # Optional[repro.obs.registry.MetricsRegistry]
-        #: (wal.appends counter, wal.valid_bytes gauge), resolved once —
-        #: appends are the WAL's hottest path.
-        self._append_meters: Optional[tuple] = None
-        #: Node id used in trace records (the owning server overrides
-        #: this with its own id so log events land on the server's row).
-        self.trace_node: str = name
+        #: Observability, passed by the owning server (a standalone WAL
+        #: has none).  ``trace_node`` is the node id of trace records:
+        #: the server's own, so log events land on the server's row.
+        self.tracer = tracer
+        self.trace_node = trace_node if trace_node is not None else name
+        #: Meter handles, resolved once — a meter never written reports
+        #: nothing: (wal.appends counter, wal.valid_bytes gauge),
         #: (wal.syncs counter, sync_bytes + sync_records histograms),
-        #: resolved lazily like ``_append_meters``.
-        self._flush_meters: Optional[tuple] = None
+        #: the wal.blocked_appends counter.
+        self._append_meters = self._flush_meters = self._blocked_meter = None
+        if metrics is not None:
+            self._append_meters = (
+                metrics.counter("wal.appends"),
+                metrics.gauge("wal.valid_bytes"),
+            )
+            self._flush_meters = (
+                metrics.counter("wal.syncs"),
+                metrics.histogram("wal.sync_bytes"),
+                metrics.histogram("wal.sync_records"),
+            )
+            self._blocked_meter = metrics.counter("wal.blocked_appends")
         self._flusher = sim.process(self._flush_loop())
 
     # -- queries -----------------------------------------------------------
@@ -179,8 +190,8 @@ class WriteAheadLog:
         if (not urgent and self.capacity is not None
                 and self.valid_bytes + record.size > self.capacity):
             self.blocked_appends += 1
-            if self.metrics is not None:
-                self.metrics.counter("wal.blocked_appends").inc()
+            if self._blocked_meter is not None:
+                self._blocked_meter.inc()
             if self.tracer.enabled and self.tracer.sampled(record.op_id):
                 self.tracer.event(
                     "wal.blocked", self.trace_node, cat="wal",
@@ -203,13 +214,8 @@ class WriteAheadLog:
             recs.append(record)
         self.valid_bytes += record.size
         self.appends += 1
-        if self.metrics is not None:
-            m = self._append_meters
-            if m is None:
-                m = self._append_meters = (
-                    self.metrics.counter("wal.appends"),
-                    self.metrics.gauge("wal.valid_bytes"),
-                )
+        m = self._append_meters
+        if m is not None:
             m[0].inc()
             m[1].set(self.valid_bytes)
         if self.tracer.enabled and self.tracer.sampled(record.op_id):
@@ -238,14 +244,8 @@ class WriteAheadLog:
             return 0
         freed = sum(r.size for r in records)
         self.valid_bytes -= freed
-        if self.metrics is not None:
-            m = self._append_meters
-            if m is None:
-                m = self._append_meters = (
-                    self.metrics.counter("wal.appends"),
-                    self.metrics.gauge("wal.valid_bytes"),
-                )
-            m[1].set(self.valid_bytes)
+        if self._append_meters is not None:
+            self._append_meters[1].set(self.valid_bytes)
         if self.tracer.enabled and self.tracer.sampled(op_id):
             self.tracer.event(
                 "wal.prune", self.trace_node, cat="wal",
@@ -349,14 +349,8 @@ class WriteAheadLog:
             self.flushes += 1
             if sync_span is not None:
                 sync_span.end()
-            if self.metrics is not None:
-                m = self._flush_meters
-                if m is None:
-                    m = self._flush_meters = (
-                        self.metrics.counter("wal.syncs"),
-                        self.metrics.histogram("wal.sync_bytes"),
-                        self.metrics.histogram("wal.sync_records"),
-                    )
+            m = self._flush_meters
+            if m is not None:
                 m[0].value += 1  # Counter.inc, inlined (per-flush path)
                 m[1].observe(nbytes)
                 m[2].observe(len(batch))

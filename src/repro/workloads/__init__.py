@@ -1,22 +1,19 @@
 """Workloads: the paper's six traces, Metarates, replay, injection."""
 
 from repro.workloads.spec import TRACE_SPECS, TraceSpec
-from repro.workloads.traces import StreamPlan, TraceWorkload
+from repro.workloads.traces import TraceWorkload
 from repro.workloads.metarates import MetaratesWorkload
 from repro.workloads.replay import ReplayResult, replay_streams
 from repro.workloads.synth import SYNTH_MIXES, SynthSpec, SynthWorkload
 from repro.workloads.inject import (
-    ConflictInjector,
     build_probe_op,
     replay_streams_with_injection,
 )
 
 __all__ = [
-    "ConflictInjector",
     "build_probe_op",
     "MetaratesWorkload",
     "ReplayResult",
-    "StreamPlan",
     "SYNTH_MIXES",
     "SynthSpec",
     "SynthWorkload",

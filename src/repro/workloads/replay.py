@@ -40,10 +40,6 @@ class ReplayResult:
     #: The cluster's tracer when the replay ran with tracing enabled.
     tracer: object = field(repr=False, default=None)
 
-    @property
-    def messages_millions(self) -> float:
-        return self.messages / 1e6
-
 
 @contextmanager
 def deadlock_reported(what: str) -> Iterator[None]:

@@ -10,7 +10,7 @@ conflicts can only occur on shared files").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.cluster.builder import ROOT_HANDLE
 from repro.fs.ops import FileOperation, OpType
@@ -22,32 +22,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: A file known to a process: (parent handle, name, inode handle).
 FileRef = Tuple[int, str, int]
-
-#: One recorded namespace install: (is_dir, parent, name, handle).
-InstallRecord = Tuple[bool, int, str, int]
-
-
-@dataclass
-class StreamPlan:
-    """The reusable product of one stream generation.
-
-    Generating a trace's operation streams costs as much as a good
-    chunk of the replay itself (per-op RNG draws plus ~10k
-    :class:`FileOperation` constructions), and the result depends only
-    on ``(spec, scale, seed)`` and the cluster shape — not on the
-    protocol under test.  A plan captures everything needed to rerun
-    the same workload on a *fresh, identically-seeded* cluster:
-    the namespace install script, the per-process operation streams
-    (``FileOperation`` is frozen, so sharing is safe), and each
-    process's post-generation op-id sequence number (so ops issued at
-    replay time — e.g. fig8's injected probes — cannot collide with
-    replayed op ids).
-    """
-
-    installs: List[InstallRecord]
-    streams: List[List[FileOperation]]
-    known_dirs: List[int]
-    next_seqs: List[int]
 
 
 @dataclass
@@ -75,9 +49,6 @@ class TraceWorkload:
         self.seed = seed
         #: Filled by :meth:`build` — handles of preloaded directories.
         self.known_dirs: List[int] = []
-        #: Filled by :meth:`build` — the reusable generation product.
-        self.plan: Optional[StreamPlan] = None
-        self._installs: List[InstallRecord] = []
 
     def total_ops(self, num_processes: int) -> int:
         per_proc = max(1, int(self.spec.total_ops * self.scale) // num_processes)
@@ -86,44 +57,31 @@ class TraceWorkload:
     def build(
         self, cluster: "Cluster", processes: List["ClientProcess"]
     ) -> Dict["ClientProcess", List[FileOperation]]:
-        """Preload the namespace and generate each process's stream.
-
-        The generation product is also recorded on :attr:`plan`, so the
-        identical workload can be reapplied to another fresh cluster via
-        :meth:`replay_onto` without regenerating (the streams depend on
-        ``(spec, scale, seed)`` and the cluster shape, not on the
-        protocol under test).
-        """
+        """Preload the namespace and generate each process's stream."""
         spec = self.spec
         rng = cluster.rngs.stream(f"trace:{spec.name}:{self.seed}")
         nproc = len(processes)
         per_proc = max(1, int(spec.total_ops * self.scale) // nproc)
-        self._installs = []
-        installs = self._installs
 
         # Namespace setup: one common checkpoint dir (HPC) or per-user
         # homes (NFS), plus the shared pool everybody may touch.
         if spec.family == "hpc":
             common = cluster.preload_dir(ROOT_HANDLE, f"{spec.name}-ckpt")
-            installs.append((True, ROOT_HANDLE, f"{spec.name}-ckpt", common))
             self.known_dirs.append(common)
             homes = {p: common for p in processes}
         else:
             homes = {}
             for i, p in enumerate(processes):
                 h = cluster.preload_dir(ROOT_HANDLE, f"{spec.name}-u{i}")
-                installs.append((True, ROOT_HANDLE, f"{spec.name}-u{i}", h))
                 self.known_dirs.append(h)
                 homes[p] = h
         shared_dir = cluster.preload_dir(ROOT_HANDLE, f"{spec.name}-shared")
-        installs.append((True, ROOT_HANDLE, f"{spec.name}-shared", shared_dir))
         self.known_dirs.append(shared_dir)
         pool_size = max(8, nproc)
         shared_pool: List[FileRef] = []
         for i in range(pool_size):
             name = f"pool{i}"
             handle = cluster.preload_file(shared_dir, name)
-            installs.append((False, shared_dir, name, handle))
             shared_pool.append((shared_dir, name, handle))
 
         # Seed each process with a few preexisting files so read ops
@@ -134,7 +92,6 @@ class TraceWorkload:
             for j in range(4):
                 name = f"p{i}-seed{j}"
                 handle = cluster.preload_file(st.home, name)
-                installs.append((False, st.home, name, handle))
                 st.files.append((st.home, name, handle))
             states[p] = st
 
@@ -153,44 +110,7 @@ class TraceWorkload:
                 )
                 ops.append(op)
             streams[p] = ops
-        self.plan = StreamPlan(
-            installs=installs,
-            streams=[streams[p] for p in processes],
-            known_dirs=list(self.known_dirs),
-            next_seqs=[p._next_seq for p in processes],
-        )
         return streams
-
-    def replay_onto(
-        self, cluster: "Cluster", processes: List["ClientProcess"]
-    ) -> Dict["ClientProcess", List[FileOperation]]:
-        """Reapply a previously built plan to a fresh cluster.
-
-        The cluster must have the same shape and seed as the one the
-        plan was generated on (identical placement), and must not have
-        replayed anything yet.  Installs the recorded namespace and
-        returns the cached streams mapped onto ``processes`` by index.
-        """
-        plan = self.plan
-        if plan is None:
-            raise RuntimeError("replay_onto() needs a prior build()")
-        if len(processes) != len(plan.streams):
-            raise ValueError(
-                f"plan was generated for {len(plan.streams)} processes, "
-                f"got {len(processes)}"
-            )
-        for is_dir, parent, name, handle in plan.installs:
-            if is_dir:
-                cluster.preload_dir(parent, name, handle=handle)
-            else:
-                cluster.preload_file(parent, name, handle=handle)
-        self.known_dirs = list(plan.known_dirs)
-        # Advance the op-id sequences past the generated ops, exactly as
-        # a fresh generation would have, so ops issued during the replay
-        # (e.g. injected probes) get non-colliding ids.
-        for p, seq in zip(processes, plan.next_seqs):
-            p._next_seq = max(p._next_seq, seq)
-        return {p: plan.streams[i] for i, p in enumerate(processes)}
 
     # -- one operation ---------------------------------------------------------
 
@@ -276,6 +196,4 @@ class TraceWorkload:
         """Preload one more private file when a process runs dry."""
         name = st.fresh_name(f"p{pidx}-x")
         handle = cluster.preload_file(st.home, name)
-        self._installs.append((False, st.home, name, handle))
-        ref = (st.home, name, handle)
-        return ref
+        return (st.home, name, handle)

@@ -39,7 +39,7 @@ def _cluster(stepwise: bool):
 def _observed(cluster):
     sim = cluster.sim
     return (
-        sim.now, sim.events_processed, sim.burn_seq(0),
+        sim.now, sim.events_processed, sim.seq,
         [s.role.triggers.timeout_fires for s in cluster.servers],
         [s.metrics.counter("trigger.timeout").value for s in cluster.servers],
     )

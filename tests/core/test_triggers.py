@@ -103,7 +103,7 @@ class TestTimerAccounting:
         marks = []
 
         def mark():
-            marks.append((sim.events_processed, sim.burn_seq(0)))
+            marks.append((sim.events_processed, sim.seq))
 
         t.start()
         t.stop()  # before the bootstrap ran: two urgent entries queued

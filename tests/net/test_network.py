@@ -164,6 +164,18 @@ class TestCrash:
         sim.run()
         assert len(b.inbox) == 1
 
+    def test_each_delivery_is_a_probe_coordinate(self, sim, net, pair):
+        """Two back-to-back sends arriving at the same instant are two
+        timeline entries: a crash aimed between them lands between them."""
+        a, b = pair
+        c = Node(sim, net, "c")
+        a.send("b", MessageKind.REQ)
+        a.send("c", MessageKind.REQ)
+        sim.arm_probe(sim.events_processed + 1, c.crash)
+        sim.run()
+        assert len(b.inbox) == 1
+        assert net.stats.dead_letters == 1
+
 
 class TestMessage:
     def test_reply_links_ids(self):

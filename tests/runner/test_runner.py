@@ -6,7 +6,6 @@ the full-scale grids are the experiments themselves (``--jobs N``).
 
 import pytest
 
-from repro.experiments.common import _STREAM_CACHE
 from repro.runner import (
     ReplayTask,
     TaskFailed,
@@ -43,31 +42,12 @@ class TestReplayTask:
 
 class TestDeterminism:
     def test_same_seed_identical_results_and_events(self):
-        # Two fully fresh replays (cache cleared in between): identical
-        # ReplaySummary including events_processed and every metric.
-        _STREAM_CACHE.clear()
+        # Two replays: identical ReplaySummary including
+        # events_processed and every metric.
         a = execute_task(tiny(protocol="cx"))
-        _STREAM_CACHE.clear()
         b = execute_task(tiny(protocol="cx"))
         assert a.events_processed == b.events_processed
         assert a == b
-
-    def test_cached_streams_equivalent_to_fresh(self):
-        # First call generates the trace streams, second replays them
-        # from the per-process stream-plan cache; the replay must not
-        # be able to tell the difference.
-        _STREAM_CACHE.clear()
-        fresh = execute_task(tiny(protocol="cx"))
-        assert _STREAM_CACHE  # warmed
-        cached = execute_task(tiny(protocol="cx"))
-        assert fresh == cached
-
-    def test_protocols_share_cached_streams(self):
-        _STREAM_CACHE.clear()
-        execute_task(tiny(protocol="ofs"))
-        assert len(_STREAM_CACHE) == 1
-        execute_task(tiny(protocol="cx"))
-        assert len(_STREAM_CACHE) == 1  # same key, no regeneration
 
 
 class TestRunTasks:

@@ -73,7 +73,7 @@ class Script:
             priority = PRIORITY_URGENT if kind == "init_h" else PRIORITY_NORMAL
         if kind in ("init_h", "await_h"):
             delay = 0.0
-        self.queued[label] = (sim.now + delay, priority, sim.burn_seq())
+        self.queued[label] = (sim.now + delay, priority, sim.seq)
         if kind == "event":
             ev = sim.event()
             if fails:
@@ -269,7 +269,7 @@ class TimerWorld:
         marks = []
         for chunk in chunks:
             sim.run(until=sim.now + chunk)
-            marks.append((sim.now, sim.events_processed, sim.burn_seq(0),
+            marks.append((sim.now, sim.events_processed, sim.seq,
                           tuple(self.fires)))
         return marks, self.log
 
@@ -311,7 +311,7 @@ def test_idle_ticks_are_replayed_not_dispatched():
     assert asked == [1, 1]  # one look each, then 14,000 bare rotations
     assert fires[0] == 4000 and 9999 <= fires[1] <= 10000  # 0.1 drifts
     assert sim.events_processed == 2 + sum(fires)
-    assert sim.burn_seq(0) == 2 + sum(fires) + 2
+    assert sim.seq == 2 + sum(fires) + 2
 
     # An armed probe must see its exact index: ticks dispatch one by one
     # up to it, and the fast-forward resumes once it has fired.

@@ -115,22 +115,6 @@ class TestProbe:
         sim.disarm_probe()
         sim.arm_probe(9, lambda: None)  # fine after disarm
 
-    def test_counts_include_batched_extras(self):
-        """``count_extra_events`` advances the probe coordinate too."""
-        sim = Simulator()
-        seen = []
-
-        def batchy():
-            for _ in range(10):
-                yield sim.timeout_h(0.001)
-                sim.count_extra_events(4)  # one pop carrying 5 events
-
-        sim.process(batchy())
-        sim.arm_probe(20, lambda: seen.append(sim.events_processed))
-        sim.run()
-        assert len(seen) == 1
-        assert seen[0] >= 20
-
     def test_replay_identical_with_and_without_probe(self):
         """The step-wise probed loop must not perturb the schedule."""
 

@@ -1,10 +1,11 @@
 """The kernel's storage format is private to ``src/repro/sim/``.
 
 Layers above the kernel schedule through its methods (``timeout_h``,
-``succeed_pending``, ``burn_seq`` …).  A file outside ``sim/`` that
-tests ``type(x) is int`` to tell a handle from an Event, or that reads
-the state columns, lanes or heap directly, re-couples itself to the
-timeline's layout — this scan fails on the first such line.
+``succeed_pending`` …) and can read, never move, the sequence counter
+(``seq``).  A file outside ``sim/`` that tests ``type(x) is int`` to
+tell a handle from an Event, that reads the state columns, lanes or
+heap directly, or that reaches into a ``Store``'s queues, re-couples
+itself to the kernel's layout — this scan fails on the first such line.
 """
 
 import pathlib
@@ -16,6 +17,7 @@ SRC = pathlib.Path(repro.__file__).parent
 FORBIDDEN = [
     re.compile(r"type\([a-z_]+\) is int"),
     re.compile(r"\._(ast|aval|acb|aq|afree|heap|free_nodes|lane_|periodics)"),
+    re.compile(r"\._(items|getters|closed)\b"),
 ]
 
 

@@ -1,63 +1,7 @@
-"""Unit tests for Resource and Store."""
+"""Unit tests for Store."""
 
-import pytest
-
-from repro.sim import Resource, Store
+from repro.sim import Store
 from repro.sim.resources import ResourceClosed
-
-
-class TestResource:
-    def test_capacity_validation(self, sim):
-        with pytest.raises(ValueError):
-            Resource(sim, capacity=0)
-
-    def test_grant_within_capacity(self, sim):
-        res = Resource(sim, capacity=2)
-        assert res.request().triggered
-        assert res.request().triggered
-        assert res.in_use == 2
-
-    def test_waiter_queues_beyond_capacity(self, sim):
-        res = Resource(sim, capacity=1)
-        res.request()
-        second = res.request()
-        assert not second.triggered
-        assert res.queue_length == 1
-        res.release()
-        assert second.triggered
-
-    def test_release_without_request_raises(self, sim):
-        res = Resource(sim)
-        with pytest.raises(RuntimeError):
-            res.release()
-
-    def test_fifo_granting(self, sim):
-        res = Resource(sim, capacity=1)
-        res.request()
-        waiters = [res.request() for _ in range(3)]
-        res.release()
-        assert [w.triggered for w in waiters] == [True, False, False]
-        res.release()
-        assert [w.triggered for w in waiters] == [True, True, False]
-
-    def test_mutual_exclusion_in_processes(self, sim):
-        res = Resource(sim, capacity=1)
-        active = []
-        max_active = []
-
-        def worker(sim):
-            yield res.request()
-            active.append(1)
-            max_active.append(len(active))
-            yield sim.timeout(1.0)
-            active.pop()
-            res.release()
-
-        for _ in range(4):
-            sim.process(worker(sim))
-        sim.run()
-        assert max(max_active) == 1
-        assert sim.now == 4.0
 
 
 class TestStore:

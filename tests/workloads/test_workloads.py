@@ -7,6 +7,7 @@ from repro.workloads import (
     TRACE_SPECS,
     MetaratesWorkload,
     TraceWorkload,
+    build_probe_op,
     replay_streams,
 )
 from tests.conftest import build_cluster
@@ -212,3 +213,14 @@ class TestReplayEngine:
         assert res.protocol == "cx"
         assert res.throughput == pytest.approx(res.total_ops / res.replay_time)
         assert 0 <= res.conflict_ratio <= 1
+
+
+class TestProbeOp:
+    @pytest.mark.parametrize("protocol", ["cx", "ofs"])
+    def test_nothing_pending_means_no_probe(self, protocol):
+        """No active object to aim at — an idle Cx cluster, or a baseline
+        with no active-object table — yields no probe."""
+        cluster = build_cluster(protocol)
+        proc = cluster.client_process(0, 0)
+        rng = cluster.rngs.stream("probe")
+        assert build_probe_op(cluster, proc, rng) is None
