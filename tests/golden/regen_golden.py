@@ -34,6 +34,17 @@ CELLS = {
     "fig8_home2_cx_inject0.12": ReplayTask(kind="inject", trace="home2",
                                            protocol="cx", seed=0,
                                            p_inject=0.12),
+    # The remaining protocols, so every name in PROTOCOL_NAMES has a
+    # byte-level pin (the baselines share server-side steps with Cx),
+    # plus one read-heavy cell for the read path.
+    "fig5_CTH_2pc": ReplayTask(kind="trace", trace="CTH", protocol="2pc",
+                               seed=0),
+    "fig5_CTH_ce": ReplayTask(kind="trace", trace="CTH", protocol="ce",
+                              seed=0),
+    "fig5_CTH_cx-serial-exec": ReplayTask(kind="trace", trace="CTH",
+                                          protocol="cx-serial-exec", seed=0),
+    "fig5_home2_2pc": ReplayTask(kind="trace", trace="home2",
+                                 protocol="2pc", seed=0),
 }
 
 

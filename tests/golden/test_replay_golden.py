@@ -2,9 +2,10 @@
 
 The hot-path work (pooled event-queue nodes, handler slots instead of
 per-message processes, the Cx commitment fast path) must not change
-*what* a replay computes — only how fast.  These tests replay two
-canonical cells and compare the **entire** summary, field by field,
-against values committed in ``replay_golden.json``:
+*what* a replay computes — only how fast.  These tests replay the
+cells of ``regen_golden.py`` — at least one per protocol — and compare
+the **entire** summary, field by field, against values committed in
+``replay_golden.json``.  Two of them carry the Cx-specific weight:
 
 * ``fig5_CTH_cx`` — the CTH trace under Cx (the paper's headline cell
   and the bench's timing cell);
@@ -35,6 +36,7 @@ from dataclasses import asdict
 
 import pytest
 
+from repro.protocols import PROTOCOL_NAMES
 from repro.runner.tasks import ReplayTask, execute_task
 
 GOLDEN_FILE = pathlib.Path(__file__).parent / "replay_golden.json"
@@ -72,3 +74,11 @@ def test_replay_matches_golden(cell):
         assert got_metrics[node] == want_metrics[node], (
             f"{cell}: metrics snapshot for {node} diverged"
         )
+
+
+def test_every_protocol_has_a_golden_cell():
+    """A protocol without a cell could change its schedule unnoticed."""
+    pinned = {cell["task"]["protocol"] for cell in _golden().values()}
+    assert set(PROTOCOL_NAMES) <= pinned, (
+        f"no golden cell for {sorted(set(PROTOCOL_NAMES) - pinned)}"
+    )
