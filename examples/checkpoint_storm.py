@@ -67,8 +67,9 @@ def main() -> None:
             f"({m.cross_server_ops}/{m.total_ops} creations were cross-server)"
         )
         if protocol == "cx":
-            batches = sum(s.role.commit_mgr.batches_launched for s in cluster.servers)
-            lazy = sum(s.role.commit_mgr.lazy_commits for s in cluster.servers)
+            meters = cluster.metrics_snapshot()["cluster"]
+            batches = meters.get("commit.batches", 0)
+            lazy = meters.get("commit.lazy_ops", 0)
             line += f"; {lazy} commitments in {batches} lazy batches"
         print(line)
 

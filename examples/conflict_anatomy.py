@@ -77,7 +77,7 @@ def main() -> None:
     print(f"B observed nlink={res_b.value.nlink} — the committed value.\n")
     print("commitment traffic the conflict forced:")
     print("\n".join(trace))
-    immediate = sum(s.role.commit_mgr.immediate_commits for s in cluster.servers)
+    immediate = cluster.metrics_snapshot()["cluster"].get("commit.immediate_ops", 0)
     print(f"\nimmediate commitments: {immediate} "
           f"(with no conflict this would have been 0 for a whole minute)")
 

@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING, Dict, Optional
 from repro.fs.ops import FileOperation
 from repro.net.message import Message
 from repro.net.network import Network, Node
+from repro.obs.tracer import PHASE_CLIENT
 from repro.sim import Simulator, Store
 from repro.storage.wal import OpId
 
@@ -81,7 +82,6 @@ class ClientProcess:
         self.node = node
         self.proc_id = proc_id
         self._next_seq = 0
-        self.ops_done = 0
 
     def new_op_id(self) -> OpId:
         """(client id, process id, sequence number) — paper §III.A."""
@@ -91,6 +91,8 @@ class ClientProcess:
     def perform(self, op: FileOperation):
         """Generator: run one operation through the cluster's protocol.
 
+        Opens the op's ``client-op`` span — the window the critical-path
+        analyzer partitions — around the protocol's ``client_perform``.
         Returns the :class:`OpResult`; also records metrics.
         """
         cluster = self.cluster
@@ -99,15 +101,24 @@ class ClientProcess:
         plan = cluster.plan(op)
         yield sim.timeout_h(cluster.params.cpu_client_op)
         if plan.is_rename:
-            from repro.protocols.base import rename_client_perform
-
-            result: OpResult = yield from rename_client_perform(
-                cluster, self, plan
-            )
+            from repro.protocols.base import rename_client_perform as drive
         else:
-            result = yield from cluster.protocol.client_perform(
-                cluster, self, plan
+            drive = cluster.protocol.client_perform
+        tracer = cluster.tracer
+        span = (
+            tracer.begin(
+                "client-op", self.node.node_id, op_id=op.op_id,
+                phase=PHASE_CLIENT, op_type=op.op_type.value,
+                cross=plan.cross_server,
             )
-        self.ops_done += 1
+            if tracer.enabled and tracer.sampled(op.op_id) else None
+        )
+        try:
+            result: OpResult = yield from drive(
+                cluster, self, plan, span.span_id if span is not None else None
+            )
+        finally:
+            if span is not None:
+                span.end()
         cluster.metrics.record_op(op, plan, result, start, sim.now)
         return result

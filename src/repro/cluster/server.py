@@ -80,7 +80,6 @@ class _HandlerSlot(Process):
     def _start(self, h: int) -> None:
         """Bootstrap callback: run the handler at the dispatch instant."""
         server = self.server
-        server.requests_served += 1
         role = server.role
         try:
             if server._is_rename(self.msg):
@@ -132,6 +131,7 @@ class MetadataServer(Node):
             tracer=self.tracer,
             trace_node=self.node_id,
         )
+        self.shard = NamespaceShard(self.kv, index)
         self.role: Optional["ServerRole"] = None
         #: True while the cluster is in the recovery state — client
         #: requests are buffered, not served (paper §III.D: "the whole
@@ -142,19 +142,6 @@ class MetadataServer(Node):
         #: processes.  Finished ones drop out; :meth:`crash` kills the rest.
         self._owned: Set[Process] = set()
         self._loop: Optional[Process] = None
-        self.requests_served = 0
-
-    def __getattr__(self, name: str):
-        # The namespace shard is built on first touch: it is pure (no
-        # simulation events), so laziness cannot perturb schedules, and
-        # caching the result as a plain instance attribute keeps every
-        # later ``server.shard`` access a zero-cost attribute load.
-        if name == "shard":
-            shard = self.shard = NamespaceShard(self.kv, self.index)
-            return shard
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}"
-        )
 
     # -- wiring ------------------------------------------------------------
 

@@ -17,20 +17,21 @@ server-side duplicate tables guarantee exactly-once execution.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Generator
+from typing import TYPE_CHECKING, Dict, Generator, Optional
 
 from repro.cluster.client import ClientProcess, OpResult
 from repro.core.hints import ResponseHint, settled
 from repro.fs.ops import OpPlan
 from repro.net.message import Message, MessageKind
-from repro.obs.tracer import PHASE_CLIENT
+from repro.protocols.base import result_from_resp
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.builder import Cluster
 
 
 def cx_client_perform(
-    cluster: "Cluster", process: ClientProcess, plan: OpPlan
+    cluster: "Cluster", process: ClientProcess, plan: OpPlan,
+    op_sid: Optional[int],
 ) -> Generator:
     node = process.node
     sim = cluster.sim
@@ -38,14 +39,6 @@ def cx_client_perform(
     retry_timeout = cluster.params.client_retry_timeout
     channel = node.register_op(op_id)
     tracer = cluster.tracer
-    op_span = (
-        tracer.begin(
-            "client-op", node.node_id, op_id=op_id, phase=PHASE_CLIENT,
-            op_type=plan.op.op_type.value, cross=plan.cross_server,
-        )
-        if tracer.enabled and tracer.sampled(op_id) else None
-    )
-    op_sid = op_span.span_id if op_span is not None else None
 
     def send_requests() -> None:
         node.send(
@@ -107,13 +100,7 @@ def cx_client_perform(
                 msg: Message = yield channel.get_h()
             else:
                 msg = yield from receive()
-            p = msg.payload
-            return OpResult(
-                ok=bool(p.get("ok")),
-                errno=p.get("errno"),
-                value=p.get("value"),
-                conflicted=bool(p.get("conflicted")),
-            )
+            return result_from_resp(msg)
 
         latest: Dict[str, dict] = {}
         conflicted = False
@@ -157,6 +144,4 @@ def cx_client_perform(
                     )
                 send_lcom()
     finally:
-        if op_span is not None:
-            op_span.end()
         node.unregister_op(op_id)

@@ -69,9 +69,6 @@ class CommitManager:
         self.parked: Dict[OpId, PendingOp] = {}
         #: The one re-delivery process the scan may have in flight.
         self._redelivery = None
-        self.batches_launched = 0
-        self.immediate_commits = 0
-        self.lazy_commits = 0
 
     def on_crash(self) -> None:
         self.lazy.clear()
@@ -158,14 +155,11 @@ class CommitManager:
                     phase=PHASE_COMMIT, parent=p.exec_span_id,
                     role=p.role, reason=reason,
                 )
-        self.batches_launched += 1
         self._m_batches.inc()
         self._m_batch_size.observe(len(ops))
         if reason == "immediate":
-            self.immediate_commits += len(ops)
             self._m_immediate.inc(len(ops))
         else:
-            self.lazy_commits += len(ops)
             self._m_lazy.inc(len(ops))
         self.role.server.spawn(self._commit_batch(ops))
 

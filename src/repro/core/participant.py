@@ -56,7 +56,6 @@ class ParticipantHalf:
         #: Votes waiting for an op to execute here:
         #: op_id -> [(event, armed_at virtual time)].
         self._vote_waiters: Dict[OpId, List[Tuple[Event, float]]] = {}
-        self.invalidations = 0
 
     def on_crash(self) -> None:
         self._vote_waiters.clear()
@@ -213,7 +212,6 @@ class ParticipantHalf:
         request."
         """
         role = self.role
-        self.invalidations += 1
         self._m_invalidations.inc()
         if self.tracer.enabled:
             self.tracer.event(

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator
+from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.cluster.client import ClientProcess
 from repro.core.client import cx_client_perform
@@ -24,6 +24,7 @@ class CxProtocol(Protocol):
         return CxRole(server, cluster)
 
     def client_perform(
-        self, cluster: "Cluster", process: ClientProcess, plan: OpPlan
+        self, cluster: "Cluster", process: ClientProcess, plan: OpPlan,
+        op_sid: Optional[int],
     ) -> Generator:
-        return cx_client_perform(cluster, process, plan)
+        return cx_client_perform(cluster, process, plan, op_sid)

@@ -28,7 +28,6 @@ from repro.core.records import PendingOp, PendingState, make_result_record
 from repro.core.recovery import CxRecovery
 from repro.core.triggers import CommitTriggers
 from repro.net.message import Message, MessageKind
-from repro.obs.tracer import PHASE_EXEC, PHASE_RECORD
 from repro.protocols.base import ServerRole
 from repro.storage.wal import OpId
 
@@ -274,20 +273,7 @@ class CxRole(ServerRole):
             return
 
         if subop.is_readonly:
-            tracer = self.tracer
-            read_span = (
-                tracer.begin(
-                    "exec", self.server.node_id, op_id=op_id,
-                    phase=PHASE_EXEC, parent=msg.span_id,
-                    role=subop.role, readonly=True,
-                )
-                if tracer.enabled and tracer.sampled(op_id) else None
-            )
-            res = yield from self.execute_readonly(subop)
-            read_sid = None
-            if read_span is not None:
-                read_span.end(ok=res.ok)
-                read_sid = read_span.span_id
+            res, read_sid = yield from self.execute_readonly(msg, subop)
             self.server.send(
                 msg.src,
                 MessageKind.YES if res.ok else MessageKind.NO,
@@ -369,23 +355,7 @@ class CxRole(ServerRole):
         if cross:
             self.active.register(op_id, keys)
 
-        tracer = self.tracer
-        # One sampling decision for the whole execution path: skipping
-        # the begin()/ambient work wholesale for sampled-out ops is what
-        # keeps the always-on tracer cheap (obs.tracer_overhead_frac).
-        traced = tracer.enabled and tracer.sampled(op_id)
-        exec_span = (
-            tracer.begin(
-                "exec", self.server.node_id, op_id=op_id,
-                phase=PHASE_EXEC, parent=msg.span_id, role=subop.role,
-            )
-            if traced else None
-        )
-        yield self.sim.timeout_h(self.params.cpu_subop)
-        res = self.server.shard.execute(subop, self.sim.now)
-        if exec_span is not None:
-            exec_span.end(ok=res.ok, errno=res.errno)
-
+        res, exec_sid = yield from self.execute_update(msg, subop)
         if res.ok:
             self.server.shard.apply_deferred(res.updates)
         elif cross:
@@ -422,27 +392,10 @@ class CxRole(ServerRole):
         self.pending[op_id] = pend
         self._executing.discard(op_id)
         self.commit_mgr.adopt_pre_request(pend)
+        pend.exec_span_id = exec_sid
         # Durable Result-Record before the response; this append blocks
         # when the log is full (Fig. 7(a)'s effect).
-        record_span = None
-        if traced:
-            exec_sid = exec_span.span_id if exec_span is not None else None
-            pend.exec_span_id = exec_sid
-            record_span = tracer.begin(
-                "result-record", self.server.node_id, op_id=op_id,
-                phase=PHASE_RECORD, parent=exec_sid,
-                role=subop.role, size=record.size,
-            )
-            # Ambient parent for the WAL's own instants: set and cleared
-            # around the synchronous append() call (the yield waits on
-            # the returned event, after the records are admitted).
-            tracer.ambient = record_span.span_id
-            append_done = self.server.wal.append_h(record)
-            tracer.ambient = None
-            yield append_done
-            record_span.end()
-        else:
-            yield self.server.wal.append_h(record)
+        record_sid = yield from self.append_record(record, subop, exec_sid)
         # Result-Record durable: the op may now be voted on (a YES on a
         # volatile record could not be honored after a crash).
         pend.logged = True
@@ -462,10 +415,7 @@ class CxRole(ServerRole):
         }
         kind = MessageKind.YES if res.ok else MessageKind.NO
         pend.last_response = (kind, payload)
-        self.server.send(
-            msg.src, kind, payload,
-            span_id=record_span.span_id if record_span is not None else None,
-        )
+        self.server.send(msg.src, kind, payload, span_id=record_sid)
 
         # Post-execution hooks: deferred votes and the lazy queue.
         self.participant.fulfill_vote_waiters(op_id)

@@ -287,10 +287,14 @@ class Node:
         """RPC helper: send a request, get an event for the response.
 
         The event succeeds with the response :class:`Message`.  It never
-        times out on its own — the simulated network does not lose
-        messages; loss only happens through node crashes, which the
-        failure-injection layer resolves by failing pending RPC events
-        (see ``fail_pending_rpcs``).
+        times out on its own.  A lost *request* — destination down or
+        crashed in flight, or dropped by the fault hook (``drop``, a
+        partition) — fails it with ``ConnectionError`` at the arrival
+        instant (:meth:`Network._dead_letter`), as does our own crash
+        (:meth:`fail_pending_rpcs`).  A lost *reply* fails nothing: a
+        caller that must survive one bounds the wait itself (the commit
+        RPC timeout, the client retry timer).  A duplicated reply lands
+        in the inbox as an unsolicited message.
         """
         msg = self.send(dst, kind, payload, size, span_id=span_id)
         ev = Event(self.sim)
@@ -298,7 +302,7 @@ class Node:
         return ev
 
     def fail_pending_rpcs(self, exc: BaseException) -> None:
-        """Fail all in-flight RPCs (used when a peer crash is detected)."""
+        """Fail all in-flight RPCs (our own crash: see :meth:`crash`)."""
         pending = list(self._pending_rpcs.values())
         self._pending_rpcs.clear()
         for ev in pending:

@@ -11,37 +11,39 @@ Protocol           Paper reference
 =================  ====================================================
 """
 
+import importlib
+
 from repro.protocols.base import Protocol, ServerRole
 from repro.protocols.serial import SerialProtocol
 from repro.protocols.serial_batched import SerialBatchedProtocol
 from repro.protocols.twopc import TwoPCProtocol
 from repro.protocols.central import CentralProtocol
 
+#: Short name -> ``module:class`` of every protocol.  Paths, not classes:
+#: ``repro.core`` imports this package, so Cx is imported on first use.
+_REGISTRY = {
+    "ofs": "repro.protocols.serial:SerialProtocol",
+    "ofs-batched": "repro.protocols.serial_batched:SerialBatchedProtocol",
+    "2pc": "repro.protocols.twopc:TwoPCProtocol",
+    "ce": "repro.protocols.central:CentralProtocol",
+    "cx": "repro.core:CxProtocol",
+    "cx-serial-exec": "repro.protocols.ablations:CxSerialExecProtocol",
+}
+
+#: Short names accepted by :func:`get_protocol`.
+PROTOCOL_NAMES = tuple(_REGISTRY)
+
 
 def get_protocol(name: str) -> Protocol:
     """Instantiate a protocol by its short name (includes "cx")."""
-    from repro.core import CxProtocol  # deferred: repro.core depends on us
-
-    from repro.protocols.ablations import CxSerialExecProtocol
-
-    registry = {
-        "ofs": SerialProtocol,
-        "ofs-batched": SerialBatchedProtocol,
-        "2pc": TwoPCProtocol,
-        "ce": CentralProtocol,
-        "cx": CxProtocol,
-        "cx-serial-exec": CxSerialExecProtocol,
-    }
     try:
-        return registry[name]()
+        module, cls = _REGISTRY[name].split(":")
     except KeyError:
         raise ValueError(
-            f"unknown protocol {name!r}; choose from {sorted(registry)}"
+            f"unknown protocol {name!r}; choose from {sorted(_REGISTRY)}"
         ) from None
+    return getattr(importlib.import_module(module), cls)()
 
-
-#: Short names accepted by :func:`get_protocol`.
-PROTOCOL_NAMES = ("ofs", "ofs-batched", "2pc", "ce", "cx", "cx-serial-exec")
 
 __all__ = [
     "CentralProtocol",

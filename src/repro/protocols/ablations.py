@@ -21,9 +21,10 @@ attribute the measured gain:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator
+from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.cluster.client import ClientProcess, OpResult
+from repro.core.client import cx_client_perform
 from repro.core.protocol import CxProtocol
 from repro.fs.ops import OpPlan
 from repro.net.message import MessageKind
@@ -44,25 +45,15 @@ class CxSerialExecProtocol(CxProtocol):
     name = "cx-serial-exec"
 
     def client_perform(
-        self, cluster: "Cluster", process: ClientProcess, plan: OpPlan
+        self, cluster: "Cluster", process: ClientProcess, plan: OpPlan,
+        op_sid: Optional[int],
     ) -> Generator:
+        if not plan.cross_server:
+            return (yield from cx_client_perform(cluster, process, plan, op_sid))
         node = process.node
         op_id = plan.op.op_id
         channel = node.register_op(op_id)
         try:
-            if not plan.cross_server:
-                node.send(
-                    cluster.server_id(plan.coordinator),
-                    MessageKind.REQ,
-                    {"subop": plan.coord_subop, "op_id": op_id,
-                     "other_server": None},
-                )
-                msg = yield channel.get()
-                p = msg.payload
-                return OpResult(ok=bool(p.get("ok")), errno=p.get("errno"),
-                                value=p.get("value"),
-                                conflicted=bool(p.get("conflicted")))
-
             # Serial: participant first (SE's order), then coordinator.
             latest = {}
             conflicted = False
@@ -75,8 +66,9 @@ class CxSerialExecProtocol(CxProtocol):
                     cluster.server_id(server),
                     MessageKind.REQ,
                     {"subop": subop, "op_id": op_id, "other_server": other},
+                    span_id=op_sid,
                 )
-                msg = yield channel.get()
+                msg = yield channel.get_h()
                 p = msg.payload
                 conflicted = conflicted or bool(p.get("conflicted"))
                 latest[p["role"]] = p
@@ -98,8 +90,9 @@ class CxSerialExecProtocol(CxProtocol):
                         cluster.server_id(plan.coordinator),
                         MessageKind.L_COM,
                         {"op": op_id, "want_all_no": True},
+                        span_id=op_sid,
                     )
-                msg = yield channel.get()
+                msg = yield channel.get_h()
                 p = msg.payload
                 if msg.kind is MessageKind.ALL_NO:
                     return OpResult(ok=False, errno=p.get("errno"),

@@ -1,17 +1,19 @@
-"""Protocol plug-in interface.
+"""Protocol plug-in interface and the server skeleton every protocol shares.
 
-A protocol contributes two halves:
+A protocol contributes a **client side** (:meth:`Protocol.client_perform`,
+a generator run inside the client process, under the ``client-op`` span
+the process opens) and a **server role** (one :class:`ServerRole` per
+server, whose :meth:`ServerRole.handle` is spawned per message).
 
-* a **client driver** — :meth:`Protocol.client_perform` is a generator
-  run inside the client process; it exchanges messages with servers and
-  returns an :class:`~repro.cluster.client.OpResult`;
-* a **server role** — one :class:`ServerRole` instance per server,
-  whose :meth:`ServerRole.handle` is spawned per incoming message.
-
-Every protocol executes the *same* sub-op planning
-(:meth:`NamespaceShard.execute`); they differ in message choreography
-and persistence discipline, which is exactly the comparison the paper
-makes.
+Every protocol runs the *same* sub-op planning
+(:meth:`NamespaceShard.execute`) through the same :class:`ServerRole`
+steps — :meth:`~ServerRole.execute_readonly`,
+:meth:`~ServerRole.execute_update`, :meth:`~ServerRole.write_through`
+(the one synchronous KV write), :meth:`~ServerRole.append_record` (a
+traced log append) and :meth:`~ServerRole.serve_local` (a request one
+server answers alone).  The protocols differ only in message
+choreography and persistence discipline — what they do between and
+after those steps — which is exactly the comparison the paper makes.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from repro.cluster.client import ClientProcess, OpResult
 from repro.fs.namespace import ExecResult
 from repro.fs.ops import OpPlan, SubOp
 from repro.net.message import Message, MessageKind
+from repro.obs.tracer import PHASE_EXEC, PHASE_RECORD
 from repro.storage.wal import LogRecord
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -42,9 +45,33 @@ class Protocol(abc.ABC):
 
     @abc.abstractmethod
     def client_perform(
-        self, cluster: "Cluster", process: ClientProcess, plan: OpPlan
+        self, cluster: "Cluster", process: ClientProcess, plan: OpPlan,
+        op_sid: Optional[int],
     ) -> Generator:
-        """Generator driving one operation; returns an OpResult."""
+        """Generator driving one operation; returns an OpResult.
+
+        ``op_sid`` is the op's ``client-op`` span id (None untraced):
+        the parent of every request it sends.
+        """
+
+
+class EagerProtocol(Protocol):
+    """The eager baselines' client (2PC, CE): one REQ to the
+    coordinator, carrying the participant's sub-op when cross-server."""
+
+    def client_perform(
+        self, cluster: "Cluster", process: ClientProcess, plan: OpPlan,
+        op_sid: Optional[int],
+    ) -> Generator:
+        payload = {"subop": plan.coord_subop, "op_id": plan.op.op_id}
+        if plan.cross_server:
+            payload["part_subop"] = plan.part_subop
+            payload["participant"] = plan.participant
+        resp = yield process.node.request(
+            cluster.server_id(plan.coordinator), MessageKind.REQ, payload,
+            span_id=op_sid,
+        )
+        return result_from_resp(resp)
 
 
 #: Log record type for the eager rename transaction.
@@ -91,6 +118,91 @@ class ServerRole(abc.ABC):
         """Re-arm background activities after a reboot."""
         self.start()
 
+    # -- the shared steps -----------------------------------------------------
+    #
+    # Generators a role drives with ``yield from``.  The two execution
+    # steps return ``(result, exec span id)``; the span id is None when
+    # the op is not traced, and is what the role's next step or reply
+    # chains on.
+
+    def execute_readonly(self, msg: Message, subop: SubOp):
+        """Read step: CPU cost then a shard read, no disk."""
+        tracer = self.server.tracer
+        span = (
+            tracer.begin(
+                "exec", self.server.node_id, op_id=subop.op_id,
+                phase=PHASE_EXEC, parent=msg.span_id,
+                role=subop.role, readonly=True,
+            )
+            if tracer.enabled and tracer.sampled(subop.op_id) else None
+        )
+        yield self.sim.timeout_h(self.params.cpu_readonly)
+        res = self.server.shard.execute(subop, self.sim.now)
+        if span is None:
+            return res, None
+        span.end(ok=res.ok)
+        return res, span.span_id
+
+    def execute_update(self, msg: Message, subop: SubOp):
+        """Update step: CPU cost then the sub-op's planning; nothing is
+        applied — persisting ``result.updates`` is the protocol's part."""
+        tracer = self.server.tracer
+        span = (
+            tracer.begin(
+                "exec", self.server.node_id, op_id=subop.op_id,
+                phase=PHASE_EXEC, parent=msg.span_id, role=subop.role,
+            )
+            if tracer.enabled and tracer.sampled(subop.op_id) else None
+        )
+        yield self.sim.timeout_h(self.params.cpu_subop)
+        res = self.server.shard.execute(subop, self.sim.now)
+        if span is None:
+            return res, None
+        span.end(ok=res.ok, errno=res.errno)
+        return res, span.span_id
+
+    def write_through(self, updates):
+        """Apply ``updates`` synchronously: one KV transaction, awaited."""
+        events = self.server.shard.apply_sync(updates)
+        if events:
+            yield self.sim.all_of(events)
+
+    def append_record(self, record: LogRecord, subop: SubOp, parent: Optional[int]):
+        """Append ``record`` to the log and wait until it is durable.
+
+        Traced, the wait is a ``result-record`` span chained on
+        ``parent``, and its id is returned (None untraced).
+        """
+        tracer = self.server.tracer
+        if not (tracer.enabled and tracer.sampled(subop.op_id)):
+            yield self.server.wal.append_h(record)
+            return None
+        span = tracer.begin(
+            "result-record", self.server.node_id, op_id=subop.op_id,
+            phase=PHASE_RECORD, parent=parent, role=subop.role,
+            size=record.size,
+        )
+        # Ambient parent for the WAL's own instants: set and cleared
+        # around the synchronous append() call (the yield waits on the
+        # returned handle, after the records are admitted).
+        tracer.ambient = span.span_id
+        done = self.server.wal.append_h(record)
+        tracer.ambient = None
+        yield done
+        span.end()
+        return span.span_id
+
+    def serve_local(self, msg: Message, subop: SubOp):
+        """A request one server answers alone: a read, or an update
+        written through before the reply."""
+        if subop.is_readonly:
+            res, sid = yield from self.execute_readonly(msg, subop)
+        else:
+            res, sid = yield from self.execute_update(msg, subop)
+            if res.ok:
+                yield from self.write_through(res.updates)
+        self.reply_result(msg, res, span_id=sid)
+
     # -- shared helpers ------------------------------------------------------
 
     def reject(self, msg: Message) -> None:
@@ -103,11 +215,6 @@ class ServerRole(abc.ABC):
         if msg.reply_to is None:
             raise ValueError(f"{type(self).__name__} got unexpected {msg.kind}")
         self.server.metrics.counter("replies.unsolicited").inc()
-
-    def execute_readonly(self, subop: SubOp):
-        """Common read path: CPU cost then a shard read, no disk."""
-        yield self.sim.timeout_h(self.params.cpu_readonly)
-        return self.server.shard.execute(subop, self.sim.now)
 
     def reply_result(self, msg: Message, res, extra=None, span_id=None) -> None:
         """RESP carrying ok/errno/value (+ opaque extras).
@@ -158,22 +265,15 @@ class ServerRole(abc.ABC):
 
     def _rename_coordinate(self, msg: Message):
         plan: OpPlan = msg.payload["rename_plan"]
-        op_id = plan.op.op_id
-        yield self.sim.timeout_h(self.params.cpu_subop)
-
         if not plan.cross_server:
-            res = self.server.shard.execute(plan.coord_subop, self.sim.now)
-            if res.ok:
-                events = self.server.shard.apply_sync(res.updates)
-                if events:
-                    yield self.sim.all_of(events)
-            self.reply_result(msg, res)
+            yield from self.serve_local(msg, plan.coord_subop)
             return
 
         # 1. validate the source-side removal without applying it
-        res = self.server.shard.execute(plan.coord_subop, self.sim.now)
+        op_id = plan.op.op_id
+        res, sid = yield from self.execute_update(msg, plan.coord_subop)
         if not res.ok:
-            self.reply_result(msg, res)
+            self.reply_result(msg, res, span_id=sid)
             return
 
         # 2. prepare the destination insert
@@ -181,6 +281,7 @@ class ServerRole(abc.ABC):
             self.cluster.server_id(plan.participant),
             MessageKind.RENAME_PREP,
             {"subop": plan.part_subop, "txn": op_id},
+            span_id=sid,
         )
         if not prep.payload["ok"]:
             self.reply_result(msg, ExecResult(ok=False, errno=prep.payload["errno"]))
@@ -190,9 +291,7 @@ class ServerRole(abc.ABC):
         yield self.server.wal.append_h(
             LogRecord(op_id, RENAME_RECORD, size=self.params.log_record_size)
         )
-        events = self.server.shard.apply_sync(res.updates)
-        if events:
-            yield self.sim.all_of(events)
+        yield from self.write_through(res.updates)
         ack = yield self.server.request(
             self.cluster.server_id(plan.participant),
             MessageKind.RENAME_DECIDE,
@@ -208,30 +307,24 @@ class ServerRole(abc.ABC):
         self.reply_result(msg, res)
 
     def _rename_prepare(self, msg: Message):
-        subop = msg.payload["subop"]
         op_id = msg.payload["txn"]
-        yield self.sim.timeout_h(self.params.cpu_subop)
-        res = self.server.shard.execute(subop, self.sim.now)
+        res, sid = yield from self.execute_update(msg, msg.payload["subop"])
         if res.ok:
             yield self.server.wal.append_h(
                 LogRecord(op_id, RENAME_RECORD, size=self.params.log_record_size)
             )
-            events = self.server.shard.apply_sync(res.updates)
-            if events:
-                yield self.sim.all_of(events)
+            yield from self.write_through(res.updates)
             self._rename_pending[op_id] = res.undo
         self.server.send_reply(
             msg, MessageKind.YES if res.ok else MessageKind.NO,
-            {"ok": res.ok, "errno": res.errno},
+            {"ok": res.ok, "errno": res.errno}, span_id=sid,
         )
 
     def _rename_decide(self, msg: Message):
         op_id = msg.payload["txn"]
         undo = self._rename_pending.pop(op_id, None)
         if not msg.payload["commit"] and undo is not None:
-            events = self.server.shard.apply_sync(undo)
-            if events:
-                yield self.sim.all_of(events)
+            yield from self.write_through(undo)
         else:
             yield self.sim.timeout_h(self.params.kv_cpu)
         if self.server.tracer.enabled:
@@ -244,21 +337,23 @@ class ServerRole(abc.ABC):
         self.server.send_reply(msg, MessageKind.ACK, {"txn": op_id})
 
 
-def result_from_resp(msg: Message, conflicted: bool = False) -> OpResult:
+def result_from_resp(msg: Message) -> OpResult:
     """Build an OpResult from a RESP payload."""
     p = msg.payload
     return OpResult(
         ok=bool(p.get("ok")),
         errno=p.get("errno"),
         value=p.get("value"),
-        conflicted=conflicted or bool(p.get("conflicted")),
+        conflicted=bool(p.get("conflicted")),
     )
 
 
 # ---------------------------------------------------------------- rename
 
 
-def rename_client_perform(cluster, process: ClientProcess, plan: OpPlan):
+def rename_client_perform(
+    cluster, process: ClientProcess, plan: OpPlan, op_sid: Optional[int]
+):
     """Client side of the eager rename fallback (all protocols).
 
     Renames are excluded from Cx's optimization (paper footnote 1:
@@ -268,7 +363,8 @@ def rename_client_perform(cluster, process: ClientProcess, plan: OpPlan):
     resp = yield process.node.request(
         cluster.server_id(plan.coordinator),
         MessageKind.REQ,
-        {"rename_plan": plan},
+        {"rename_plan": plan, "op_id": plan.op.op_id},
+        span_id=op_sid,
     )
     return result_from_resp(resp)
 

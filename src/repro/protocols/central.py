@@ -17,12 +17,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, Generator, List, Tuple
 
-from repro.cluster.client import ClientProcess
 from repro.fs.namespace import NamespaceShard
 from repro.fs.objects import inode_key
-from repro.fs.ops import OpPlan
 from repro.net.message import Message, MessageKind
-from repro.protocols.base import Protocol, ServerRole, result_from_resp
+from repro.protocols.base import EagerProtocol, ServerRole
 from repro.storage.wal import LogRecord
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -45,7 +43,10 @@ class CentralRole(ServerRole):
 
     def handle(self, msg: Message) -> Generator:
         if msg.kind is MessageKind.REQ:
-            yield from self._execute_centrally(msg)
+            if "part_subop" in msg.payload:
+                yield from self._execute_centrally(msg)
+            else:
+                yield from self.serve_local(msg, msg.payload["subop"])
         elif msg.kind is MessageKind.MIGRATE:
             yield from self._migrate_out(msg)
         elif msg.kind is MessageKind.MIGRATE_BACK:
@@ -57,26 +58,9 @@ class CentralRole(ServerRole):
 
     def _execute_centrally(self, msg: Message) -> Generator:
         coord_subop = msg.payload["subop"]
-        part_subop = msg.payload.get("part_subop")
-        participant = msg.payload.get("participant")
-
-        if coord_subop.is_readonly:
-            res = yield from self.execute_readonly(coord_subop)
-            self.reply_result(msg, res)
-            return
-
-        if part_subop is None:
-            yield self.sim.timeout(self.params.cpu_subop)
-            res = self.server.shard.execute(coord_subop, self.sim.now)
-            if res.ok:
-                events = self.server.shard.apply_sync(res.updates)
-                if events:
-                    yield self.sim.all_of(events)
-            self.reply_result(msg, res)
-            return
-
+        part_subop = msg.payload["part_subop"]
         op_id = coord_subop.op_id
-        part_node = self.cluster.server_id(participant)
+        part_node = self.cluster.server_id(msg.payload["participant"])
         keys = [inode_key(part_subop.args["target"])]
 
         # 1. Migrate the participant's objects here.
@@ -88,7 +72,7 @@ class CentralRole(ServerRole):
         objects: Dict[Any, Any] = dict(mig.payload["objects"])
 
         # 2. Execute both sub-ops locally under the local journal.
-        yield self.sim.timeout(2 * self.params.cpu_subop)
+        yield self.sim.timeout_h(2 * self.params.cpu_subop)
         res_c = self.server.shard.execute(coord_subop, self.sim.now)
         view = NamespaceShard(_DictKV(objects), self.server.index)  # type: ignore[arg-type]
         res_p = view.execute(part_subop, self.sim.now)
@@ -97,9 +81,7 @@ class CentralRole(ServerRole):
             LogRecord(op_id, "TXN", {"ok": ok}, size=self.params.log_record_size)
         )
         if ok:
-            events = self.server.shard.apply_sync(res_c.updates)
-            if events:
-                yield self.sim.all_of(events)
+            yield from self.write_through(res_c.updates)
 
         # 3. Migrate the (possibly updated) objects back.
         back_objects: List[Tuple[Any, Any]] = (
@@ -119,14 +101,15 @@ class CentralRole(ServerRole):
         self.server.send_reply(
             msg,
             MessageKind.RESP,
-            {"ok": ok, "errno": None if ok else errno, "value": None},
+            {"ok": ok, "errno": None if ok else errno, "value": None,
+             "op_id": op_id},
         )
 
     # -- home server ----------------------------------------------------------------
 
     def _migrate_out(self, msg: Message) -> Generator:
         keys = msg.payload["keys"]
-        yield self.sim.timeout(self.params.kv_cpu * len(keys))
+        yield self.sim.timeout_h(self.params.kv_cpu * len(keys))
         # Journal the migration so a crash can re-home the objects.
         yield self.server.wal.append_h(
             LogRecord(
@@ -144,9 +127,7 @@ class CentralRole(ServerRole):
     def _migrate_back(self, msg: Message) -> Generator:
         objects = msg.payload["objects"]
         if msg.payload["apply"]:
-            events = self.server.shard.apply_sync(list(objects))
-            if events:
-                yield self.sim.all_of(events)
+            yield from self.write_through(objects)
         yield self.server.wal.append_h(
             LogRecord(msg.payload["txn"], "MIG-IN", size=self.params.log_record_size)
         )
@@ -154,22 +135,10 @@ class CentralRole(ServerRole):
         self.server.send_reply(msg, MessageKind.ACK, {"txn": msg.payload["txn"]})
 
 
-class CentralProtocol(Protocol):
+class CentralProtocol(EagerProtocol):
     """Migrate-and-execute-locally baseline (Ursa Minor)."""
 
     name = "ce"
 
     def make_role(self, server: "MetadataServer", cluster: "Cluster") -> CentralRole:
         return CentralRole(server, cluster)
-
-    def client_perform(
-        self, cluster: "Cluster", process: ClientProcess, plan: OpPlan
-    ) -> Generator:
-        payload = {"subop": plan.coord_subop}
-        if plan.cross_server:
-            payload["part_subop"] = plan.part_subop
-            payload["participant"] = plan.participant
-        resp = yield process.node.request(
-            cluster.server_id(plan.coordinator), MessageKind.REQ, payload
-        )
-        return result_from_resp(resp)

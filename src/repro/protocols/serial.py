@@ -18,12 +18,13 @@ orphan objects remain and atomicity is violated.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator
+from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.cluster.client import ClientProcess
-from repro.fs.ops import OpPlan
+from repro.fs.namespace import ExecResult
+from repro.fs.ops import OpPlan, SubOp
 from repro.net.message import Message, MessageKind
-from repro.obs.tracer import PHASE_CLIENT, PHASE_EXEC, PHASE_WRITEBACK
+from repro.obs.tracer import PHASE_WRITEBACK
 from repro.protocols.base import Protocol, ServerRole, result_from_resp
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -44,60 +45,36 @@ class SerialRole(ServerRole):
 
     def _handle_req(self, msg: Message) -> Generator:
         subop = msg.payload["subop"]
-        tracer = self.server.tracer
         if subop.is_readonly:
-            read_span = (
-                tracer.begin(
-                    "exec", self.server.node_id, op_id=subop.op_id,
-                    phase=PHASE_EXEC, parent=msg.span_id,
-                    role=subop.role, readonly=True,
-                )
-                if tracer.enabled else None
-            )
-            res = yield from self.execute_readonly(subop)
-            read_sid = None
-            if read_span is not None:
-                read_span.end(ok=res.ok)
-                read_sid = read_span.span_id
-            self.reply_result(msg, res, span_id=read_sid)
-            return
-        exec_span = (
+            res, sid = yield from self.execute_readonly(msg, subop)
+        else:
+            res, sid = yield from self.execute_update(msg, subop)
+            if res.ok:
+                sid = yield from self.persist(subop, res, sid)
+        self.reply_result(msg, res, span_id=sid)
+
+    def persist(self, subop: SubOp, res: ExecResult, sid: Optional[int]) -> Generator:
+        """Make an executed update durable before the reply: OFS's per-op
+        synchronous write-back, the client-visible cost Cx's deferred
+        write-back removes.  Returns the span id the reply chains on."""
+        tracer = self.server.tracer
+        span = (
             tracer.begin(
-                "exec", self.server.node_id, op_id=subop.op_id,
-                phase=PHASE_EXEC, parent=msg.span_id, role=subop.role,
+                "sync-writeback", self.server.node_id, op_id=subop.op_id,
+                phase=PHASE_WRITEBACK, parent=sid, role=subop.role,
             )
             if tracer.enabled else None
         )
-        yield self.sim.timeout(self.params.cpu_subop)
-        res = self.server.shard.execute(subop, self.sim.now)
-        if exec_span is not None:
-            exec_span.end(ok=res.ok, errno=res.errno)
-        last_sid = exec_span.span_id if exec_span is not None else None
-        if res.ok:
-            # OFS's per-op synchronous write-back — the client-visible
-            # cost Cx's deferred write-back removes.
-            wb_span = (
-                tracer.begin(
-                    "sync-writeback", self.server.node_id, op_id=subop.op_id,
-                    phase=PHASE_WRITEBACK, parent=last_sid, role=subop.role,
-                )
-                if tracer.enabled else None
-            )
-            events = self.server.shard.apply_sync(res.updates)
-            if events:
-                yield self.sim.all_of(events)
-            if wb_span is not None:
-                wb_span.end()
-                last_sid = wb_span.span_id
-        self.reply_result(msg, res, span_id=last_sid)
+        yield from self.write_through(res.updates)
+        if span is None:
+            return sid
+        span.end()
+        return span.span_id
 
     def _handle_clear(self, msg: Message) -> Generator:
         """Withdraw a previously executed sub-op (value-level undo)."""
-        undo = msg.payload["undo"]
-        yield self.sim.timeout(self.params.cpu_subop)
-        events = self.server.shard.apply_sync(undo)
-        if events:
-            yield self.sim.all_of(events)
+        yield self.sim.timeout_h(self.params.cpu_subop)
+        yield from self.write_through(msg.payload["undo"])
         self.server.send_reply(msg, MessageKind.RESP, {"ok": True})
 
 
@@ -110,59 +87,46 @@ class SerialProtocol(Protocol):
         return SerialRole(server, cluster)
 
     def client_perform(
-        self, cluster: "Cluster", process: ClientProcess, plan: OpPlan
+        self, cluster: "Cluster", process: ClientProcess, plan: OpPlan,
+        op_sid: Optional[int],
     ) -> Generator:
         node = process.node
         op_id = plan.op.op_id
-        tracer = cluster.tracer
-        op_span = (
-            tracer.begin(
-                "client-op", node.node_id, op_id=op_id, phase=PHASE_CLIENT,
-                op_type=plan.op.op_type.value, cross=plan.cross_server,
-            )
-            if tracer.enabled else None
-        )
-        op_sid = op_span.span_id if op_span is not None else None
-        try:
-            if not plan.cross_server:
-                resp = yield node.request(
-                    cluster.server_id(plan.coordinator),
-                    MessageKind.REQ,
-                    {"subop": plan.coord_subop, "op_id": op_id},
-                    span_id=op_sid,
-                )
-                return result_from_resp(resp)
-
-            # 1. participant first
-            resp_p = yield node.request(
-                cluster.server_id(plan.participant),
-                MessageKind.REQ,
-                {"subop": plan.part_subop, "op_id": op_id},
-                span_id=op_sid,
-            )
-            if not resp_p.payload["ok"]:
-                return result_from_resp(resp_p)
-
-            # 2. then the coordinator (chained after the participant's
-            # reply: the serial dependency the span DAG must show)
-            resp_c = yield node.request(
+        if not plan.cross_server:
+            resp = yield node.request(
                 cluster.server_id(plan.coordinator),
                 MessageKind.REQ,
                 {"subop": plan.coord_subop, "op_id": op_id},
-                span_id=resp_p.span_id if op_sid is not None else None,
+                span_id=op_sid,
             )
-            if resp_c.payload["ok"]:
-                return result_from_resp(resp_c)
+            return result_from_resp(resp)
 
-            # 3. coordinator failed: withdraw the participant's sub-op
-            yield node.request(
-                cluster.server_id(plan.participant),
-                MessageKind.CLEAR,
-                {"undo": resp_p.payload["undo"], "op_id_clear": op_id,
-                 "op_id": op_id},
-                span_id=resp_c.span_id if op_sid is not None else None,
-            )
+        # 1. participant first
+        resp_p = yield node.request(
+            cluster.server_id(plan.participant),
+            MessageKind.REQ,
+            {"subop": plan.part_subop, "op_id": op_id},
+            span_id=op_sid,
+        )
+        if not resp_p.payload["ok"]:
+            return result_from_resp(resp_p)
+
+        # 2. then the coordinator (chained after the participant's
+        # reply: the serial dependency the span DAG must show)
+        resp_c = yield node.request(
+            cluster.server_id(plan.coordinator),
+            MessageKind.REQ,
+            {"subop": plan.coord_subop, "op_id": op_id},
+            span_id=resp_p.span_id if op_sid is not None else None,
+        )
+        if resp_c.payload["ok"]:
             return result_from_resp(resp_c)
-        finally:
-            if op_span is not None:
-                op_span.end()
+
+        # 3. coordinator failed: withdraw the participant's sub-op
+        yield node.request(
+            cluster.server_id(plan.participant),
+            MessageKind.CLEAR,
+            {"undo": resp_p.payload["undo"], "op_id": op_id},
+            span_id=resp_c.span_id if op_sid is not None else None,
+        )
+        return result_from_resp(resp_c)

@@ -15,10 +15,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Generator
 
-from repro.cluster.client import ClientProcess
-from repro.fs.ops import OpPlan
 from repro.net.message import Message, MessageKind
-from repro.protocols.base import Protocol, ServerRole, result_from_resp
+from repro.protocols.base import EagerProtocol, ServerRole
 from repro.storage.wal import LogRecord, OpId
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -40,7 +38,10 @@ class TwoPCRole(ServerRole):
 
     def handle(self, msg: Message) -> Generator:
         if msg.kind is MessageKind.REQ:
-            yield from self._coordinate(msg)
+            if "part_subop" in msg.payload:
+                yield from self._coordinate(msg)
+            else:
+                yield from self.serve_local(msg, msg.payload["subop"])
         elif msg.kind is MessageKind.VOTE:
             yield from self._participant_vote(msg)
         elif msg.kind in (MessageKind.COMMIT_REQ, MessageKind.ABORT_REQ):
@@ -48,128 +49,89 @@ class TwoPCRole(ServerRole):
         else:  # pragma: no cover - protocol error
             self.reject(msg)
 
+    def _append_log(self, op_id: OpId, rtype: str, payload=None):
+        """Wait for one synchronous 2PC log record."""
+        return self.server.wal.append_h(
+            LogRecord(op_id, rtype, payload, size=self.params.log_record_size)
+        )
+
     # -- coordinator ------------------------------------------------------------
 
     def _coordinate(self, msg: Message) -> Generator:
         coord_subop = msg.payload["subop"]
-        part_subop = msg.payload.get("part_subop")
-        participant = msg.payload.get("participant")
-
-        if coord_subop.is_readonly:
-            res = yield from self.execute_readonly(coord_subop)
-            self.reply_result(msg, res)
-            return
-
-        if part_subop is None:
-            # Single-server operation: local execute + sync write-back.
-            yield self.sim.timeout(self.params.cpu_subop)
-            res = self.server.shard.execute(coord_subop, self.sim.now)
-            if res.ok:
-                events = self.server.shard.apply_sync(res.updates)
-                if events:
-                    yield self.sim.all_of(events)
-            self.reply_result(msg, res)
-            return
-
         op_id = coord_subop.op_id
-        wal = self.server.wal
-        part_node = self.cluster.server_id(participant)
+        part_node = self.cluster.server_id(msg.payload["participant"])
 
         # Phase 1: log, then VOTE to the participant.
-        yield wal.append_h(LogRecord(op_id, "BEGIN", size=self.params.log_record_size))
+        yield self._append_log(op_id, "BEGIN")
         vote = yield self.server.request(
-            part_node, MessageKind.VOTE, {"subop": part_subop, "txn": op_id}
+            part_node, MessageKind.VOTE,
+            {"subop": msg.payload["part_subop"], "txn": op_id},
         )
         part_ok = vote.payload["ok"]
 
         # Execute the local sub-op after collecting the vote (Fig. 1(a)).
-        yield self.sim.timeout(self.params.cpu_subop)
-        res = self.server.shard.execute(coord_subop, self.sim.now)
-        yield wal.append_h(
-            LogRecord(op_id, "RESULT", {"ok": res.ok}, size=self.params.log_record_size)
-        )
+        res, sid = yield from self.execute_update(msg, coord_subop)
+        yield self._append_log(op_id, "RESULT", {"ok": res.ok})
 
         if res.ok and part_ok:
-            events = self.server.shard.apply_sync(res.updates)
-            if events:
-                yield self.sim.all_of(events)
-            yield wal.append_h(LogRecord(op_id, "COMMIT", size=self.params.log_record_size))
+            yield from self.write_through(res.updates)
+            yield self._append_log(op_id, "COMMIT")
             ack = yield self.server.request(
                 part_node, MessageKind.COMMIT_REQ, {"txn": op_id}
             )
             assert ack.kind is MessageKind.ACK
-            yield wal.append_h(
-                LogRecord(op_id, "COMPLETE", size=self.params.log_record_size)
-            )
-            wal.prune_op(op_id)
-            self.reply_result(msg, res)
+            yield self._append_log(op_id, "COMPLETE")
+            self.server.wal.prune_op(op_id)
+            self.reply_result(msg, res, span_id=sid)
             return
 
         # Abort path.
-        yield wal.append_h(LogRecord(op_id, "ABORT", size=self.params.log_record_size))
+        yield self._append_log(op_id, "ABORT")
         if part_ok:
             ack = yield self.server.request(
                 part_node, MessageKind.ABORT_REQ, {"txn": op_id}
             )
             assert ack.kind is MessageKind.ACK
-        wal.prune_op(op_id)
+        self.server.wal.prune_op(op_id)
         errno = res.errno if not res.ok else vote.payload.get("errno")
         self.server.send_reply(
-            msg, MessageKind.RESP, {"ok": False, "errno": errno, "value": None}
+            msg, MessageKind.RESP,
+            {"ok": False, "errno": errno, "value": None, "op_id": op_id},
+            span_id=sid,
         )
 
     # -- participant ----------------------------------------------------------------
 
     def _participant_vote(self, msg: Message) -> Generator:
-        subop = msg.payload["subop"]
         op_id = msg.payload["txn"]
-        yield self.sim.timeout(self.params.cpu_subop)
-        res = self.server.shard.execute(subop, self.sim.now)
-        yield self.server.wal.append_h(
-            LogRecord(op_id, "RESULT", {"ok": res.ok}, size=self.params.log_record_size)
-        )
+        res, sid = yield from self.execute_update(msg, msg.payload["subop"])
+        yield self._append_log(op_id, "RESULT", {"ok": res.ok})
         if res.ok:
             self._pending[op_id] = res
         self.server.send_reply(
             msg,
             MessageKind.YES if res.ok else MessageKind.NO,
             {"ok": res.ok, "errno": res.errno},
+            span_id=sid,
         )
 
     def _participant_decide(self, msg: Message) -> Generator:
         op_id = msg.payload["txn"]
         res = self._pending.pop(op_id, None)
         if msg.kind is MessageKind.COMMIT_REQ and res is not None:
-            events = self.server.shard.apply_sync(res.updates)
-            if events:
-                yield self.sim.all_of(events)
-            yield self.server.wal.append_h(
-                LogRecord(op_id, "COMMIT", size=self.params.log_record_size)
-            )
+            yield from self.write_through(res.updates)
+            yield self._append_log(op_id, "COMMIT")
         else:
-            yield self.server.wal.append_h(
-                LogRecord(op_id, "ABORT", size=self.params.log_record_size)
-            )
+            yield self._append_log(op_id, "ABORT")
         self.server.wal.prune_op(op_id)
         self.server.send_reply(msg, MessageKind.ACK, {"txn": op_id})
 
 
-class TwoPCProtocol(Protocol):
+class TwoPCProtocol(EagerProtocol):
     """Distributed-transaction baseline: correct but eager and slow."""
 
     name = "2pc"
 
     def make_role(self, server: "MetadataServer", cluster: "Cluster") -> TwoPCRole:
         return TwoPCRole(server, cluster)
-
-    def client_perform(
-        self, cluster: "Cluster", process: ClientProcess, plan: OpPlan
-    ) -> Generator:
-        payload = {"subop": plan.coord_subop}
-        if plan.cross_server:
-            payload["part_subop"] = plan.part_subop
-            payload["participant"] = plan.participant
-        resp = yield process.node.request(
-            cluster.server_id(plan.coordinator), MessageKind.REQ, payload
-        )
-        return result_from_resp(resp)

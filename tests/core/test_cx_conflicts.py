@@ -76,7 +76,10 @@ class TestOrderedConflict:
 
     def test_immediate_commitment_launched(self):
         cluster, op_a, _res_b = self._run()
-        immediate = sum(s.role.commit_mgr.immediate_commits for s in cluster.servers)
+        immediate = sum(
+            s.metrics.counter("commit.immediate_ops").value
+            for s in cluster.servers
+        )
         assert immediate >= 1
         # A is committed well before the 60 s timer could have fired.
         assert cluster.sim.now < 1.0
@@ -147,7 +150,8 @@ class TestDisorderedConflict:
 
     def test_invalidation_happened(self):
         cluster, _a, _b, _coord, part = self._run()
-        assert cluster.servers[part].role.participant.invalidations == 1
+        assert cluster.servers[part].metrics.counter(
+            "disorder.invalidations").value == 1
 
     def test_coordinator_order_wins(self):
         """A (first at the coordinator) commits; B aborts with EEXIST."""
@@ -282,7 +286,7 @@ class TestVoteOrderedOpIsNotInvalidated:
         role = part.role
         step_until(cluster, lambda: op_a.op_id in role.pending)
         # The window: A displaced B, is pending, unlogged, and holds Y.
-        assert role.participant.invalidations == 1
+        assert part.metrics.counter("disorder.invalidations").value == 1
         assert not role.pending[op_a.op_id].logged
         assert role.active.find_blocked(op_y.op_id) is not None
         vote = fake.request(part.node_id, MessageKind.VOTE, {"ops": [op_y.op_id]})
@@ -294,7 +298,7 @@ class TestVoteOrderedOpIsNotInvalidated:
         assert res_a.ok and res_y.ok
         assert not res_b.ok and res_b.errno == "EEXIST"
         # Y's vote waited for A's commitment instead of undoing A.
-        assert role.participant.invalidations == 1
+        assert part.metrics.counter("disorder.invalidations").value == 1
         assert vote.value.payload["votes"][op_y.op_id]["ok"]
         _assert_nothing_orphaned(cluster)
         from repro.analysis.consistency import check_namespace_invariants
@@ -322,6 +326,7 @@ class TestVoteOrderedOpIsNotInvalidated:
         replay_streams(cluster, wl.build(cluster, cluster.all_processes()))
         cluster.quiesce_protocol()
         assert sum(
-            s.role.participant.invalidations for s in cluster.servers
+            s.metrics.counter("disorder.invalidations").value
+            for s in cluster.servers
         ) >= 1
         _assert_nothing_orphaned(cluster)

@@ -15,6 +15,7 @@ from repro.obs.critpath import (
     attribute_op,
 )
 from repro.obs.tracer import TraceEvent
+from repro.protocols import PROTOCOL_NAMES
 
 OP = (0, 0, 1)
 
@@ -144,3 +145,16 @@ def test_replay_phase_sums_reconcile(protocol):
     else:
         assert stats["write-back"]["total"] > 0.0
         assert report.off_path_commit_stats()["total"] == 0.0
+
+
+@pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
+def test_analyze_sees_every_op_of_every_protocol(protocol):
+    """Every protocol opens a client-op span per op, so the analyzer
+    attributes all of them and skips none."""
+    from repro.experiments.tracing import run_traced_replay
+
+    replay = run_traced_replay("fig5", protocol=protocol, scale=0.002)
+    report = analyze_trace(replay.tracer, protocol=protocol)
+    assert report.skipped == 0
+    assert len(report.ops) == replay.total_ops
+    assert report.max_reconciliation_error() < 1e-12
