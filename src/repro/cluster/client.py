@@ -58,6 +58,7 @@ class ClientNode(Node):
 
     def unregister_op(self, op_id: OpId) -> None:
         self._op_channels.pop(op_id, None)
+        self._deadlines.pop(op_id, None)
 
     def deliver(self, msg: Message) -> None:
         if self.crashed:

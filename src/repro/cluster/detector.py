@@ -85,10 +85,25 @@ class FailureDetector:
         node_id = self.cluster.server_id(index)
         while True:
             yield sim.timeout(self.interval)
-            alive = yield from self._probe(node_id)
-            if alive:
+            try:
+                yield self.monitor_node.request(
+                    node_id, MessageKind.PING, {}, timeout=self.interval
+                )
                 self.misses[index] = 0
                 continue
+            except ConnectionError:
+                # Dead-lettered: the target is down *right now* — exactly
+                # the signal a failure detector exists to surface.
+                reason = "connection-error"
+            except TimeoutError:
+                reason = "timeout"  # a late PONG lands unsolicited
+            # Counter + tracer event: a failed probe is never silent.
+            self._m_probe_failed.inc()
+            if self.tracer.enabled:
+                self.tracer.event(
+                    "probe.failed", "fd-monitor", cat="detector",
+                    target=node_id, reason=reason,
+                )
             self.misses[index] += 1
             if (
                 self.misses[index] >= self.misses_to_declare
@@ -98,37 +113,3 @@ class FailureDetector:
                 self.declarations += 1
                 if self.on_crash is not None:
                     self.on_crash(index)
-
-    def _probe_failed(self, node_id: str, reason: str) -> None:
-        """Record a failed probe: counter + tracer event, never silent."""
-        self._m_probe_failed.inc()
-        if self.tracer.enabled:
-            self.tracer.event(
-                "probe.failed", "fd-monitor", cat="detector",
-                target=node_id, reason=reason,
-            )
-
-    def _probe(self, node_id: str):
-        """One ping; False on connection error or probe timeout."""
-        sim = self.cluster.sim
-        try:
-            req = self.monitor_node.request(node_id, MessageKind.PING, {})
-        except Exception:  # pragma: no cover - defensive
-            self._probe_failed(node_id, "send-error")
-            return False
-        try:
-            winner, _value = yield sim.any_of([req, sim.timeout(self.interval)])
-        except ConnectionError:
-            # Dead-lettered: the target is down *right now* — exactly
-            # the signal a failure detector exists to surface.
-            self._probe_failed(node_id, "connection-error")
-            return False
-        if winner is not req:
-            # Probe timed out; abandon the RPC (a late PONG is dropped by
-            # the one-shot matcher).
-            self._probe_failed(node_id, "timeout")
-            return False
-        if req.ok is False:
-            self._probe_failed(node_id, "rpc-failed")
-            return False
-        return True

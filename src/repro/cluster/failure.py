@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.net.message import MessageKind
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.builder import Cluster
@@ -115,26 +114,7 @@ class FailureInjector:
             server.reboot()
             role = server.role
             if role is not None and hasattr(role, "recover"):
-                try:
-                    yield server.spawn(role.recover())
-                except ConnectionError:
-                    # Backstop: a peer died mid-recovery on a path the
-                    # guarded RPC's callers don't cover.  The recovery
-                    # pass is cut short — remaining work stays in the
-                    # log for the next pass — but the file system must
-                    # resume: release the peers and unquiesce.
-                    server.metrics.counter("recovery.aborted").inc()
-                    if server.tracer.enabled:
-                        server.tracer.event(
-                            "recovery.aborted", server.node_id,
-                            cat="recovery",
-                        )
-                    for peer in cluster.servers:
-                        if peer.index != index and not peer.crashed:
-                            server.send(
-                                peer.node_id, MessageKind.RECOVERY_END, {}
-                            )
-                    server.unquiesce()
+                yield server.spawn(role.recover())
             end = cluster.sim.now
             return RecoveryReport(
                 server=index,

@@ -10,8 +10,8 @@ applies the settled-pair rule of :mod:`repro.core.hints`:
 * both NO, settled   → operation complete as a clean failure;
 * mixed, settled     → disagreement: send L-COM, wait for ALL-NO.
 
-An optional retry timeout (``SimParams.client_retry_timeout``) makes
-the driver resilient to server crashes: requests are resent and the
+A retry deadline (``SimParams.client_retry_timeout``), pushed back by
+every response, resends the requests (and an L-COM that went out); the
 server-side duplicate tables guarantee exactly-once execution.
 """
 
@@ -36,9 +36,10 @@ def cx_client_perform(
     node = process.node
     sim = cluster.sim
     op_id = plan.op.op_id
-    retry_timeout = cluster.params.client_retry_timeout
+    retry = cluster.params.client_retry_timeout
     channel = node.register_op(op_id)
     tracer = cluster.tracer
+    lcom_sent = False
 
     def send_requests() -> None:
         node.send(
@@ -63,12 +64,6 @@ def cx_client_perform(
                 span_id=op_sid,
             )
 
-    # Mutable cell shared with receive(): whether an L-COM went out.  A
-    # retry must re-drive the whole conversation the client is waiting
-    # on — an L-COM whose ALL-NO died with a crashed coordinator would
-    # otherwise never be re-asked and the operation would wedge.
-    state = {"lcom": False}
-
     def send_lcom():
         node.send(
             cluster.server_id(plan.coordinator),
@@ -77,38 +72,27 @@ def cx_client_perform(
             span_id=op_sid,
         )
 
-    def receive():
-        """Get the next response, resending requests on timeout."""
-        pending_get = channel.get()
-        while True:
-            winner, value = yield sim.any_of(
-                [pending_get, sim.timeout(retry_timeout)]
-            )
-            if winner is pending_get:
-                return value
-            send_requests()  # duplicate REQs are deduplicated server-side
-            if state["lcom"]:
-                send_lcom()  # idempotent at the coordinator
+    def expired(_key) -> float:
+        # Re-drive the whole conversation: an L-COM whose ALL-NO died
+        # with a crashed coordinator must be re-asked too (idempotent).
+        send_requests()
+        if lcom_sent:
+            send_lcom()
+        return sim.now + retry
 
     try:
         send_requests()
+        node.set_deadline(op_id, sim.now + retry, expired)
 
         if not plan.cross_server:
-            # No-retry hot path inlined: ``yield from receive()`` costs
-            # a generator object and frame per response.
-            if retry_timeout is None:
-                msg: Message = yield channel.get_h()
-            else:
-                msg = yield from receive()
+            msg: Message = yield channel.get_h()
             return result_from_resp(msg)
 
         latest: Dict[str, dict] = {}
         conflicted = False
         while True:
-            if retry_timeout is None:
-                msg = yield channel.get_h()
-            else:
-                msg = yield from receive()
+            msg = yield channel.get_h()
+            node.extend_deadline(op_id, sim.now + retry)
             p = msg.payload
             if msg.kind is MessageKind.ALL_NO:
                 # Every successful execution was aborted (step 7b).
@@ -135,8 +119,8 @@ def cx_client_perform(
                 return OpResult(ok=False, errno=errno, conflicted=conflicted)
             # Disagreement: ask the coordinator for an immediate
             # commitment; the ALL-NO closes the operation.
-            if not state["lcom"]:
-                state["lcom"] = True
+            if not lcom_sent:
+                lcom_sent = True
                 if tracer.enabled:
                     tracer.event(
                         "client-lcom", node.node_id, cat="protocol",

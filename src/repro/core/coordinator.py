@@ -67,8 +67,6 @@ class CommitManager:
         #: — never re-voted — once the peer is reachable again.  The
         #: trigger scan drives re-delivery.
         self.parked: Dict[OpId, PendingOp] = {}
-        #: The one re-delivery process the scan may have in flight.
-        self._redelivery = None
 
     def on_crash(self) -> None:
         self.lazy.clear()
@@ -174,44 +172,39 @@ class CommitManager:
         A reply that never comes (the request or the reply was dropped
         by a partition, or the request was delivered just before the
         peer crashed — nobody dead-letters those) would otherwise hang
-        the calling process forever.  ``timeout`` bounds each attempt in
-        virtual time; ``None`` keeps the RPC unbounded and schedules no
-        timer at all — fault-free replays are byte-identical.
+        the calling process forever, so each attempt carries a
+        ``timeout`` deadline in the node's table (:meth:`Node.request`).
 
         Raises :class:`ConnectionError` once every attempt failed
         (dead-lettered, partition-dropped or overdue): the caller
         retries later, skips the peer or parks the work.  Our *own*
         crash never surfaces here: it kills the calling process first.
         """
-        role = self.role
-        sim = role.sim
+        server = self.role.server
         tracer = self.tracer
         for attempt in range(attempts):
             if attempt:
                 self._m_rpc_retries.inc()
                 if tracer.enabled:
                     tracer.event(
-                        "commit.rpc_retry", role.server.node_id,
+                        "commit.rpc_retry", server.node_id,
                         cat="protocol", kind=kind.value, peer=dst,
                         attempt=attempt,
                     )
             try:
-                ev = role.server.request(
-                    dst, kind, payload, size=size, span_id=span_id
-                )
-                if timeout is None:
-                    return (yield ev)
-                winner, val = yield sim.any_of([ev, sim.timeout(timeout)])
+                return (yield server.request(
+                    dst, kind, payload, size=size, span_id=span_id,
+                    timeout=timeout,
+                ))
             except ConnectionError:
                 continue  # dead-lettered: the peer is down right now
-            if winner is ev:
-                return val
-            self._m_rpc_timeouts.inc()
-            if tracer.enabled:
-                tracer.event(
-                    "commit.rpc_timeout", role.server.node_id, cat="protocol",
-                    kind=kind.value, peer=dst,
-                )
+            except TimeoutError:
+                self._m_rpc_timeouts.inc()
+                if tracer.enabled:
+                    tracer.event(
+                        "commit.rpc_timeout", server.node_id, cat="protocol",
+                        kind=kind.value, peer=dst,
+                    )
         self._m_rpc_failed.inc()
         raise ConnectionError(f"{kind.value} to {dst}: no reply")
 
@@ -427,17 +420,6 @@ class CommitManager:
         pend.state = PendingState.COMMITTING
         self._record_decision(pend, committed)
         self._park(pend)
-
-    def scan_parked(self) -> None:
-        """Trigger-scan hook: retry parked decision deliveries.
-
-        Runs no sim events when nothing is parked (the common case and
-        every fault-free replay); at most one re-delivery process is in
-        flight at a time."""
-        if not self.parked or self.role.server.quiesced:
-            return
-        if self._redelivery is None or self._redelivery.triggered:
-            self._redelivery = self.role.server.spawn(self.finish_parked())
 
     def finish_parked(self):
         """Re-deliver the parked decisions, one batched COMMIT-REQ per

@@ -340,7 +340,7 @@ class ParticipantHalf:
         role = self.role
         params = role.params
         vrt = params.vote_retry_timeout
-        if vrt is None or role.server.quiesced:
+        if role.server.quiesced:
             return
         now = role.sim.now
         if role.pending:

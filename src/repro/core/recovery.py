@@ -37,9 +37,10 @@ re-links keys that should exist and reclaims keys that should not, but
 never rewrites a key that exists with a *different* value (shared
 parent-stub counters may legitimately have moved on).
 
-A peer that stays unreachable never wedges the pass: a marker it cannot
-take is skipped, a decision it cannot take stays parked for the
-trigger scan, a vote it cannot cast leaves the op in the lazy queue.
+A peer that stays unreachable never wedges the pass: a BEGIN it cannot
+take is skipped, an END it cannot take and a decision it cannot take
+stay owed to the trigger scan, a vote it cannot cast leaves the op in
+the lazy queue.
 
 The role is determined from the Result-Record itself ("From the
 Result-Record of an operation, the rebooted server can determine
@@ -71,13 +72,16 @@ class CxRecovery:
         self._m_reclaimed = metrics.counter("recovery.orphans_reclaimed")
         self._m_relinked = metrics.counter("recovery.relinked")
         self._m_suspect = metrics.counter("recovery.orphans_suspect")
+        #: Peers that missed our last RECOVERY-END.
+        self.end_owed: List = []
+        #: Inside :meth:`run` (a peer's late END must not unquiesce us).
+        self.running = False
 
     def _fan_out(self, peers, kind: MessageKind) -> Generator:
         """Deliver a recovery marker to every peer concurrently, each
-        with bounded retries.  Unreachable peers are skipped — they are
-        crashed themselves and will quiesce/resume through their own
-        recovery."""
+        with bounded retries; returns the peers that never took it."""
         role = self.role
+        missed: List = []
 
         def one(peer):
             try:
@@ -87,11 +91,18 @@ class CxRecovery:
                     attempts=max(1, role.params.recovery_rpc_retries),
                 )
             except ConnectionError:
-                pass  # skipped; rpc counted it (commit.rpc_failed)
+                missed.append(peer)  # rpc counted it (commit.rpc_failed)
 
         procs = [role.server.spawn(one(p)) for p in peers]
         if procs:
             yield role.sim.all_of(procs)
+        return missed
+
+    def send_end(self, peers) -> Generator:
+        """RECOVERY-END to ``peers``.  The ones it misses stay owed to
+        the trigger scan: a partitioned peer stays quiesced on our
+        account until it takes one."""
+        self.end_owed = yield from self._fan_out(peers, MessageKind.RECOVERY_END)
 
     # -- the recovery pass --------------------------------------------------
 
@@ -110,6 +121,7 @@ class CxRecovery:
             s for s in role.cluster.servers if s.index != server.index
         ]
         server.quiesce()
+        self.running = True
         yield from self._fan_out(peers, MessageKind.RECOVERY_BEGIN)
 
         # 2. Reboot overhead, then sequentially scan the on-disk log.
@@ -198,7 +210,8 @@ class CxRecovery:
         flush = server.kv.flush()
         if flush is not None:
             yield flush
-        yield from self._fan_out(peers, MessageKind.RECOVERY_END)
+        yield from self.send_end(peers)
+        self.running = False
         server.unquiesce()
 
     # -- helpers ----------------------------------------------------------------

@@ -69,6 +69,7 @@ class CxRole(ServerRole):
             on_fire=self._on_trigger_fire,
             scan=self._liveness_scan,
             idle=self._trigger_idle,
+            scan_period=self.params.vote_retry_timeout,
         )
         #: Op ids currently blocked on this server (duplicate-REQ guard).
         self._blocked_ops: Set[OpId] = set()
@@ -76,27 +77,37 @@ class CxRole(ServerRole):
         #: registration): duplicate REQs in this window must be dropped,
         #: not re-executed (double execution corrupts the namespace).
         self._executing: Set[OpId] = set()
+        self._redelivery = None  # the liveness scan's one process
 
     def batch_size(self, n: int) -> int:
         """Wire size of a batched commitment message carrying ``n`` ops."""
         return self.params.msg_base_size + self.params.msg_per_op_size * n
 
     def _liveness_scan(self) -> None:
-        """Timer-fire piggyback: vote-retry + parked-decision scans."""
+        """Timer-fire piggyback: the vote-retry scan, then at most one
+        process re-delivering parked decisions and owed RECOVERY-ENDs."""
         self.participant.scan_overdue()
-        self.commit_mgr.scan_parked()
+        owed = self.commit_mgr.parked or self.recovery.end_owed
+        if owed and not self.server.quiesced and (
+            self._redelivery is None or self._redelivery.triggered
+        ):
+            self._redelivery = self.server.spawn(self._redeliver())
+
+    def _redeliver(self) -> Generator:
+        yield from self.commit_mgr.finish_parked()
+        yield from self.recovery.send_end(self.recovery.end_owed)
 
     def _trigger_idle(self) -> bool:
         """True when a timer fire would find nothing to do.
 
-        No pending op, empty lazy queue, nothing parked, no vote waiter:
-        ``launch_all`` launches nothing and both liveness scans return
-        at once, so the fire only bumps its counters — and it takes a
-        message, i.e. a queued event, to change any of the four.
+        No pending op, empty lazy queue, nothing parked or owed, no vote
+        waiter: ``launch_all`` launches nothing and the liveness scan
+        returns at once, so the fire only bumps its counters — and it
+        takes a queued event to change any of the five.
         """
         mgr = self.commit_mgr
         return not (
-            self.pending or mgr.lazy or mgr.parked
+            self.pending or mgr.lazy or mgr.parked or self.recovery.end_owed
             or self.participant.has_vote_waiters()
         )
 
@@ -130,6 +141,8 @@ class CxRole(ServerRole):
         self._executing.clear()
         self.commit_mgr.on_crash()
         self.participant.on_crash()
+        self.recovery.end_owed = []
+        self.recovery.running = False
 
     # -- dispatch -----------------------------------------------------------------
 
@@ -153,14 +166,16 @@ class CxRole(ServerRole):
             self.server.quiesce()
             self.server.send_reply(msg, MessageKind.ACK, {})
         elif kind is MessageKind.RECOVERY_END:
-            self.server.unquiesce()
+            if not self.recovery.running:
+                self.server.unquiesce()
             self.server.send_reply(msg, MessageKind.ACK, {})
         elif (kind is MessageKind.ACK or kind is MessageKind.YES
                 or kind is MessageKind.NO):
-            # A vote reply whose RPC waiter was defused (commit-RPC
-            # watchdog fired, or the coordinator rebooted) lands here
-            # unsolicited; the re-vote carries the same answer again.
-            self._drop_unsolicited_ack()
+            # A reply whose RPC was already answered (a duplicated
+            # COMMIT-REQ acked twice) or forgotten (its deadline expired,
+            # or we rebooted) lands here unsolicited.  Decisions and
+            # re-votes are idempotent, so it carries nothing: count it.
+            self._m_unsolicited_acks.inc()
         elif kind is MessageKind.RESOLICIT:
             self._handle_resolicit(msg)
         else:  # pragma: no cover - protocol error
@@ -213,18 +228,6 @@ class CxRole(ServerRole):
         self.server.send(
             msg.src, MessageKind.COMMIT_REQ, {"decisions": {op_id: False}}
         )
-
-    def _drop_unsolicited_ack(self) -> None:
-        """Swallow an ACK whose RPC slot was already consumed.
-
-        A re-delivered COMMIT-REQ (network duplication, coordinator
-        retry across a participant crash) makes ``handle_decide`` run
-        twice and send two ACKs; the coordinator's RPC wait consumed
-        the first, so the second lands here as an ordinary inbox
-        message.  The commit decision is idempotent, so the duplicate
-        carries no information — drop it and count.
-        """
-        self._m_unsolicited_acks.inc()
 
     # -- execution phase --------------------------------------------------------------
 

@@ -7,6 +7,8 @@ Our implementation currently supports two types of triggers:
 The timeout trigger fires periodically; the threshold trigger fires
 when the number of pending operations since the last commitment crosses
 a limit.  Both can be armed at once; either may be disabled (None).
+Without the timeout trigger the timer still ticks every ``scan_period``
+for the liveness scan.
 """
 
 from __future__ import annotations
@@ -28,27 +30,30 @@ class CommitTriggers:
         on_fire: Optional[Callable[..., None]] = None,
         scan: Optional[Callable[[], None]] = None,
         idle: Optional[Callable[[], bool]] = None,
+        scan_period: Optional[float] = None,
     ) -> None:
         if threshold is not None and threshold < 1:
             raise ValueError("threshold trigger must be >= 1")
         self.launch = launch
+        self.timeout = timeout
         self.threshold = threshold
         self.timeout_fires = 0
         self.threshold_fires = 0
-        #: Observability hook: called with the trigger kind on each fire
-        #: (the Cx role records trace events and metrics through it), and
-        #: with ``(kind, k)`` for ``k`` timer fires skipped while idle.
+        #: Observability hook: called with ``(kind, fires)`` — one fire,
+        #: or the ``k`` timer fires skipped while idle (the Cx role
+        #: records trace events and metrics through it).
         self.on_fire = on_fire
         #: Liveness piggyback: called on each *timer* fire only (the Cx
-        #: role runs its vote-retry / parked-decision scans here, so
+        #: role runs its vote-retry and re-delivery scans here, so
         #: liveness timers cost zero extra timeline events).
         self.scan = scan
-        #: The timeout trigger.  ``idle()`` true promises that a fire
-        #: would launch nothing and scan nothing (the
-        #: :class:`~repro.sim.Periodic` idle contract); such fires are
-        #: counted, not executed.
-        self._timer = None if timeout is None else Periodic(
-            sim, timeout, self._fire, idle, self._skipped
+        #: The timeout trigger, or the bare scan without one.  ``idle()``
+        #: true promises that a fire would launch nothing and scan
+        #: nothing (the :class:`~repro.sim.Periodic` idle contract); such
+        #: fires are counted, not executed.
+        period = timeout if timeout is not None else scan_period
+        self._timer = None if period is None else Periodic(
+            sim, period, self._fire, idle, self._skipped
         )
 
     # -- lifecycle -----------------------------------------------------------
@@ -62,17 +67,17 @@ class CommitTriggers:
             self._timer.stop()
 
     def _fire(self) -> None:
-        self.timeout_fires += 1
-        if self.on_fire is not None:
-            self.on_fire("timeout")
-        self.launch("timeout")
+        if self.timeout is not None:
+            self._skipped(1)
+            self.launch("timeout")
         if self.scan is not None:
             self.scan()
 
     def _skipped(self, k: int) -> None:
-        self.timeout_fires += k
-        if self.on_fire is not None:
-            self.on_fire("timeout", k)
+        if self.timeout is not None:
+            self.timeout_fires += k
+            if self.on_fire is not None:
+                self.on_fire("timeout", k)
 
     # -- threshold ---------------------------------------------------------------
 

@@ -9,16 +9,16 @@ storage costs, not by link saturation (metadata messages are tiny).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from heapq import heappop, heappush, heapreplace
+from itertools import count
+from math import inf
+from typing import Any, Callable, Dict, Hashable, List, Optional
 
 from repro.net.message import Message, MessageKind
 from repro.net.stats import MessageStats
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.params import SimParams
 from repro.sim import Event, Simulator, Store
-
-if TYPE_CHECKING:  # pragma: no cover
-    pass
 
 
 class UnknownNode(KeyError):
@@ -206,6 +206,13 @@ class Node:
     * everything else lands in :attr:`inbox` for the node's service loop.
 
     ``crashed`` nodes drop all traffic, modeling a killed process.
+
+    **One deadline table.**  Every liveness timer of the node (an RPC's
+    reply bound, a client op's retry) is a key -> expiry time entry, and
+    one kernel handle is armed for the earliest.  Clearing a key is a
+    dict pop, moving it later a dict store; its heap entry is dropped or
+    re-filed when it reaches the front.  A busy node pays about one
+    timeline entry per timeout period, not one per wait.
     """
 
     def __init__(self, sim: Simulator, network: Network, node_id: str) -> None:
@@ -219,6 +226,13 @@ class Node:
         #: in flight when the node died and must never be delivered.
         self.epoch = 0
         self._pending_rpcs: Dict[int, Event] = {}
+        #: key -> ``[at, expire]``: cleared keys free their callback at once.
+        self._deadlines: Dict[Hashable, list] = {}
+        #: ``(at, seq, key)``, one per key, ``at <= _deadlines[key][0]``.
+        self._deadline_heap: List[tuple] = []
+        self._deadline_seq = count()
+        #: Fire time of the armed handle (inf: none); a superseded one no-ops.
+        self._timer_at = inf
         network.register(self)
 
     # -- receiving -------------------------------------------------------
@@ -229,6 +243,7 @@ class Node:
         if msg.reply_to is not None:
             waiter = self._pending_rpcs.pop(msg.reply_to, None)
             if waiter is not None and not waiter.triggered:
+                self._deadlines.pop(msg.reply_to, None)
                 waiter.succeed(msg)
                 return
             # Fall through: a reply nobody waits for (e.g. the waiter
@@ -283,31 +298,82 @@ class Node:
         payload: Optional[Dict[str, Any]] = None,
         size: Optional[int] = None,
         span_id: Optional[int] = None,
+        timeout: Optional[float] = None,
     ) -> Event:
         """RPC helper: send a request, get an event for the response.
 
-        The event succeeds with the response :class:`Message`.  It never
-        times out on its own.  A lost *request* — destination down or
-        crashed in flight, or dropped by the fault hook (``drop``, a
-        partition) — fails it with ``ConnectionError`` at the arrival
-        instant (:meth:`Network._dead_letter`), as does our own crash
-        (:meth:`fail_pending_rpcs`).  A lost *reply* fails nothing: a
-        caller that must survive one bounds the wait itself (the commit
-        RPC timeout, the client retry timer).  A duplicated reply lands
-        in the inbox as an unsolicited message.
+        The event succeeds with the response :class:`Message`.  A lost
+        *request* — destination down or crashed in flight, or dropped by
+        the fault hook (``drop``, a partition) — fails it with
+        ``ConnectionError`` at the arrival instant
+        (:meth:`Network._dead_letter`), as does our own crash.  A lost
+        *reply* is only noticed
+        through ``timeout``: the RPC's deadline, at ``now + timeout``,
+        forgets the request and fails the event with ``TimeoutError``.
+        Without one the wait is unbounded.  A reply arriving after that,
+        or a duplicated one, lands in the inbox as an unsolicited
+        message.
         """
         msg = self.send(dst, kind, payload, size, span_id=span_id)
         ev = Event(self.sim)
         self._pending_rpcs[msg.msg_id] = ev
+        if timeout is not None:
+            self.set_deadline(msg.msg_id, self.sim.now + timeout, self._rpc_expired)
         return ev
 
-    def fail_pending_rpcs(self, exc: BaseException) -> None:
-        """Fail all in-flight RPCs (our own crash: see :meth:`crash`)."""
-        pending = list(self._pending_rpcs.values())
-        self._pending_rpcs.clear()
-        for ev in pending:
-            if not ev.triggered:
-                ev.fail(exc)
+    def _rpc_expired(self, msg_id: int) -> None:
+        waiter = self._pending_rpcs.pop(msg_id, None)
+        if waiter is not None and not waiter.triggered:
+            waiter.fail(TimeoutError(f"{self.node_id}: no reply to {msg_id}"))
+
+    # -- deadlines ---------------------------------------------------------
+
+    def set_deadline(
+        self, key: Hashable, at: float,
+        expire: Callable[[Hashable], Optional[float]],
+    ) -> None:
+        """Call ``expire(key)`` at time ``at`` unless the key is cleared
+        or moved first; ``key`` must not be in the table.  ``expire``
+        returns the key's next deadline, or None to drop it."""
+        self._deadlines[key] = [at, expire]
+        heappush(self._deadline_heap, (at, next(self._deadline_seq), key))
+        if at < self._timer_at:
+            self._timer_at = at
+            self.sim.at_h(at, self._on_deadline)
+
+    def extend_deadline(self, key: Hashable, at: float) -> None:
+        """Move ``key``'s deadline to ``at``, never earlier."""
+        entry = self._deadlines.get(key)
+        if entry is not None:
+            entry[0] = at
+
+    def _on_deadline(self, _h: int) -> None:
+        """Expire everything due; re-arm for the earliest live deadline."""
+        now = self.sim.now
+        if now != self._timer_at:
+            return  # superseded by an earlier deadline
+        deadlines = self._deadlines
+        heap = self._deadline_heap
+        while heap:
+            at, seq, key = heap[0]
+            entry = deadlines.get(key)
+            if entry is None:
+                heappop(heap)  # cleared
+            elif entry[0] > at:
+                heapreplace(heap, (entry[0], seq, key))  # moved later
+            elif at <= now:
+                heappop(heap)
+                nxt = entry[1](key)  # may set deadlines, all after now
+                if nxt is None:
+                    del deadlines[key]
+                else:
+                    entry[0] = nxt
+                    heappush(heap, (nxt, seq, key))
+            else:
+                break
+        self._timer_at = heap[0][0] if heap else inf
+        if heap:
+            self.sim.at_h(self._timer_at, self._on_deadline)
 
     # -- crash / reboot ----------------------------------------------------
 
@@ -315,7 +381,14 @@ class Node:
         self.crashed = True
         self.epoch += 1  # invalidates every message already in flight here
         self.inbox.close()
-        self.fail_pending_rpcs(ConnectionError(f"{self.node_id} crashed"))
+        exc = ConnectionError(f"{self.node_id} crashed")
+        for ev in self._pending_rpcs.values():  # fail every in-flight RPC
+            if not ev.triggered:
+                ev.fail(exc)
+        self._pending_rpcs.clear()
+        self._deadlines.clear()
+        self._deadline_heap.clear()
+        self._timer_at = inf
 
     def reboot(self) -> None:
         self.crashed = False

@@ -79,29 +79,28 @@ class SimParams:
     #: operations are pending (None disables the threshold trigger).
     commit_threshold: Optional[int] = None
 
-    # --------------------------------------------------------------- client
-    #: When set, Cx clients resend un-answered requests after this many
-    #: seconds (crash resilience; duplicate requests are deduplicated
-    #: server-side).  None disables retries.
-    client_retry_timeout: Optional[float] = None
-
     # ------------------------------------------------------------- liveness
+    #: Cx clients resend an un-answered request (and a pending L-COM)
+    #: once no response came for this many seconds; the server-side
+    #: duplicate tables keep execution exactly-once.  A deadline in the
+    #: client node's table, so an answered op pays for no timer event.
+    client_retry_timeout: float = 1.0
     #: Participant-side vote-retry timer: a part-role operation still
     #: undecided after this many seconds re-solicits its coordinator
     #: (RESOLICIT), and a vote deferred this long for an op that never
-    #: arrives is answered with a lost-vote abort.  The timer piggybacks
-    #: on the commit-trigger scan, so fault-free replays schedule no
-    #: extra events.  None disables re-solicitation.
-    vote_retry_timeout: Optional[float] = 30.0
+    #: arrives is answered with a lost-vote abort.  Scanned by the
+    #: commit-trigger timer, whose period it is when ``commit_timeout``
+    #: is None, so fault-free replays schedule no extra events.
+    vote_retry_timeout: float = 30.0
     #: Re-solicit backoff cap, as a multiple of ``vote_retry_timeout``
     #: (the interval doubles per retry up to this bound).
     vote_retry_backoff_cap: float = 8.0
-    #: Coordinator-side commitment-RPC watchdog: a VOTE / COMMIT-REQ
-    #: whose reply is overdue by this many seconds is abandoned as a
+    #: Coordinator-side commitment-RPC bound: a VOTE / COMMIT-REQ whose
+    #: reply is overdue by this many seconds is abandoned as a
     #: connection failure (undecided ops re-enter the lazy queue,
-    #: decided ops park for re-delivery).  None disables the watchdog
-    #: and keeps commitment RPCs unbounded (no timer per RPC).
-    commit_rpc_timeout: Optional[float] = None
+    #: decided ops park for re-delivery).  A deadline in the server
+    #: node's table.
+    commit_rpc_timeout: float = 1.0
 
     # ------------------------------------------------------------- recovery
     #: Attempts for each recovery RPC (RECOVERY-BEGIN/END, decision

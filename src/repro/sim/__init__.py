@@ -21,7 +21,6 @@ from repro.sim.events import (
     EventAlreadyTriggered,
     QueueDrained,
     SimulationError,
-    Timeout,
 )
 from repro.sim.process import Process
 from repro.sim.resources import Store
@@ -44,6 +43,5 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "Store",
-    "Timeout",
     "kernel_sprint",
 ]

@@ -72,7 +72,6 @@ from repro.sim.events import (
     PRIORITY_URGENT,
     QueueDrained,
     SimulationError,
-    Timeout,
 )
 from repro.sim.process import Process
 
@@ -315,6 +314,18 @@ class Simulator:
             heappush(self._heap, (self._now + delay, PRIORITY_NORMAL, seq, h))
         return h
 
+    def at_h(self, when: float, callback: Callable[[int], None]) -> int:
+        """A handle firing at exactly ``when`` (> now), for deadline tables."""
+        if when <= self._now:
+            raise ValueError(f"deadline {when!r} is not after now={self._now!r}")
+        h = self.event_h()
+        self._ast[h] = H_OK
+        self._acb[h] = callback
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self._heap, (when, PRIORITY_NORMAL, seq, h))
+        return h
+
     def succeed_h(self, h: int, value: Any = None) -> None:
         """Trigger pending handle ``h`` successfully."""
         self._ast[h] = H_OK
@@ -392,9 +403,9 @@ class Simulator:
         """A fresh pending event."""
         return Event(self)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
+    def timeout(self, delay: float, value: Any = None) -> Event:
         """An event that fires ``delay`` seconds from now."""
-        return Timeout(self, delay, value)
+        return Event(self).succeed(value, delay)
 
     def process(self, generator: Generator) -> Process:
         """Start a new process running ``generator``."""

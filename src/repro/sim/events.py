@@ -165,27 +165,6 @@ class Event:
         return f"<{type(self).__name__} {state} at {hex(id(self))}>"
 
 
-class Timeout(Event):
-    """An event that fires after a fixed virtual-time delay."""
-
-    __slots__ = ("delay",)
-
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative timeout delay {delay!r}")
-        super().__init__(sim)
-        self.delay = delay
-        self._ok = True
-        self._value = value
-        sim.schedule(self, delay=delay)
-
-    def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":
-        raise EventAlreadyTriggered("Timeout triggers itself")
-
-    def fail(self, exc: BaseException, delay: float = 0.0) -> "Event":
-        raise EventAlreadyTriggered("Timeout triggers itself")
-
-
 class _Condition(Event):
     """Common machinery for :class:`AllOf` / :class:`AnyOf`."""
 

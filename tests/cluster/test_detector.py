@@ -125,7 +125,7 @@ class TestProbeFailureVisibility:
         target = cluster.server_id(1)
         assert all(e.args["target"] == target for e in failures)
         assert {e.args["reason"] for e in failures} <= {
-            "connection-error", "timeout", "rpc-failed", "send-error",
+            "connection-error", "timeout",
         }
 
     def test_healthy_cluster_counts_no_failures(self):

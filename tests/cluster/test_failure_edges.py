@@ -15,6 +15,7 @@ from repro.cluster import FailureInjector
 from repro.cluster.builder import ROOT_HANDLE
 from repro.net.message import MessageKind
 from repro.obs import InvariantChecker
+from repro.sim import SimulationError
 from tests.conftest import build_cluster, make_create, run_to_completion, step_until
 
 
@@ -68,10 +69,11 @@ class TestRecoveryCutShort:
         assert [s.quiesced for s in cluster.servers if not s.crashed] == [False] * 3
         assert cluster.servers[0].metrics.counter("commit.rpc_failed").value == 1
 
-    def test_connection_error_backstop_resumes_the_file_system(self):
-        """A ConnectionError that escapes the role's pass (none of
-        today's paths lets one through) must not leave the cluster
-        quiesced: peers are released, the report is still returned."""
+    def test_connection_error_escaping_the_pass_is_loud(self):
+        """No path of the pass lets a ConnectionError through (every
+        peer RPC is guarded, and an END a peer misses stays owed to the
+        trigger scan); one that escaped anyway fails the recovery
+        instead of being counted and swallowed."""
         cluster = build_cluster("cx")
         server, peers = cluster.servers[0], cluster.servers[1:]
         injector = FailureInjector(cluster)
@@ -87,11 +89,23 @@ class TestRecoveryCutShort:
                     raise ConnectionError("peer lost on an unguarded path")
 
         server.role.recover = torn_pass
-        report = run_to_completion(cluster, injector.recover_server(0), limit=600)
-        assert report.server == 0
-        assert server.metrics.counter("recovery.aborted").value == 1
-        cluster.sim.run(until=cluster.sim.now + 1.0)  # RECOVERY-ENDs land
-        assert [s.quiesced for s in cluster.servers] == [False] * 4
+        with pytest.raises(SimulationError, match="unguarded path"):
+            run_to_completion(cluster, injector.recover_server(0), limit=600)
+
+    def test_late_recovery_end_does_not_cut_our_own_pass_short(self):
+        """A peer's owed RECOVERY-END may land while we recover from a
+        crash of our own: our pass, not the peer, unquiesces us."""
+        cluster = build_cluster("cx")
+        injector = FailureInjector(cluster)
+        injector.crash_server(0)
+        report_proc = injector.recover_server(0)
+        server = cluster.servers[0]
+        step_until(cluster, lambda: server.role.recovery.running)
+        cluster.servers[1].send(server.node_id, MessageKind.RECOVERY_END, {})
+        cluster.sim.run(until=cluster.sim.now + 0.1)
+        assert server.quiesced
+        run_to_completion(cluster, report_proc, limit=600)
+        assert not server.quiesced
 
     def test_second_crash_kills_the_pass_and_still_reports(self):
         cluster = build_cluster("cx")
@@ -133,7 +147,7 @@ class TestCoordinatorCrashMidCommit:
         recover it, and require a clean, fully-decided trace."""
         cluster = build_cluster(
             "cx",
-            params=SimParams(commit_timeout=0.05, client_retry_timeout=1.0),
+            params=SimParams(commit_timeout=0.05),
         )
         sim = cluster.sim
         d = cluster.preload_dir(ROOT_HANDLE, "dir")

@@ -225,3 +225,54 @@ class TestSingleServerOps:
         results = run_to_completion(cluster, runner)
         assert all(r.ok for r in results)
         assert all(s.wal.valid_bytes == 0 for s in cluster.servers)
+
+
+class TestLivenessTimers:
+    def test_a_response_pushes_back_the_client_retry_deadline(self):
+        """Each response refreshes the op's retry deadline: two answers
+        0.6 R and 1.3 R after the send never trigger a resend."""
+        retry = 0.01
+        cluster = build_cluster(
+            "cx", params=SimParams(commit_timeout=1.0, client_retry_timeout=retry)
+        )
+        d = cluster.preload_dir(ROOT_HANDLE, "dir")
+        proc = cluster.client_process(0, 0)
+        op = cross_server_create(cluster, proc, d)
+        net = cluster.network
+        base = net.delay_for
+        extra = {"coord": 0.6 * retry, "part": 1.3 * retry}
+        net.delay_for = lambda msg: base(msg) + (
+            extra[msg.payload["role"]]
+            if msg.kind in (MessageKind.YES, MessageKind.NO) else 0.0
+        )
+        (res,) = run_to_completion(cluster, cluster.run_ops(proc, [op]))
+        assert res.ok
+        assert cluster.metrics.ops[0].latency > retry
+        assert net.stats.count(MessageKind.REQ) == 2
+
+    def test_threshold_only_still_redelivers_a_lost_decision(self):
+        """No timeout trigger: the liveness scan still ticks every
+        ``vote_retry_timeout``, so a decision whose COMMIT-REQ was lost
+        is parked and then re-delivered, not stranded."""
+        cluster = build_cluster("cx", params=SimParams(
+            commit_timeout=None, commit_threshold=1, vote_retry_timeout=0.5,
+        ))
+        d = cluster.preload_dir(ROOT_HANDLE, "dir")
+        proc = cluster.client_process(0, 0)
+        op = cross_server_create(cluster, proc, d)
+        dropped = []
+
+        def drop_first_decision(msg):
+            if msg.kind is MessageKind.COMMIT_REQ and not dropped:
+                dropped.append(msg)
+                return ("drop",)
+            return None
+
+        cluster.network.fault_hook = drop_first_decision
+        run_to_completion(cluster, cluster.run_ops(proc, [op]))
+        cluster.sim.run(until=cluster.sim.now + 3.0)
+        assert dropped
+        for server in cluster.servers:
+            assert not server.role.pending and not server.role.commit_mgr.parked
+        coord = cluster.servers[cluster.placement.dirent_server(d, op.name)]
+        assert coord.role.completed[op.op_id]["committed"] is True

@@ -52,6 +52,17 @@ class TestTimeoutTrigger:
         sim.run(until=4.5)
         assert fires == [1.0, 4.0]
 
+    def test_scan_keeps_ticking_without_the_timeout_trigger(self, sim):
+        launches, scans = [], []
+        t = CommitTriggers(
+            sim, launches.append, timeout=None, threshold=None,
+            scan=lambda: scans.append(sim.now), scan_period=1.0,
+        )
+        t.start()
+        sim.run(until=3.5)
+        assert scans == [1.0, 2.0, 3.0]
+        assert launches == [] and t.timeout_fires == 0
+
     def test_disabled_timeout(self, sim):
         fires = []
         t = CommitTriggers(sim, lambda r: fires.append(1), timeout=None, threshold=None)

@@ -91,6 +91,21 @@ class TestRunSchedule:
         b = run_schedule(faults, seed=0, index=2)
         assert a.to_dict() == b.to_dict()
 
+    def test_fuzz_cluster_runs_the_experiment_defaults(self):
+        """The fuzzer certifies what the experiments run: its params may
+        differ from the defaults only in the three timers that scale
+        with its 0.05 s commit trigger."""
+        from dataclasses import asdict
+
+        from repro.faultfuzz.explorer import NUM_SERVERS, _build_fuzz_cluster
+        from repro.params import SimParams
+
+        fuzz = asdict(_build_fuzz_cluster(0)[0].params)
+        default = asdict(SimParams(num_servers=NUM_SERVERS))
+        assert {k for k in fuzz if fuzz[k] != default[k]} <= {
+            "commit_timeout", "vote_retry_timeout", "recovery_rpc_timeout",
+        }
+
     def test_corrupt_canary_always_fails(self):
         res = run_schedule([Fault(kind="corrupt", at=1_500)], seed=0)
         assert res.verdict == "violation"

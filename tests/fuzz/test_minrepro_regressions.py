@@ -131,7 +131,10 @@ class TestRecoveryReentersLivePipeline:
         """Seed 1 schedule 43: server 0 crashes inside a 0–3 partition,
         so its recovery adopts four decisions and can deliver only two;
         the rest stay parked and the ordinary trigger scan re-delivers
-        them after the heal."""
+        them after the heal.  Re-aimed when the liveness timers became
+        deadlines (fewer timeline entries): the heal moved from event
+        4304 to 6000 so it still lands after the recovery pass, whose
+        RECOVERY-END to server 3 is now owed to the scan as well."""
         _replay([
             {"kind": "delay", "at": 14, "a": -1, "b": -1,
              "until": -1, "extra": 0.743228},
@@ -140,9 +143,25 @@ class TestRecoveryReentersLivePipeline:
             {"kind": "dup", "at": 167, "a": -1, "b": -1,
              "until": -1, "extra": 0.330524},
             {"kind": "partition", "at": 942, "a": 0, "b": 3,
-             "until": 4304, "extra": 0.0},
+             "until": 6000, "extra": 0.0},
             {"kind": "crash", "at": 1331, "a": 0, "b": -1,
              "until": -1, "extra": 0.0},
             {"kind": "crash", "at": 1484, "a": 0, "b": -1,
              "until": -1, "extra": 0.0},
+        ], seed=1)
+
+    def test_recovery_end_owed_to_a_partitioned_peer(self):
+        """Seed 1 schedule 11: server 1 recovers while partitioned from
+        server 0, so its RECOVERY-END to server 0 fails every attempt.
+        The pass used to skip the peer as crashed, leaving server 0
+        quiesced for good (``stalled``, 3,222 buffered messages); the
+        missed END now stays owed and the trigger scan re-sends it
+        after the heal."""
+        _replay([
+            {"kind": "crash", "at": 84, "a": 1, "b": -1,
+             "until": -1, "extra": 0.0},
+            {"kind": "crash", "at": 311, "a": 3, "b": -1,
+             "until": -1, "extra": 0.0},
+            {"kind": "partition", "at": 1514, "a": 1, "b": 0,
+             "until": 4234, "extra": 0.0},
         ], seed=1)

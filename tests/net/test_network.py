@@ -128,6 +128,96 @@ class TestRpc:
         assert len(a.inbox) == 1
 
 
+class TestDeadlines:
+    """One deadline table per node, one armed kernel handle."""
+
+    def test_lost_reply_times_out_exactly_and_forgets_the_rpc(self, sim, net, pair):
+        a, b = pair
+        net.fault_hook = lambda msg: ("drop",) if msg.kind is MessageKind.RESP else None
+
+        def server(sim):
+            req = yield b.inbox.get()
+            b.send_reply(req, MessageKind.RESP)
+
+        def client(sim):
+            sent = sim.now
+            try:
+                yield a.request("b", MessageKind.REQ, timeout=0.5)
+            except TimeoutError:
+                return sim.now - sent
+
+        sim.process(server(sim))
+        p = sim.process(client(sim))
+        sim.run()
+        assert p.value == 0.5
+        assert a._pending_rpcs == {} and a._deadlines == {}
+
+    def test_answered_request_never_fires(self, sim, net, pair):
+        a, b = pair
+        fired = []
+        a._rpc_expired = fired.append  # the table calls the bound method
+
+        def server(sim):
+            req = yield b.inbox.get()
+            b.send_reply(req, MessageKind.RESP, {"ok": 1})
+
+        def client(sim):
+            resp = yield a.request("b", MessageKind.REQ, timeout=0.5)
+            return resp.payload["ok"]
+
+        sim.process(server(sim))
+        p = sim.process(client(sim))
+        sim.run(until=5.0)
+        assert p.value == 1 and fired == [] and a._deadlines == {}
+
+    def test_nodes_keep_independent_tables(self, sim, pair):
+        a, b = pair
+        fired = []
+        a.set_deadline("x", 2.0, lambda k: fired.append((sim.now, "a", k)))
+        b.set_deadline("x", 1.0, lambda k: fired.append((sim.now, "b", k)))
+        b.set_deadline("y", 3.0, lambda k: fired.append((sim.now, "b", k)))
+        a._deadlines.pop("x")
+        sim.run()
+        assert fired == [(1.0, "b", "x"), (3.0, "b", "y")]
+
+    def test_earlier_deadline_added_later_fires_first(self, sim, pair):
+        a, _b = pair
+        fired = []
+        a.set_deadline("late", 5.0, lambda k: fired.append((sim.now, k)))
+        sim.run(until=1.0)
+        a.set_deadline("early", 2.0, lambda k: fired.append((sim.now, k)))
+        sim.run()
+        assert fired == [(2.0, "early"), (5.0, "late")]
+
+    def test_extended_deadline_fires_once_at_its_new_time(self, sim, pair):
+        a, _b = pair
+        fired = []
+        a.set_deadline("k", 1.0, lambda k: fired.append(sim.now))
+        a.extend_deadline("k", 4.0)
+        sim.run()
+        assert fired == [4.0]
+
+    def test_expire_returns_the_next_deadline(self, sim, pair):
+        a, _b = pair
+        fired = []
+
+        def expire(k):
+            fired.append(sim.now)
+            return sim.now + 1.0 if len(fired) < 3 else None
+
+        a.set_deadline("k", 1.0, expire)
+        sim.run()
+        assert fired == [1.0, 2.0, 3.0] and a._deadlines == {}
+
+    def test_crash_empties_the_table(self, sim, pair):
+        a, _b = pair
+        fired = []
+        a.set_deadline("k", 1.0, fired.append)
+        a.crash()
+        sim.run()
+        assert fired == [] and a._deadlines == {}
+
+
 class TestCrash:
     def test_crashed_node_drops_messages(self, sim, net, pair):
         a, b = pair
