@@ -19,21 +19,24 @@ cx                     concurrent   lazy batched
 """
 
 from repro.analysis.tables import render_table
-from repro.experiments.common import experiment_params, run_trace_protocol
+from repro.runner import ReplayTask, execute_task
 
 TRACE = "s3d"
 
 
+def _run(protocol, seed, params=None):
+    return execute_task(ReplayTask(kind="trace", trace=TRACE, protocol=protocol,
+                                   seed=seed, params=params))
+
+
 def _run_all(seed=0):
     rows = {}
-    rows["ofs"] = run_trace_protocol(TRACE, "ofs", seed=seed)
-    rows["cx-serial-exec"] = run_trace_protocol(TRACE, "cx-serial-exec", seed=seed)
-    rows["cx-immediate"] = run_trace_protocol(
-        TRACE, "cx",
-        params=experiment_params(commit_timeout=None, commit_threshold=1),
-        seed=seed,
+    rows["ofs"] = _run("ofs", seed)
+    rows["cx-serial-exec"] = _run("cx-serial-exec", seed)
+    rows["cx-immediate"] = _run(
+        "cx", seed, params={"commit_timeout": None, "commit_threshold": 1}
     )
-    rows["cx"] = run_trace_protocol(TRACE, "cx", seed=seed)
+    rows["cx"] = _run("cx", seed)
     return rows
 
 

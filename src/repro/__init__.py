@@ -30,7 +30,7 @@ Quickstart::
                        name="data.bin",
                        target=cluster.placement.allocate_handle())
     runner = cluster.run_ops(proc, [op])
-    cluster.sim.run()
+    cluster.sim.run_until(runner)
     assert runner.value[0].ok
 """
 

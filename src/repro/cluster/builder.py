@@ -13,7 +13,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.analysis.metrics import MetricsCollector, StreamingMetricsCollector
 from repro.cluster.client import ClientNode, ClientProcess
@@ -25,10 +25,22 @@ from repro.net.network import Network
 from repro.obs.registry import merge_snapshots
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.params import SimParams
-from repro.sim import RngRegistry, Simulator
+from repro.sim import Process, QueueDrained, RngRegistry, Simulator
 
 #: Handle of the root directory.
 ROOT_HANDLE = 0
+
+#: Virtual seconds a closed-loop drive may pass with no client op
+#: completing before it reports a stall.  The longest gap between two
+#: completions measured in a healthy run is 13.5 s (an ``ok`` fuzz
+#: schedule whose clients wait out a recovery; no ``benchmarks/``
+#: replay exceeds 10 ms).  A Cx replay with a server crashed for good
+#: would otherwise spin on its retry and trigger timers for ever.
+STALL_WINDOW = 60.0
+
+
+class Stalled(RuntimeError):
+    """A closed-loop drive stopped making progress (see :meth:`Cluster.drive`)."""
 
 
 class LazyServerList:
@@ -123,6 +135,8 @@ class Cluster:
         ]
         self._processes: Dict[tuple, ClientProcess] = {}
         self.procs_per_client = procs_per_client
+        #: When a feeder last saw a client op complete: the stall rule's clock.
+        self.last_completion = 0.0
         if not lazy_servers:
             for server in self.servers:
                 server.attach_role(protocol.make_role(server, self))
@@ -280,19 +294,62 @@ class Cluster:
     def preload_files(self, parent: int, names: Sequence[str]) -> List[int]:
         return [self.preload_file(parent, n) for n in names]
 
-    # -- convenience for tests/examples ------------------------------------------------
+    # -- the closed loop ----------------------------------------------------------
 
-    def run_ops(self, process: ClientProcess, ops: Sequence[FileOperation]):
-        """Process body running ``ops`` back-to-back; returns results."""
+    def run_ops(self, process: ClientProcess, ops: Iterable[FileOperation],
+                think_time: float = 0.0, collect: bool = True) -> Process:
+        """Start ``process`` on ``ops`` closed loop; returns the process.
 
-        def _runner():
-            results = []
-            for op in ops:
-                res = yield from process.perform(op)
-                results.append(res)
-            return results
+        The one feeder: the next op is pulled (from a list or a
+        generator) when the previous one completed, plus ``think_time``
+        of application work.  The process's value is the list of
+        :class:`OpResult` s, or None with ``collect=False``, which
+        drops each result so memory does not grow with the stream.
+        """
+        return self.sim.process(self._feed(process, ops, think_time, collect))
 
-        return self.sim.process(_runner())
+    def _feed(self, process, ops, think_time, collect):
+        sim = self.sim
+        results = [] if collect else None
+        for op in ops:
+            result = yield from process.perform(op)
+            self.last_completion = sim.now
+            if collect:
+                results.append(result)
+            if think_time > 0:
+                yield sim.timeout(think_time)
+        return results
+
+    def drive(self, streams: Dict[ClientProcess, Iterable[FileOperation]],
+              think_time: float = 0.0, collect: bool = True) -> None:
+        """Feed every process its stream and run until all are done.
+
+        The stall rule: raises :class:`Stalled` once
+        :data:`STALL_WINDOW` virtual seconds pass with no client op
+        completed, or when the event queue drains first.
+        """
+        sim = self.sim
+        done = sim.all_of([
+            self.run_ops(proc, ops, think_time, collect)
+            for proc, ops in streams.items()
+        ])
+        self.last_completion = sim.now
+        while True:
+            last = self.last_completion
+            try:
+                sim.run_until(done, until=last + STALL_WINDOW)
+            except QueueDrained:
+                why = "the event queue drained"
+            else:
+                if done.processed:
+                    return
+                if self.last_completion != last:
+                    continue
+                why = f"no client op completed for {STALL_WINDOW:g} s"
+            raise Stalled(
+                f"closed loop stalled at t={sim.now:.6f}: {why}; the last "
+                f"client op completed at t={self.last_completion:.6f}"
+            )
 
     def quiesce_protocol(self, timeout: float = 120.0) -> None:
         """Flush every role, then run ``timeout`` more virtual seconds.

@@ -10,7 +10,6 @@ from repro.experiments.common import (
     EXPERIMENT_TIMEOUT,
     TRACE_SCALES,
     build_trace_cluster,
-    run_trace_protocol,
 )
 from repro.experiments.table1 import run_table1
 from repro.experiments.table2 import run_table2
@@ -41,5 +40,4 @@ __all__ = [
     "run_table3",
     "run_table4",
     "run_table5",
-    "run_trace_protocol",
 ]

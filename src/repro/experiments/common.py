@@ -19,12 +19,6 @@ from typing import Dict, List, Optional
 from repro.cluster.builder import Cluster
 from repro.params import SimParams
 from repro.protocols import get_protocol
-from repro.workloads import (
-    TRACE_SPECS,
-    ReplayResult,
-    TraceWorkload,
-    replay_streams,
-)
 
 #: Default replay configuration for the trace-driven experiments
 #: (Figure 5, Table II, Table IV, and the home2 sensitivity studies):
@@ -78,33 +72,6 @@ def build_trace_cluster(
         trace=trace,
         tracer=tracer,
     )
-
-
-def run_trace_protocol(
-    trace: str,
-    protocol_name: str,
-    params: Optional[SimParams] = None,
-    num_servers: int = NUM_SERVERS,
-    scale: Optional[float] = None,
-    seed: int = 0,
-    traced: bool = False,
-) -> ReplayResult:
-    """Replay one trace under one protocol at the canonical config.
-
-    ``traced=True`` enables the observability tracer; the event stream
-    is returned on ``result.tracer`` (see :mod:`repro.experiments.tracing`
-    for the full traced-replay driver).
-    """
-    cluster = build_trace_cluster(
-        protocol_name, params=params, num_servers=num_servers, seed=seed,
-        trace=traced,
-    )
-    workload = TraceWorkload(
-        TRACE_SPECS[trace],
-        scale=scale if scale is not None else TRACE_SCALES[trace],
-        seed=seed,
-    )
-    return replay_streams(cluster, workload.build(cluster, cluster.all_processes()))
 
 
 def grid_summaries(tasks, jobs: int = 1):

@@ -21,13 +21,16 @@ from repro.experiments.common import (
     build_trace_cluster,
     experiment_params,
 )
+from repro.runner import ReplayTask, execute_task
 from repro.workloads import TRACE_SPECS, TraceWorkload, replay_streams
 
 DEFAULT_CAPS = (8 * 1024, 16 * 1024, 64 * 1024, 256 * 1024, None)
 
 
 def run_fig7a(trace: str = "home2", caps=DEFAULT_CAPS, seed: int = 0):
-    ofs = None
+    ofs = execute_task(
+        ReplayTask(kind="trace", trace=trace, protocol="ofs", seed=seed)
+    )
     rows = []
     for cap in caps:
         params = experiment_params(log_capacity=cap)
@@ -35,10 +38,6 @@ def run_fig7a(trace: str = "home2", caps=DEFAULT_CAPS, seed: int = 0):
         wl = TraceWorkload(TRACE_SPECS[trace], scale=TRACE_SCALES[trace], seed=seed)
         streams = wl.build(cluster, cluster.all_processes())
         res = replay_streams(cluster, streams)
-        if ofs is None:
-            from repro.experiments.common import run_trace_protocol
-
-            ofs = run_trace_protocol(trace, "ofs", seed=seed)
         rows.append(
             {
                 "log_cap": cap if cap is not None else "unlimited",

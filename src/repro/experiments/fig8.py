@@ -5,8 +5,8 @@ cross-server operations in the home2 trace" — the injected lookups ride
 the replayed workload itself: before an operation, a process may first
 look up an object that some *pending* (executed-but-uncommitted)
 operation touched, which is a guaranteed conflict and forces an
-immediate commitment on the replay's critical path (the injection loop
-lives in :func:`repro.workloads.replay_streams_with_injection`).
+immediate commitment on the replay's critical path (the probes come
+from :func:`repro.workloads.inject.inject_probes`).
 Replay time and message cost of OFS-Cx rise with the achieved conflict
 ratio; the paper observes OFS-Cx still beats OFS until the ratio
 reaches ~20%.

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from repro.analysis.tables import render_table
 from repro.cluster import FailureInjector
-from repro.cluster.builder import ROOT_HANDLE
+from repro.cluster.builder import ROOT_HANDLE, STALL_WINDOW, Cluster, Stalled
 from repro.experiments.common import ExperimentResult, experiment_params
-from repro.cluster.builder import Cluster
 from repro.fs.ops import FileOperation, OpType
 from repro.protocols import get_protocol
 
@@ -28,30 +27,24 @@ DEFAULT_SIZES_KB = (5, 10, 50, 100, 500, 1000)
 #: making progress toward ``valid_bytes`` and the run must die loudly.
 _FEEDER_OP_BUDGET = 200_000
 
-#: Drive-loop step budget: the largest row finishes in a few million
-#: events; an order of magnitude past that is a hang, not a slow run.
-_DRIVE_STEP_BUDGET = 50_000_000
 
+def _creates(cluster, proc, i: int, parent: int, victim, target: int):
+    """Process ``i``'s CREATEs, pulled while the victim's log is short.
 
-def _drive(sim, event, budget: int, what: str) -> None:
-    """Step the simulator until ``event`` is processed, failing loudly.
-
-    Raises instead of hanging when the queue drains with the event
-    still pending (every driver process exited without completing it)
-    or when ``budget`` steps pass without completion.
+    A stream that stops accumulating valid bytes must abort rather
+    than spin for ever.
     """
-    steps = 0
-    while not event.processed:
-        if sim.peek() == float("inf"):
+    serial = 0
+    while victim.wal.valid_bytes < target:
+        serial += 1
+        if serial > _FEEDER_OP_BUDGET:
             raise RuntimeError(
-                f"table5 stalled: queue drained before {what} completed"
+                f"table5 feeder p{i} exceeded {_FEEDER_OP_BUDGET} ops with "
+                f"valid_bytes={victim.wal.valid_bytes} < target={target}"
             )
-        if steps >= budget:
-            raise RuntimeError(
-                f"table5 exceeded its {budget}-step budget while {what}"
-            )
-        sim.step()
-        steps += 1
+        h = cluster.placement.allocate_handle()
+        yield FileOperation(OpType.CREATE, proc.new_op_id(), parent=parent,
+                            name=f"p{i}-{serial}", target=h)
 
 
 def _fill_and_crash(target_kb: int, num_servers: int = 8, seed: int = 0):
@@ -65,41 +58,18 @@ def _fill_and_crash(target_kb: int, num_servers: int = 8, seed: int = 0):
     d = cluster.preload_dir(ROOT_HANDLE, "recdir")
     victim = cluster.servers[0]
     target = target_kb * 1024
-
-    procs = cluster.all_processes()
-    runners = []
-    for i, proc in enumerate(procs):
-        def feeder(proc=proc, i=i):
-            # Guard the fill loop: if the target is already met the
-            # feeder must finish as a generator without performing a
-            # single op (an immediately-exhausted body would make the
-            # process driver raise StopIteration on first resume), and
-            # a loop that stops accumulating valid bytes must abort
-            # rather than spin forever.
-            serial = 0
-            while victim.wal.valid_bytes < target:
-                serial += 1
-                if serial > _FEEDER_OP_BUDGET:
-                    raise RuntimeError(
-                        f"table5 feeder p{i} exceeded {_FEEDER_OP_BUDGET} "
-                        f"ops with valid_bytes="
-                        f"{victim.wal.valid_bytes} < target={target}"
-                    )
-                h = cluster.placement.allocate_handle()
-                op = FileOperation(OpType.CREATE, proc.new_op_id(), parent=d,
-                                   name=f"p{i}-{serial}", target=h)
-                yield from proc.perform(op)
-            return None
-        runners.append(cluster.sim.process(feeder()))
-    done = cluster.sim.all_of(runners)
-    _drive(cluster.sim, done, _DRIVE_STEP_BUDGET,
-           f"filling to {target_kb} KB")
+    cluster.drive({
+        proc: _creates(cluster, proc, i, d, victim, target)
+        for i, proc in enumerate(cluster.all_processes())
+    }, collect=False)
 
     injector = FailureInjector(cluster)
     injector.crash_server(0)
     report_proc = injector.recover_server(0)
-    _drive(cluster.sim, report_proc, _DRIVE_STEP_BUDGET,
-           "recovering server 0")
+    sim = cluster.sim
+    sim.run_until(report_proc, until=sim.now + STALL_WINDOW)
+    if not report_proc.processed:
+        raise Stalled(f"table5: server 0 still recovering at t={sim.now:.6f}")
     return report_proc.value
 
 

@@ -23,6 +23,7 @@ results task-ordered when the grid fans across processes.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -46,14 +47,9 @@ RECOVER_AFTER = 3.0
 #: window — happens here, and crash points / message faults must be
 #: able to land in it.
 FAULT_SETTLE = 8.0
-#: Drive-loop chunk (virtual seconds per run(until=...) slice).
+#: Faults stay armed from the first multiple of this many virtual
+#: seconds at or after the load completes (then ``FAULT_SETTLE`` more).
 DRIVE_CHUNK = 5.0
-#: Virtual-time budget for the load phase; past this the schedule is a
-#: liveness finding ("stalled"), not a longer wait.
-MAX_VTIME = 600.0
-#: Processed-event budget (livelock backstop; the fault-free workload
-#: runs well under 100k events).
-MAX_EVENTS = 5_000_000
 #: Post-workload settle window (lazy commitments, write-backs).
 QUIESCE_TIMEOUT = 120.0
 
@@ -300,42 +296,30 @@ def run_schedule(faults: Sequence[Fault], seed: int,
     exception inside the replay is itself a finding (verdict
     ``crashed``).
     """
-    from repro.fs.ops import FileOperation, OpType
+    from repro.cluster.builder import Stalled
 
     fault_dicts = [f.to_dict() for f in faults]
     try:
         cluster, workdir, canary = _build_fuzz_cluster(seed)
         sim = cluster.sim
         scheduler = FaultScheduler(cluster, faults, canary_handle=canary)
-
-        runners = []
-        for i, proc in enumerate(cluster.all_processes()):
-            def feeder(proc=proc, i=i):
-                for k in range(OPS_PER_PROC):
-                    h = cluster.placement.allocate_handle()
-                    op = FileOperation(
-                        OpType.CREATE, proc.new_op_id(), parent=workdir,
-                        name=f"f{i}-{k}", target=h,
-                    )
-                    yield from proc.perform(op)
-            runners.append(sim.process(feeder()))
-        done = sim.all_of(runners)
-
         scheduler.arm()
-        stalled = False
-        while not done.processed:
-            if sim.peek() == float("inf"):
-                stalled = True  # every process exited; op(s) wedged
-                break
-            if sim.now >= MAX_VTIME or sim.events_processed >= MAX_EVENTS:
-                stalled = True
-                break
-            sim.run(until=sim.now + DRIVE_CHUNK)
+        stalled = ""
+        try:
+            cluster.drive({
+                proc: _creates(cluster, proc, i, workdir)
+                for i, proc in enumerate(cluster.all_processes())
+            }, collect=False)
+        except Stalled as exc:
+            stalled = str(exc)
         if not stalled:
             # Keep the schedule armed through the commitment/write-back
             # tail so event-indexed faults can land after the clients
-            # already saw their completions.
-            sim.run(until=sim.now + FAULT_SETTLE)
+            # already saw their completions: from the DRIVE_CHUNK
+            # boundary after the load, not from its last completion,
+            # so every tail fault keeps its coordinates.
+            settle_from = math.ceil(sim.now / DRIVE_CHUNK) * DRIVE_CHUNK
+            sim.run(until=settle_from + FAULT_SETTLE)
         scheduler.disarm()
 
         # Let in-flight recoveries finish, force any the probe horizon
@@ -348,7 +332,7 @@ def run_schedule(faults: Sequence[Fault], seed: int,
                 rp = scheduler.injector.recover_server(idx)
                 sim.run(until=sim.now + QUIESCE_TIMEOUT)
                 if not rp.processed:
-                    stalled = True
+                    stalled = f"s{idx} still recovering at t={sim.now:.6f}"
         cluster.quiesce_protocol(timeout=QUIESCE_TIMEOUT)
 
         violations = _oracle(cluster, workdir)
@@ -362,6 +346,7 @@ def run_schedule(faults: Sequence[Fault], seed: int,
             index=index, seed=seed, faults=fault_dicts, verdict=verdict,
             violations=violations, applied=scheduler.applied,
             events=sim.events_processed, vtime=round(sim.now, 9),
+            error=stalled,
         )
     except Exception as exc:
         return ScheduleResult(
@@ -370,6 +355,16 @@ def run_schedule(faults: Sequence[Fault], seed: int,
             # would break byte-identical verdicts.
             error=repr(exc),
         )
+
+
+def _creates(cluster, proc, i: int, workdir: int):
+    """Process ``i``'s share of the fuzz workload: OPS_PER_PROC CREATEs."""
+    from repro.fs.ops import FileOperation, OpType
+
+    for k in range(OPS_PER_PROC):
+        h = cluster.placement.allocate_handle()
+        yield FileOperation(OpType.CREATE, proc.new_op_id(), parent=workdir,
+                            name=f"f{i}-{k}", target=h)
 
 
 def _transient_targets(cluster) -> Set[int]:

@@ -129,7 +129,10 @@ def _params_from(task: ReplayTask):
     return experiment_params(**(task.params or {}))
 
 
-def _summarize(cluster, result) -> ReplaySummary:
+def _summarize(cluster, result, server_metrics=None, **extra) -> ReplaySummary:
+    """``result`` as picklable data; ``server_metrics`` defaults to every
+    server's snapshot, ``extra`` sets the scale-cell fields."""
+    m = cluster.metrics
     return ReplaySummary(
         protocol=result.protocol,
         replay_time=result.replay_time,
@@ -142,11 +145,15 @@ def _summarize(cluster, result) -> ReplaySummary:
         message_bytes=result.message_bytes,
         failed_ops=result.failed_ops,
         mean_latency=result.mean_latency,
-        latency_p50=cluster.metrics.latency_percentile(50),
-        latency_p99=cluster.metrics.latency_percentile(99),
-        latency_p999=cluster.metrics.latency_percentile(99.9),
+        latency_p50=m.latency_percentile(50),
+        latency_p99=m.latency_percentile(99),
+        latency_p999=m.latency_percentile(99.9),
         events_processed=cluster.sim.events_processed,
-        server_metrics=cluster.metrics_snapshot(),
+        server_metrics=(
+            cluster.metrics_snapshot() if server_metrics is None
+            else server_metrics
+        ),
+        **extra,
     )
 
 
@@ -176,12 +183,8 @@ def _execute_task(task: ReplayTask) -> ReplaySummary:
         TRACE_SCALES,
         build_trace_cluster,
     )
-    from repro.workloads import (
-        TRACE_SPECS,
-        TraceWorkload,
-        replay_streams,
-        replay_streams_with_injection,
-    )
+    from repro.workloads import TRACE_SPECS, TraceWorkload, replay_streams
+    from repro.workloads.inject import INJECT_SETTLE, inject_probes
 
     num_servers = task.num_servers if task.num_servers is not None else NUM_SERVERS
 
@@ -198,31 +201,10 @@ def _execute_task(task: ReplayTask) -> ReplaySummary:
         ).build(cluster, cluster.all_processes())
         if task.kind == KIND_TRACE:
             return _summarize(cluster, replay_streams(cluster, streams))
-        measures = replay_streams_with_injection(
-            cluster, streams, p_inject=task.p_inject, seed=task.seed
-        )
-        m = cluster.metrics
-        return ReplaySummary(
-            protocol=cluster.protocol.name,
-            replay_time=measures["replay_time"],
-            total_ops=int(measures["total_ops"]),
-            throughput=(
-                measures["total_ops"] / measures["replay_time"]
-                if measures["replay_time"] > 0 else 0.0
-            ),
-            cross_server_ops=m.cross_server_ops,
-            conflicted_ops=m.conflicted_ops,
-            conflict_ratio=measures["conflict_ratio"],
-            messages=int(measures["messages"]),
-            message_bytes=cluster.network.stats.total_bytes,
-            failed_ops=m.total_ops - m.completed_ok,
-            mean_latency=m.mean_latency(),
-            latency_p50=m.latency_percentile(50),
-            latency_p99=m.latency_percentile(99),
-            latency_p999=m.latency_percentile(99.9),
-            events_processed=cluster.sim.events_processed,
-            server_metrics=cluster.metrics_snapshot(),
-        )
+        probed = inject_probes(cluster, streams, task.p_inject, task.seed)
+        return _summarize(cluster, replay_streams(
+            cluster, probed, settle=INJECT_SETTLE, collect=False
+        ))
 
     if task.kind == KIND_SYNTH:
         return _execute_synth(task, num_servers)
@@ -307,24 +289,9 @@ def _execute_synth(task: ReplayTask, num_servers: int) -> ReplaySummary:
     )
     replay_wall = time.perf_counter() - replay_start
 
-    m = cluster.metrics
     materialized = cluster.materialized_servers()
-    return ReplaySummary(
-        protocol=result.protocol,
-        replay_time=result.replay_time,
-        total_ops=result.total_ops,
-        throughput=result.throughput,
-        cross_server_ops=result.cross_server_ops,
-        conflicted_ops=result.conflicted_ops,
-        conflict_ratio=result.conflict_ratio,
-        messages=result.messages,
-        message_bytes=result.message_bytes,
-        failed_ops=result.failed_ops,
-        mean_latency=result.mean_latency,
-        latency_p50=m.latency_percentile(50),
-        latency_p99=m.latency_percentile(99),
-        latency_p999=m.latency_percentile(99.9),
-        events_processed=cluster.sim.events_processed,
+    return _summarize(
+        cluster, result,
         server_metrics={
             "cluster": merge_snapshots(s.metrics for s in materialized)
         },

@@ -471,6 +471,10 @@ class Simulator:
         # Per-event bookkeeping (exact counts for the probe, the step
         # budget) hides behind one flag that is false on the replay path.
         slow = steps >= 0 or self._probe_at >= 0
+        # Only run(until) fast-forwards idle ticks: under run_until the
+        # test would cost every heap pop of a replay, while a bounded
+        # wait dispatches at most one window of idle ticks.
+        skip = stop is None
         n = 0  # dispatched here; published on exit (an attribute store
         #        per event is measurable)
         try:
@@ -507,7 +511,7 @@ class Simulator:
                 elif heap:
                     if until is not None and (
                         heap[0][0] > until
-                        or not (slow or lane_u or lane_n)
+                        or skip and not (slow or lane_u or lane_n)
                         and len(heap) == len(self._periodics)
                         and self._skip_idle_ticks(until)
                     ):
@@ -584,16 +588,21 @@ class Simulator:
         if until is not None:
             self._now = until
 
-    def run_until(self, event: Event) -> Any:
+    def run_until(self, event: Event, until: Optional[float] = None) -> Any:
         """Run until ``event`` is processed; return its value.
 
         Acts as the event's waiter: a failure is defused here and
         re-raised to the caller instead of crashing the simulation.
-        Raises :class:`QueueDrained` if the queue empties first.
+        Raises :class:`QueueDrained` if the queue empties first.  With
+        ``until``, also returns (None, the event still pending: check
+        ``event.processed``) once the next entry lies beyond ``until``;
+        the clock stays at the last entry dispatched.
         """
         if event.callbacks is not None:
             event.callbacks.append(Event.defuse)
-        self._drive(event, None)
+        self._drive(event, until)
+        if event.callbacks is not None:
+            return None
         if event._ok is False:
             raise event._exc  # type: ignore[misc]
         return event._value

@@ -12,14 +12,20 @@ The achieved conflict ratio is then measured, not assumed.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, Optional
 
 from repro.fs.ops import FileOperation, OpType
-from repro.workloads.replay import deadlock_reported
+from repro.workloads.replay import replay_streams
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.builder import Cluster
     from repro.cluster.client import ClientProcess
+
+#: Name of the RNG stream the probes draw from (suffixed with the seed).
+INJECT_RNG_STREAM = "fig8"
+#: Post-replay settle window of the injection replay (the golden
+#: ``fig8_home2_cx_inject0.12`` cell pins it).
+INJECT_SETTLE = 120.0
 
 
 def build_probe_op(cluster: "Cluster", proc: "ClientProcess", rng) -> Optional[FileOperation]:
@@ -46,45 +52,41 @@ def build_probe_op(cluster: "Cluster", proc: "ClientProcess", rng) -> Optional[F
     return None
 
 
-def replay_streams_with_injection(
+def inject_probes(
     cluster: "Cluster",
-    streams: Dict["ClientProcess", List[FileOperation]],
+    streams: Dict["ClientProcess", Iterable[FileOperation]],
     p_inject: float,
     seed: int = 0,
-    rng_stream: str = "fig8",
-) -> Dict[str, float]:
-    """Replay ``streams`` with probability-``p_inject`` probing reads.
+) -> Dict["ClientProcess", Iterator[FileOperation]]:
+    """``streams`` with a probability-``p_inject`` probe before each op.
 
     Before an operation, a process may first look up an object that
     some pending (executed-but-uncommitted) operation touched — a
     guaranteed conflict that forces an immediate commitment onto the
-    replay's critical path (Figure 8's injected lookups).  Returns the
-    measurements the conflict-ratio study needs.
+    replay's critical path (Figure 8's injected lookups).  The probe is
+    picked when the feeder pulls it, so it sees the live active tables.
     """
-    sim = cluster.sim
-    cluster.network.stats.reset()
-    rng = cluster.rngs.stream(f"{rng_stream}:{seed}")
+    rng = cluster.rngs.stream(f"{INJECT_RNG_STREAM}:{seed}")
 
-    def runner(proc, ops):
+    def probed(proc, ops):
         for op in ops:
             if p_inject > 0 and rng.random() < p_inject:
                 probe = build_probe_op(cluster, proc, rng)
                 if probe is not None:
-                    yield from proc.perform(probe)
-            yield from proc.perform(op)
+                    yield probe
+            yield op
 
-    runners = [sim.process(runner(proc, ops)) for proc, ops in streams.items()]
-    done = sim.all_of(runners)
-    start = sim.now
-    with deadlock_reported("injection replay"):
-        sim.run_until(done)
-    replay_time = sim.now - start
-    cluster.quiesce_protocol()
-    m = cluster.metrics
-    return {
-        "replay_time": replay_time,
-        "total_ops": m.total_ops,
-        "conflict_ratio": m.conflict_ratio,
-        "messages": cluster.network.stats.total,
-    }
+    return {proc: probed(proc, ops) for proc, ops in streams.items()}
 
+
+def replay_streams_with_injection(
+    cluster: "Cluster",
+    streams: Dict["ClientProcess", Iterable[FileOperation]],
+    p_inject: float,
+    seed: int = 0,
+) -> Dict[str, float]:
+    """Replay :func:`inject_probes` streams; the conflict-study measures."""
+    r = replay_streams(cluster, inject_probes(cluster, streams, p_inject, seed),
+                       settle=INJECT_SETTLE, collect=False)
+    return {"replay_time": r.replay_time, "total_ops": r.total_ops,
+            "conflict_ratio": r.conflict_ratio, "messages": r.messages}

@@ -8,13 +8,11 @@ the measurements every experiment needs.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterable
 
 from repro.analysis.metrics import MetricsCollector
 from repro.fs.ops import FileOperation
-from repro.sim import QueueDrained
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.builder import Cluster
@@ -41,29 +39,18 @@ class ReplayResult:
     tracer: object = field(repr=False, default=None)
 
 
-@contextmanager
-def deadlock_reported(what: str) -> Iterator[None]:
-    """Report a queue that drains under a kernel drive as a deadlock.
-
-    Every process exited with the awaited event still pending; any
-    other simulation failure passes through untouched.
-    """
-    try:
-        yield
-    except QueueDrained as exc:
-        raise RuntimeError(f"{what} deadlocked: event queue drained") from exc
-
-
 def replay_streams(
     cluster: "Cluster",
-    streams: Dict["ClientProcess", List[FileOperation]],
+    streams: Dict["ClientProcess", Iterable[FileOperation]],
     settle: float = 60.0,
-    max_virtual_time: Optional[float] = None,
     think_time: float = 0.0,
     collect: bool = True,
 ) -> ReplayResult:
     """Run every stream to completion and collect measurements.
 
+    The streams run through :meth:`Cluster.drive
+    <repro.cluster.builder.Cluster.drive>`, so a replay that stops
+    completing ops raises :class:`~repro.cluster.builder.Stalled`.
     ``settle`` bounds the extra virtual time allowed for protocol
     background work after the last stream finishes (lazy commitments,
     flushes) so the namespace is quiesced for consistency checks.
@@ -78,39 +65,8 @@ def replay_streams(
     """
     sim = cluster.sim
     cluster.network.stats.reset()
-
-    def _runner(proc, ops):
-        results = []
-        for op in ops:
-            res = yield from proc.perform(op)
-            results.append(res)
-            if think_time > 0:
-                yield sim.timeout(think_time)
-        return results
-
-    def _runner_streaming(proc, ops):
-        for op in ops:
-            yield from proc.perform(op)
-            if think_time > 0:
-                yield sim.timeout(think_time)
-
-    body = _runner if collect else _runner_streaming
-    runners = [
-        sim.process(body(proc, ops)) for proc, ops in streams.items()
-    ]
-    done = sim.all_of(runners)
-
     start = sim.now
-    with deadlock_reported("replay"):
-        if max_virtual_time is None:
-            sim.run_until(done)
-        else:
-            while not done.processed:
-                if sim.now - start > max_virtual_time:
-                    raise RuntimeError(
-                        f"replay exceeded {max_virtual_time}s of virtual time"
-                    )
-                sim.step()
+    cluster.drive(streams, think_time=think_time, collect=collect)
     replay_time = sim.now - start
 
     # Let lazy commitments and flushes drain before counting messages:

@@ -18,8 +18,10 @@ from repro.experiments.common import (
     TRACE_SCALES,
     build_trace_cluster,
     experiment_params,
-    run_trace_protocol,
 )
+from repro.cluster.builder import ROOT_HANDLE, STALL_WINDOW, Stalled
+from repro.runner import ReplayTask, execute_task
+from tests.conftest import build_cluster, make_create
 
 
 class TestCommon:
@@ -33,8 +35,11 @@ class TestCommon:
         p = experiment_params(commit_timeout=1.0, log_capacity=None)
         assert p.commit_timeout == 1.0 and p.log_capacity is None
 
-    def test_run_trace_protocol_micro(self):
-        res = run_trace_protocol("CTH", "cx", scale=0.0005, seed=1)
+    def test_trace_task_micro(self):
+        res = execute_task(
+            ReplayTask(kind="trace", trace="CTH", protocol="cx", scale=0.0005,
+                       seed=1)
+        )
         assert res.total_ops > 0
         assert res.failed_ops == 0
         assert res.protocol == "cx"
@@ -77,46 +82,35 @@ class TestScaledExperiments:
 
 
 class TestTable5Guards:
-    """The fill-and-crash driver fails loudly instead of hanging."""
+    """The fill-and-crash drive fails loudly instead of hanging."""
+
+    def _one_create(self, protocol):
+        cluster = build_cluster(protocol, num_clients=1, procs_per_client=1)
+        proc = cluster.client_process(0, 0)
+        d = cluster.preload_dir(ROOT_HANDLE, "d")
+        return cluster, {proc: [make_create(cluster, proc, d, "x")]}
 
     def test_drive_raises_when_queue_drains(self):
-        from repro.experiments.table5 import _drive
-        from repro.sim import Simulator
+        cluster, streams = self._one_create("ofs")
+        cluster.network.fault_hook = (  # every reply lost; ofs has no timer
+            lambda msg: ("drop",) if msg.src.startswith("mds") else None
+        )
+        with pytest.raises(Stalled, match="event queue drained"):
+            cluster.drive(streams)
 
-        sim = Simulator()
-        never = sim.event()
-        with pytest.raises(RuntimeError, match="stalled"):
-            _drive(sim, never, 1_000, "testing")
-
-    def test_drive_raises_past_step_budget(self):
-        from repro.experiments.table5 import _drive
-        from repro.sim import Simulator
-
-        sim = Simulator()
-
-        def forever():
-            while True:
-                yield sim.timeout_h(0.001)
-
-        sim.process(forever())
-        never = sim.event()
-        with pytest.raises(RuntimeError, match="step budget"):
-            _drive(sim, never, 100, "testing")
+    def test_drive_raises_past_stall_window(self):
+        cluster, streams = self._one_create("cx")
+        for server in cluster.servers:
+            server.crash()  # the client retries for ever
+        with pytest.raises(Stalled, match="no client op completed"):
+            cluster.drive(streams)
+        assert STALL_WINDOW - 1.0 <= cluster.sim.now <= STALL_WINDOW
 
     def test_drive_returns_on_completion(self):
-        from repro.experiments.table5 import _drive
-        from repro.sim import Simulator
-
-        sim = Simulator()
-        done = sim.event()
-
-        def worker():
-            yield sim.timeout_h(0.5)
-            done.succeed()
-
-        sim.process(worker())
-        _drive(sim, done, 1_000, "testing")
-        assert done.processed
+        cluster, streams = self._one_create("cx")
+        cluster.drive(streams)
+        assert cluster.metrics.total_ops == 1
+        assert cluster.last_completion == cluster.sim.now > 0
 
     def test_fill_and_crash_micro(self):
         """A tiny fill target exercises the feeder guard path end-to-end

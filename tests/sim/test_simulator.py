@@ -118,6 +118,18 @@ class TestRunUntilEvent:
         with pytest.raises(SimulationError):
             sim.run_until(ev)
 
+    def test_until_bounds_the_wait(self, sim):
+        def proc(sim):
+            for _ in range(3):
+                yield sim.timeout(2.0)
+            return "answer"
+
+        p = sim.process(proc(sim))
+        assert sim.run_until(p, until=5.0) is None
+        assert not p.processed and sim.now == 4.0
+        assert sim.run_until(p, until=10.0) == "answer"
+        assert sim.now == 6.0
+
 
 class TestDeterminism:
     def test_identical_runs_identical_histories(self):

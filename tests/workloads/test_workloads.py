@@ -1,7 +1,11 @@
 """Unit tests for trace specs, generators, Metarates, and replay."""
 
+import signal
+from contextlib import contextmanager
+
 import pytest
 
+from repro.cluster.builder import STALL_WINDOW, Stalled
 from repro.fs.ops import OpType, UPDATE_OPS
 from repro.workloads import (
     TRACE_SPECS,
@@ -11,6 +15,21 @@ from repro.workloads import (
     replay_streams,
 )
 from tests.conftest import build_cluster
+
+
+@contextmanager
+def _wall_limit(seconds: int):
+    """Fail, instead of hanging the suite, if the block outruns ``seconds``."""
+    def expired(signum, frame):
+        raise AssertionError(f"still running after {seconds} s of wall time")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestSpecs:
@@ -55,8 +74,9 @@ class TestSpecs:
 
 
 class TestTraceWorkload:
-    def _build(self, trace="CTH", scale=0.001, nproc=4, seed=0):
-        cluster = build_cluster("cx", num_clients=2, procs_per_client=2)
+    def _build(self, trace="CTH", scale=0.001, nproc=4, seed=0,
+               protocol="cx"):
+        cluster = build_cluster(protocol, num_clients=2, procs_per_client=2)
         wl = TraceWorkload(TRACE_SPECS[trace], scale=scale, seed=seed)
         procs = cluster.all_processes()[:nproc]
         streams = wl.build(cluster, procs)
@@ -113,21 +133,40 @@ class TestTraceWorkload:
         assert res.failed_ops == 0
         assert check_namespace_invariants(cluster, known_dirs=wl.known_dirs) == []
 
-    def test_replay_deadlock_detection(self):
-        cluster, wl, streams = self._build(scale=0.0005)
-        cluster.servers[0].crash()  # nobody recovers it
-        with pytest.raises(RuntimeError):
-            replay_streams(cluster, streams, max_virtual_time=5.0)
+    @pytest.mark.parametrize("collect", [True, False],
+                             ids=["collect", "streaming"])
+    @pytest.mark.parametrize("protocol", ["cx", "ofs"])
+    def test_wedged_replay_is_reported(self, protocol, collect):
+        """A replay that stops completing ops raises within one stall
+        window of its last completion instead of spinning.
+
+        cx: a server crashed and never recovered; its clients retry and
+        its peers' commit triggers fire for ever.  ofs has no retry, so
+        a crashed server fails its clients with ConnectionError at once;
+        its wedge is a server that executes but never answers.
+        """
+        cluster, wl, streams = self._build(protocol=protocol, scale=0.0005)
+        if protocol == "cx":
+            cluster.servers[0].crash()  # nobody recovers it
+        else:
+            cluster.network.fault_hook = (
+                lambda msg: ("drop",) if msg.src == "mds0" else None
+            )
+        with _wall_limit(30), pytest.raises(Stalled) as err:
+            replay_streams(cluster, streams, collect=collect)
+        last = cluster.last_completion
+        assert 0 < last <= cluster.sim.now <= last + STALL_WINDOW
+        assert f"t={last:.6f}" in str(err.value)
 
     def test_drained_queue_is_reported_as_deadlock(self):
-        """The translation both replay drivers share."""
-        from repro.sim import Simulator
-        from repro.workloads.replay import deadlock_reported
-
-        sim = Simulator()
-        with pytest.raises(RuntimeError, match="probe replay deadlocked"):
-            with deadlock_reported("probe replay"):
-                sim.run_until(sim.event())  # never triggered
+        """ofs arms no timer: a lost reply drains the queue, and the
+        drive reports that as a stall."""
+        cluster, wl, streams = self._build(protocol="ofs", scale=0.0005)
+        cluster.network.fault_hook = (
+            lambda msg: ("drop",) if msg.src == "mds0" else None
+        )
+        with pytest.raises(Stalled, match="event queue drained"):
+            replay_streams(cluster, streams)
 
     def test_failure_that_mentions_a_drained_queue_is_not_a_deadlock(self):
         """Only the kernel's QueueDrained means deadlock, not any error
