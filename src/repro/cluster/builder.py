@@ -297,40 +297,41 @@ class Cluster:
     # -- the closed loop ----------------------------------------------------------
 
     def run_ops(self, process: ClientProcess, ops: Iterable[FileOperation],
-                think_time: float = 0.0, collect: bool = True) -> Process:
+                think_time: float = 0.0) -> Process:
         """Start ``process`` on ``ops`` closed loop; returns the process.
 
         The one feeder: the next op is pulled (from a list or a
         generator) when the previous one completed, plus ``think_time``
         of application work.  The process's value is the list of
-        :class:`OpResult` s, or None with ``collect=False``, which
-        drops each result so memory does not grow with the stream.
+        :class:`OpResult` s.
         """
-        return self.sim.process(self._feed(process, ops, think_time, collect))
+        return self.sim.process(self._feed(process, ops, think_time, []))
 
-    def _feed(self, process, ops, think_time, collect):
+    def _feed(self, process, ops, think_time, results):
+        """``results`` None drops each op's result as it completes."""
         sim = self.sim
-        results = [] if collect else None
         for op in ops:
             result = yield from process.perform(op)
             self.last_completion = sim.now
-            if collect:
+            if results is not None:
                 results.append(result)
             if think_time > 0:
                 yield sim.timeout(think_time)
         return results
 
     def drive(self, streams: Dict[ClientProcess, Iterable[FileOperation]],
-              think_time: float = 0.0, collect: bool = True) -> None:
+              think_time: float = 0.0) -> None:
         """Feed every process its stream and run until all are done.
 
+        Per-op results are folded into ``self.metrics`` and dropped, so
+        memory does not grow with the streams (which may be generators).
         The stall rule: raises :class:`Stalled` once
         :data:`STALL_WINDOW` virtual seconds pass with no client op
         completed, or when the event queue drains first.
         """
         sim = self.sim
         done = sim.all_of([
-            self.run_ops(proc, ops, think_time, collect)
+            sim.process(self._feed(proc, ops, think_time, None))
             for proc, ops in streams.items()
         ])
         self.last_completion = sim.now

@@ -55,8 +55,9 @@ def make_result_record(
             "ok": res.ok,
             "errno": res.errno,
             "subop": subop,
-            "updates": list(res.updates),
-            "undo": list(res.undo),
+            # Shared, not copied: nothing mutates them after execution.
+            "updates": res.updates,
+            "undo": res.undo,
             "other_server": other_server,
         },
         size=record_size * max(1, len(res.updates)),

@@ -61,7 +61,7 @@ def _fill_and_crash(target_kb: int, num_servers: int = 8, seed: int = 0):
     cluster.drive({
         proc: _creates(cluster, proc, i, d, victim, target)
         for i, proc in enumerate(cluster.all_processes())
-    }, collect=False)
+    })
 
     injector = FailureInjector(cluster)
     injector.crash_server(0)

@@ -309,7 +309,7 @@ def run_schedule(faults: Sequence[Fault], seed: int,
             cluster.drive({
                 proc: _creates(cluster, proc, i, workdir)
                 for i, proc in enumerate(cluster.all_processes())
-            }, collect=False)
+            })
         except Stalled as exc:
             stalled = str(exc)
         if not stalled:

@@ -9,7 +9,7 @@ storage costs, not by link saturation (metadata messages are tiny).
 
 from __future__ import annotations
 
-from heapq import heappop, heappush, heapreplace
+from heapq import heapify, heappop, heappush, heapreplace
 from itertools import count
 from math import inf
 from typing import Any, Callable, Dict, Hashable, List, Optional
@@ -228,7 +228,8 @@ class Node:
         self._pending_rpcs: Dict[int, Event] = {}
         #: key -> ``[at, expire]``: cleared keys free their callback at once.
         self._deadlines: Dict[Hashable, list] = {}
-        #: ``(at, seq, key)``, one per key, ``at <= _deadlines[key][0]``.
+        #: ``(at, seq, key)``, one per key, ``at <= _deadlines[key][0]``;
+        #: a cleared key's entry lingers until popped or compacted away.
         self._deadline_heap: List[tuple] = []
         self._deadline_seq = count()
         #: Fire time of the armed handle (inf: none); a superseded one no-ops.
@@ -333,10 +334,20 @@ class Node:
         expire: Callable[[Hashable], Optional[float]],
     ) -> None:
         """Call ``expire(key)`` at time ``at`` unless the key is cleared
-        or moved first; ``key`` must not be in the table.  ``expire``
-        returns the key's next deadline, or None to drop it."""
-        self._deadlines[key] = [at, expire]
-        heappush(self._deadline_heap, (at, next(self._deadline_seq), key))
+        or moved first; ``key`` must not have been set before.  ``expire``
+        returns the key's next deadline, or None to drop it.
+
+        Clearing (popping the key from the table) leaves its heap entry
+        behind; once those outnumber the live ones the heap keeps only
+        live keys' entries.  :meth:`_on_deadline` pops a cleared entry
+        without effect, so this changes no fire time and no order."""
+        table = self._deadlines
+        heap = self._deadline_heap
+        table[key] = [at, expire]
+        heappush(heap, (at, next(self._deadline_seq), key))
+        if len(heap) > 2 * len(table) + 64:
+            heap[:] = [e for e in heap if e[2] in table]
+            heapify(heap)
         if at < self._timer_at:
             self._timer_at = at
             self.sim.at_h(at, self._on_deadline)

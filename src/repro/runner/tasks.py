@@ -203,7 +203,7 @@ def _execute_task(task: ReplayTask) -> ReplaySummary:
             return _summarize(cluster, replay_streams(cluster, streams))
         probed = inject_probes(cluster, streams, task.p_inject, task.seed)
         return _summarize(cluster, replay_streams(
-            cluster, probed, settle=INJECT_SETTLE, collect=False
+            cluster, probed, settle=INJECT_SETTLE
         ))
 
     if task.kind == KIND_SYNTH:
@@ -240,7 +240,7 @@ def _execute_synth(task: ReplayTask, num_servers: int) -> ReplaySummary:
 
     Memory discipline for million-op cells: the op streams are lazy
     generators (no materialized lists), the replay discards per-op
-    results (``collect=False``), the cluster uses the bounded
+    results as every closed-loop drive does, the cluster uses the bounded
     streaming metrics collector, and the summary ships only the merged
     ``cluster`` registry aggregate over *materialized* servers — never
     256 per-server snapshot dicts.  Setup (cluster build + namespace
@@ -284,9 +284,7 @@ def _execute_synth(task: ReplayTask, num_servers: int) -> ReplaySummary:
     setup_wall = time.perf_counter() - setup_start
 
     replay_start = time.perf_counter()
-    result = replay_streams(
-        cluster, streams, think_time=task.think_time, collect=False
-    )
+    result = replay_streams(cluster, streams, think_time=task.think_time)
     replay_wall = time.perf_counter() - replay_start
 
     materialized = cluster.materialized_servers()

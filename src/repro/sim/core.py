@@ -89,19 +89,22 @@ def kernel_sprint() -> Iterator[None]:
     ~10-20% of replay wall time and has no effect on simulation results.
 
     Only touches the collector if it was enabled on entry (so nested
-    sprints and externally-disabled GC are safe); re-enables it and
-    collects once on exit so cycles created by the workload itself
-    cannot accumulate across replays.
+    sprints and externally-disabled GC are safe); re-enables it on exit.
+    It collects once on *entry*: at exit the caller still holds the
+    finished replay's cluster (tens of thousands of cyclic objects), so
+    a collect there frees nothing, and the dead cluster would otherwise
+    live on through the next sprint, which is exactly when the
+    collector is off.
     """
     if not gc.isenabled():
         yield
         return
+    gc.collect()
     gc.disable()
     try:
         yield
     finally:
         gc.enable()
-        gc.collect()
 
 
 class Periodic:

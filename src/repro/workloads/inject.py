@@ -87,6 +87,6 @@ def replay_streams_with_injection(
 ) -> Dict[str, float]:
     """Replay :func:`inject_probes` streams; the conflict-study measures."""
     r = replay_streams(cluster, inject_probes(cluster, streams, p_inject, seed),
-                       settle=INJECT_SETTLE, collect=False)
+                       settle=INJECT_SETTLE)
     return {"replay_time": r.replay_time, "total_ops": r.total_ops,
             "conflict_ratio": r.conflict_ratio, "messages": r.messages}

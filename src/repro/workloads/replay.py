@@ -44,7 +44,7 @@ def replay_streams(
     streams: Dict["ClientProcess", Iterable[FileOperation]],
     settle: float = 60.0,
     think_time: float = 0.0,
-    collect: bool = True,
+    collect: bool = False,
 ) -> ReplayResult:
     """Run every stream to completion and collect measurements.
 
@@ -57,16 +57,16 @@ def replay_streams(
     ``think_time`` inserts application-side time between a process's
     operations (the MPI benchmark's own work between calls).
 
-    ``collect=False`` is the streaming mode: per-op results are folded
-    into ``cluster.metrics`` and dropped instead of accumulated, so a
-    replay's memory footprint is independent of stream length —
-    required by the scale family's million-op cells, whose streams are
-    lazy generators rather than lists.
+    Per-op results are folded into ``cluster.metrics`` and dropped, so
+    a replay's memory does not grow with stream length: the scale
+    family's million-op cells feed lazy generators.  ``collect`` is
+    ignored; it is accepted because ``bench/workloads.py`` still passes
+    it.
     """
     sim = cluster.sim
     cluster.network.stats.reset()
     start = sim.now
-    cluster.drive(streams, think_time=think_time, collect=collect)
+    cluster.drive(streams, think_time=think_time)
     replay_time = sim.now - start
 
     # Let lazy commitments and flushes drain before counting messages:

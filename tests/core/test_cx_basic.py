@@ -54,6 +54,26 @@ class TestGraciousExecution:
         assert coord.role.completed[op.op_id]["committed"] is True
         assert coord.wal.records_of(op.op_id) == []
 
+    def test_result_record_shares_the_results_lists(self):
+        """The Result-Record's redo/undo are the execution's own lists,
+        not copies: one pending sub-op holds them once."""
+        cluster = build_cluster("cx", params=SimParams(commit_timeout=0.5))
+        d = cluster.preload_dir(ROOT_HANDLE, "dir")
+        proc = cluster.client_process(0, 0)
+        op = cross_server_create(cluster, proc, d)
+        run_to_completion(cluster, cluster.run_ops(proc, [op]))
+        shared = 0
+        for server in cluster.servers:
+            pend = server.role.pending.get(op.op_id)
+            if pend is None:
+                continue
+            payload = pend.record.payload
+            assert payload["updates"] is pend.result.updates
+            assert payload["undo"] is pend.result.undo
+            assert pend.result.updates and pend.result.undo
+            shared += 1
+        assert shared == 2  # coordinator and participant
+
     def test_participant_prunes_on_commit_record(self):
         cluster = build_cluster("cx", params=SimParams(commit_timeout=0.2))
         d = cluster.preload_dir(ROOT_HANDLE, "dir")

@@ -1,9 +1,16 @@
 """Unit tests for the network fabric, nodes, RPC, and stats."""
 
+import random
+from collections import Counter
+from heapq import heappush
+from math import inf
+
 import pytest
 
+from repro import SimParams
 from repro.net import Message, MessageKind, Network, Node
 from repro.net.network import UnknownNode
+from repro.sim import Simulator
 
 
 @pytest.fixture
@@ -216,6 +223,87 @@ class TestDeadlines:
         a.crash()
         sim.run()
         assert fired == [] and a._deadlines == {}
+
+
+class _LazyNode(Node):
+    """Reference: the deadline table with lazy deletion only."""
+
+    def set_deadline(self, key, at, expire):
+        self._deadlines[key] = [at, expire]
+        heappush(self._deadline_heap, (at, next(self._deadline_seq), key))
+        if at < self._timer_at:
+            self._timer_at = at
+            self.sim.at_h(at, self._on_deadline)
+
+
+def _random_deadline_run(node_cls, seed, steps=4000):
+    """A seeded set / extend / clear / run sequence on one node; returns
+    the expire-callback order, the ``at_h`` times, the end state and how
+    far past the compaction bound the heap ever was after a set."""
+    sim = Simulator()
+    node = node_cls(sim, Network(sim, SimParams()), "a")
+    arms = []
+    at_h = sim.at_h
+    sim.at_h = lambda at, cb: arms.append(at) or at_h(at, cb)
+    rng = random.Random(seed)
+    fired = []
+    fires = Counter()
+
+    def expire(key):
+        fired.append((sim.now, key))
+        fires[key] += 1
+        # Re-arm a key up to key % 3 times: ties and re-pushes both occur.
+        return sim.now + 0.5 if fires[key] <= key % 3 else None
+
+    excess = -inf
+    for key in range(steps):
+        live = sorted(node._deadlines)
+        action = rng.random()
+        # Deadlines on a 0.25 grid collide, so ties are ordered by seq.
+        at = sim.now + 0.25 * rng.randint(1, 60)
+        if action < 0.45 or not live:
+            node.set_deadline(key, at, expire)
+            excess = max(excess, len(node._deadline_heap)
+                         - 2 * len(node._deadlines) - 64)
+        elif action < 0.50:
+            node.extend_deadline(rng.choice(live), at)
+        elif action < 0.95:
+            node._deadlines.pop(rng.choice(live))
+        else:
+            sim.run(until=sim.now + 0.25 * rng.randint(0, 2))
+    sim.run(until=sim.now + 30.0)
+    return fired, arms, (sim.now, sim.seq, sim.events_processed), excess
+
+
+class TestDeadlineHeap:
+    def test_cleared_deadlines_keep_the_heap_within_bound(self, sim, net, pair):
+        a, b = pair
+        worst = []
+
+        def server(sim):
+            while True:
+                req = yield b.inbox.get()
+                b.send_reply(req, MessageKind.RESP)
+
+        def client(sim):
+            for _ in range(2000):
+                rpc = a.request("b", MessageKind.REQ, timeout=1.0)
+                worst.append(len(a._deadline_heap) - 2 * len(a._deadlines))
+                yield rpc  # the reply clears the deadline
+
+        sim.process(server(sim))
+        p = sim.process(client(sim))
+        sim.run_until(p)
+        assert max(worst) <= 64 and a._deadlines == {}
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_compaction_changes_no_fire_order_or_time(self, seed):
+        got = _random_deadline_run(Node, seed)
+        ref = _random_deadline_run(_LazyNode, seed)
+        assert got[:3] == ref[:3]
+        assert len(got[0]) > 50 and len(got[1]) > 100
+        # The heap was compacted: the reference outgrew the bound.
+        assert got[3] <= 0 < ref[3]
 
 
 class TestCrash:

@@ -1,5 +1,6 @@
 """Unit tests for trace specs, generators, Metarates, and replay."""
 
+import gc
 import signal
 from contextlib import contextmanager
 
@@ -7,6 +8,7 @@ import pytest
 
 from repro.cluster.builder import STALL_WINDOW, Stalled
 from repro.fs.ops import OpType, UPDATE_OPS
+from repro.sim import kernel_sprint
 from repro.workloads import (
     TRACE_SPECS,
     MetaratesWorkload,
@@ -133,10 +135,31 @@ class TestTraceWorkload:
         assert res.failed_ops == 0
         assert check_namespace_invariants(cluster, known_dirs=wl.known_dirs) == []
 
-    @pytest.mark.parametrize("collect", [True, False],
-                             ids=["collect", "streaming"])
+    def test_replay_keeps_no_op_results(self):
+        """The closed-loop drive folds each result into the metrics and
+        drops it: as a stream ends its feeder holds only the result it
+        just got, and none is alive once the replay returns."""
+        from repro.cluster.client import OpResult
+
+        def alive():
+            return sum(isinstance(o, OpResult) for o in gc.get_objects())
+
+        def counted(ops):
+            yield from ops
+            at_end.append(alive())
+
+        cluster, wl, streams = self._build(scale=0.0005)
+        at_end = []
+        with kernel_sprint():  # only what dies by refcount may go
+            res = replay_streams(
+                cluster, {p: counted(ops) for p, ops in streams.items()}
+            )
+            assert alive() == 0
+        assert res.total_ops > 10 * len(streams)
+        assert len(at_end) == len(streams) and max(at_end) <= len(streams)
+
     @pytest.mark.parametrize("protocol", ["cx", "ofs"])
-    def test_wedged_replay_is_reported(self, protocol, collect):
+    def test_wedged_replay_is_reported(self, protocol):
         """A replay that stops completing ops raises within one stall
         window of its last completion instead of spinning.
 
@@ -153,7 +176,7 @@ class TestTraceWorkload:
                 lambda msg: ("drop",) if msg.src == "mds0" else None
             )
         with _wall_limit(30), pytest.raises(Stalled) as err:
-            replay_streams(cluster, streams, collect=collect)
+            replay_streams(cluster, streams)
         last = cluster.last_completion
         assert 0 < last <= cluster.sim.now <= last + STALL_WINDOW
         assert f"t={last:.6f}" in str(err.value)
