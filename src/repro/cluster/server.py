@@ -81,11 +81,14 @@ class _HandlerSlot(Process):
         """Bootstrap callback: run the handler at the dispatch instant."""
         server = self.server
         role = server.role
+        msg = self.msg
         try:
-            if server._is_rename(self.msg):
-                gen = role.handle_rename(self.msg)  # type: ignore[union-attr]
+            if "round" in msg.payload:  # a client request the slot serves
+                gen = role.serve_request(msg)  # type: ignore[union-attr]
+            elif msg.kind in (MessageKind.RENAME_PREP, MessageKind.RENAME_DECIDE):
+                gen = role.handle_rename(msg)  # type: ignore[union-attr]
             else:
-                gen = role.handle(self.msg)  # type: ignore[union-attr]
+                gen = role.handle(msg)  # type: ignore[union-attr]
         except BaseException as exc:
             self._finish(exc)
             return
@@ -146,11 +149,6 @@ class MetadataServer(Node):
     # -- wiring ------------------------------------------------------------
 
     def attach_role(self, role: "ServerRole") -> None:
-        # Bound here, not at module import: protocols.base imports the
-        # cluster package, so the reference must resolve lazily.
-        from repro.protocols.base import is_rename_message
-
-        self._is_rename = is_rename_message
         self.role = role
         self.start()
 

@@ -99,7 +99,7 @@ class SimParams:
     #: reply is overdue by this many seconds is abandoned as a
     #: connection failure (undecided ops re-enter the lazy queue,
     #: decided ops park for re-delivery).  A deadline in the server
-    #: node's table.
+    #: node's table.  The baselines re-send a lost decision after it.
     commit_rpc_timeout: float = 1.0
 
     # ------------------------------------------------------------- recovery

@@ -1,9 +1,12 @@
 """Protocol plug-in interface and the server skeleton every protocol shares.
 
-A protocol contributes a **client side** (:meth:`Protocol.client_perform`,
-a generator run inside the client process, under the ``client-op`` span
-the process opens) and a **server role** (one :class:`ServerRole` per
-server, whose :meth:`ServerRole.handle` is spawned per message).
+A protocol contributes a **client half** — :meth:`Protocol.first_round`
+(the requests an op opens with) and :meth:`Protocol.combine` (fold one
+reply in: the result, the next round, or wait), called by the one client
+driver, :meth:`repro.cluster.client.ClientProcess.perform`, which owns
+the channel, the ``client-op`` span and the retry — and a **server
+role** (one :class:`ServerRole` per server, whose
+:meth:`ServerRole.handle` is spawned per message).
 
 Every protocol runs the *same* sub-op planning
 (:meth:`NamespaceShard.execute`) through the same :class:`ServerRole`
@@ -11,17 +14,19 @@ steps — :meth:`~ServerRole.execute_readonly`,
 :meth:`~ServerRole.execute_update`, :meth:`~ServerRole.write_through`
 (the one synchronous KV write), :meth:`~ServerRole.append_record` (a
 traced log append) and :meth:`~ServerRole.serve_local` (a request one
-server answers alone).  The protocols differ only in message
-choreography and persistence discipline — what they do between and
-after those steps — which is exactly the comparison the paper makes.
+server answers alone) — behind the same per-process reply slot
+(:meth:`~ServerRole.serve_request`).  The protocols differ only in
+message choreography and persistence discipline — what they do between
+and after those steps — which is exactly the comparison the paper makes.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Generator, Optional
+from math import inf
+from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Union
 
-from repro.cluster.client import ClientProcess, OpResult
+from repro.cluster.client import Call, OpResult, Request
 from repro.fs.namespace import ExecResult
 from repro.fs.ops import OpPlan, SubOp
 from repro.net.message import Message, MessageKind
@@ -34,7 +39,13 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class Protocol(abc.ABC):
-    """Factory for the two protocol halves."""
+    """Factory for the server role, plus the client half.
+
+    The default client half is the eager transaction: one REQ to the
+    coordinator carrying the whole plan, whose reply decides.  2PC and
+    CE run every op that way; Cx and SE hand their renames back to it
+    (paper footnote 1: a rename may need more than two servers).
+    """
 
     #: Short name used by experiment harnesses and reports.
     name: str = "abstract"
@@ -43,35 +54,15 @@ class Protocol(abc.ABC):
     def make_role(self, server: "MetadataServer", cluster: "Cluster") -> "ServerRole":
         """Build this protocol's server-side role for ``server``."""
 
-    @abc.abstractmethod
-    def client_perform(
-        self, cluster: "Cluster", process: ClientProcess, plan: OpPlan,
-        op_sid: Optional[int],
-    ) -> Generator:
-        """Generator driving one operation; returns an OpResult.
+    def first_round(self, call: Call) -> List[Request]:
+        """The requests that open ``call.plan``."""
+        plan = call.plan
+        return [call.request_once(plan.coordinator, MessageKind.REQ, {"plan": plan})]
 
-        ``op_sid`` is the op's ``client-op`` span id (None untraced):
-        the parent of every request it sends.
-        """
-
-
-class EagerProtocol(Protocol):
-    """The eager baselines' client (2PC, CE): one REQ to the
-    coordinator, carrying the participant's sub-op when cross-server."""
-
-    def client_perform(
-        self, cluster: "Cluster", process: ClientProcess, plan: OpPlan,
-        op_sid: Optional[int],
-    ) -> Generator:
-        payload = {"subop": plan.coord_subop, "op_id": plan.op.op_id}
-        if plan.cross_server:
-            payload["part_subop"] = plan.part_subop
-            payload["participant"] = plan.participant
-        resp = yield process.node.request(
-            cluster.server_id(plan.coordinator), MessageKind.REQ, payload,
-            span_id=op_sid,
-        )
-        return result_from_resp(resp)
+    def combine(self, call: Call, msg: Message) -> Union[OpResult, List[Request], None]:
+        """Fold the reply ``msg`` into ``call``: the op's result, the
+        next round's requests, or None to wait for more."""
+        return OpResult.from_reply(msg)
 
 
 #: Log record type for the eager rename transaction.
@@ -89,6 +80,12 @@ class ServerRole(abc.ABC):
         #: Destination side of in-flight renames: txn id -> undo image
         #: kept between RENAME-PREP and RENAME-DECIDE.  Volatile.
         self._rename_pending: dict = {}
+        #: The reply slots: (client, process) -> ``[(op id, round),
+        #: (kind, payload) of its reply or None while it runs, whether
+        #: its handler has :meth:`decided` to commit]``.
+        self._slots: Dict[tuple, list] = {}
+        #: When the last crash wiped the slots.
+        self._forgot_at = -inf
 
     def start(self) -> None:
         """Spawn background activities (triggers, flushers). Idempotent."""
@@ -113,6 +110,8 @@ class ServerRole(abc.ABC):
         server has already killed every activity it owns.  Overriders
         call ``super().on_crash()``."""
         self._rename_pending.clear()
+        self._slots.clear()
+        self._forgot_at = self.sim.now
 
     def on_reboot(self) -> None:
         """Re-arm background activities after a reboot."""
@@ -127,38 +126,31 @@ class ServerRole(abc.ABC):
 
     def execute_readonly(self, msg: Message, subop: SubOp):
         """Read step: CPU cost then a shard read, no disk."""
-        tracer = self.server.tracer
-        span = (
-            tracer.begin(
-                "exec", self.server.node_id, op_id=subop.op_id,
-                phase=PHASE_EXEC, parent=msg.span_id,
-                role=subop.role, readonly=True,
-            )
-            if tracer.enabled and tracer.sampled(subop.op_id) else None
-        )
-        yield self.sim.timeout_h(self.params.cpu_readonly)
-        res = self.server.shard.execute(subop, self.sim.now)
-        if span is None:
-            return res, None
-        span.end(ok=res.ok)
-        return res, span.span_id
+        return self._execute(msg, subop, self.params.cpu_readonly, True)
 
     def execute_update(self, msg: Message, subop: SubOp):
         """Update step: CPU cost then the sub-op's planning; nothing is
         applied — persisting ``result.updates`` is the protocol's part."""
+        return self._execute(msg, subop, self.params.cpu_subop, False)
+
+    def _execute(self, msg: Message, subop: SubOp, cpu: float, readonly: bool):
         tracer = self.server.tracer
         span = (
             tracer.begin(
                 "exec", self.server.node_id, op_id=subop.op_id,
                 phase=PHASE_EXEC, parent=msg.span_id, role=subop.role,
+                **({"readonly": True} if readonly else {}),
             )
             if tracer.enabled and tracer.sampled(subop.op_id) else None
         )
-        yield self.sim.timeout_h(self.params.cpu_subop)
+        yield self.sim.timeout_h(cpu)
         res = self.server.shard.execute(subop, self.sim.now)
         if span is None:
             return res, None
-        span.end(ok=res.ok, errno=res.errno)
+        if readonly:
+            span.end(ok=res.ok)
+        else:
+            span.end(ok=res.ok, errno=res.errno)
         return res, span.span_id
 
     def write_through(self, updates):
@@ -203,6 +195,90 @@ class ServerRole(abc.ABC):
                 yield from self.write_through(res.updates)
         self.reply_result(msg, res, span_id=sid)
 
+    # -- the reply slot ------------------------------------------------------
+    #
+    # A process has at most one op in flight (paper §III.B: its metadata
+    # operations are synchronous), so exactly-once replies need one slot
+    # per (client, process).  It serves every client request that
+    # carries a ``round``: the baselines' REQs and CLEAR, and every
+    # protocol's rename.  Cx's other REQs answer resends from its
+    # pending and completed tables instead.
+
+    def serve_request(self, msg: Message) -> Optional[Generator]:
+        """Run the client request ``msg`` at most once.
+
+        A resend of the slot's request is answered from the slot, or
+        dropped while its handler runs; an older ``(op id, round)`` is
+        dropped (a REQ delayed past its CLEAR must not re-create the
+        inode).  A handler that ends without replying before it
+        :meth:`decided` — a peer's ``ConnectionError`` — wrote nothing,
+        so it frees the slot and the resend runs the op again.  A new
+        request first sent before this server's last crash is left
+        unanswered: the crash wiped the slot that could tell whether it
+        already ran, and running it twice would answer the client
+        wrongly (a create's own inode reported as EEXIST).
+        """
+        p = msg.payload
+        op_id = p["op_id"]
+        key = (op_id, p["round"])
+        owner = op_id[:2]
+        slot = self._slots.get(owner)
+        if slot is not None and key <= slot[0]:
+            if key == slot[0] and slot[1] is not None:
+                kind, payload = slot[1]
+                self.server.send_reply(msg, kind, dict(payload))
+            return None
+        if p["sent"] < self._forgot_at:
+            self.server.metrics.counter("requests.forgotten").inc()
+            return None
+        self._slots[owner] = slot = [key, None, False]
+        plan = p.get("plan")
+        rename = plan is not None and plan.is_rename
+        return self._run_once(owner, slot,
+                              self.handle_rename(msg) if rename else self.handle(msg))
+
+    def _run_once(self, owner: tuple, slot: list, gen: Generator) -> Generator:
+        try:
+            return (yield from gen)
+        finally:
+            if slot[1] is None and not slot[2] and self._slots.get(owner) is slot:
+                del self._slots[owner]
+
+    def decided(self, msg: Message) -> None:
+        """The handler of the client request ``msg`` decided to commit
+        and is about to write: the op never runs again, even if the
+        handler dies."""
+        slot = self._slots.get(msg.payload["op_id"][:2])
+        if slot is not None:
+            slot[2] = True
+
+    def deliver_decision(self, dst: str, kind: MessageKind, payload: dict, **kw):
+        """Send a logged decision to the peer ``dst`` until it arrives
+        (a lost message is sent again every ``commit_rpc_timeout``)."""
+        while True:
+            try:
+                ack = yield self.server.request(dst, kind, payload, **kw)
+            except ConnectionError:
+                yield self.sim.timeout_h(self.params.commit_rpc_timeout)
+                continue
+            assert ack.kind is MessageKind.ACK
+            return ack
+
+    def answer(self, msg: Message, kind: MessageKind, payload: dict,
+               span_id: Optional[int] = None) -> None:
+        """Reply to the client request ``msg``, echoing its op id (the
+        client routes on it, and the hop lands in the op's causal DAG)
+        and its round, and keep the reply in the slot for a resend."""
+        p = msg.payload
+        op_id = payload["op_id"] = p.get("op_id")
+        rnd = p.get("round")
+        if rnd is not None:
+            payload["round"] = rnd
+            slot = self._slots.get(op_id[:2])
+            if slot is not None and slot[0] == (op_id, rnd):
+                slot[1] = (kind, payload)
+        self.server.send_reply(msg, kind, payload, span_id=span_id)
+
     # -- shared helpers ------------------------------------------------------
 
     def reject(self, msg: Message) -> None:
@@ -216,24 +292,16 @@ class ServerRole(abc.ABC):
             raise ValueError(f"{type(self).__name__} got unexpected {msg.kind}")
         self.server.metrics.counter("replies.unsolicited").inc()
 
-    def reply_result(self, msg: Message, res, extra=None, span_id=None) -> None:
-        """RESP carrying ok/errno/value (+ opaque extras).
+    def reply_result(self, msg: Message, res, span_id=None) -> None:
+        """:meth:`answer` with a RESP carrying ok/errno/value/undo.
 
         Without ``span_id`` the reply inherits the request's span
         context (see :meth:`Message.reply`), so it still chains.
         """
-        payload = {
-            "ok": res.ok,
-            "errno": res.errno,
-            "value": res.value,
+        self.answer(msg, MessageKind.RESP, {
+            "ok": res.ok, "errno": res.errno, "value": res.value,
             "undo": res.undo,
-            # Echo the request's op id (when the protocol sent one) so
-            # the reply's network hop lands in the op's causal DAG.
-            "op_id": msg.payload.get("op_id"),
-        }
-        if extra:
-            payload.update(extra)
-        self.server.send_reply(msg, MessageKind.RESP, payload, span_id=span_id)
+        }, span_id=span_id)
 
     # -- rename transaction ---------------------------------------------------
     #
@@ -264,7 +332,7 @@ class ServerRole(abc.ABC):
             raise ValueError(f"not a rename message: {msg.kind}")
 
     def _rename_coordinate(self, msg: Message):
-        plan: OpPlan = msg.payload["rename_plan"]
+        plan: OpPlan = msg.payload["plan"]
         if not plan.cross_server:
             yield from self.serve_local(msg, plan.coord_subop)
             return
@@ -288,21 +356,17 @@ class ServerRole(abc.ABC):
             return
 
         # 3. commit: apply the removal, log, finalize the destination
+        self.decided(msg)
         yield self.server.wal.append_h(
             LogRecord(op_id, RENAME_RECORD, size=self.params.log_record_size)
         )
         yield from self.write_through(res.updates)
-        ack = yield self.server.request(
+        yield from self.deliver_decision(
             self.cluster.server_id(plan.participant),
             MessageKind.RENAME_DECIDE,
             {"txn": op_id, "commit": True},
         )
-        assert ack.kind is MessageKind.ACK
-        if self.server.tracer.enabled:
-            self.server.tracer.event(
-                "decision", self.server.node_id, cat="protocol",
-                op_id=op_id, committed=True, role="rename-coord",
-            )
+        self._trace_decision(op_id, True, "rename-coord")
         self.server.wal.prune_op(op_id)
         self.reply_result(msg, res)
 
@@ -327,49 +391,13 @@ class ServerRole(abc.ABC):
             yield from self.write_through(undo)
         else:
             yield self.sim.timeout_h(self.params.kv_cpu)
-        if self.server.tracer.enabled:
-            self.server.tracer.event(
-                "decision", self.server.node_id, cat="protocol",
-                op_id=op_id, committed=bool(msg.payload["commit"]),
-                role="rename-part",
-            )
+        self._trace_decision(op_id, bool(msg.payload["commit"]), "rename-part")
         self.server.wal.prune_op(op_id)
         self.server.send_reply(msg, MessageKind.ACK, {"txn": op_id})
 
-
-def result_from_resp(msg: Message) -> OpResult:
-    """Build an OpResult from a RESP payload."""
-    p = msg.payload
-    return OpResult(
-        ok=bool(p.get("ok")),
-        errno=p.get("errno"),
-        value=p.get("value"),
-        conflicted=bool(p.get("conflicted")),
-    )
-
-
-# ---------------------------------------------------------------- rename
-
-
-def rename_client_perform(
-    cluster, process: ClientProcess, plan: OpPlan, op_sid: Optional[int]
-):
-    """Client side of the eager rename fallback (all protocols).
-
-    Renames are excluded from Cx's optimization (paper footnote 1:
-    operations needing more than two metadata servers); every protocol
-    runs them as one coordinator-driven eager transaction.
-    """
-    resp = yield process.node.request(
-        cluster.server_id(plan.coordinator),
-        MessageKind.REQ,
-        {"rename_plan": plan, "op_id": plan.op.op_id},
-        span_id=op_sid,
-    )
-    return result_from_resp(resp)
-
-
-def is_rename_message(msg: Message) -> bool:
-    return msg.kind in (MessageKind.RENAME_PREP, MessageKind.RENAME_DECIDE) or (
-        msg.kind is MessageKind.REQ and "rename_plan" in msg.payload
-    )
+    def _trace_decision(self, op_id, committed: bool, role: str) -> None:
+        if self.server.tracer.enabled:
+            self.server.tracer.event(
+                "decision", self.server.node_id, cat="protocol",
+                op_id=op_id, committed=committed, role=role,
+            )

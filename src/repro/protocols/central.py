@@ -19,8 +19,9 @@ from typing import TYPE_CHECKING, Any, Dict, Generator, List, Tuple
 
 from repro.fs.namespace import NamespaceShard
 from repro.fs.objects import inode_key
+from repro.fs.ops import OpPlan
 from repro.net.message import Message, MessageKind
-from repro.protocols.base import EagerProtocol, ServerRole
+from repro.protocols.base import Protocol, ServerRole
 from repro.storage.wal import LogRecord
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -43,10 +44,11 @@ class CentralRole(ServerRole):
 
     def handle(self, msg: Message) -> Generator:
         if msg.kind is MessageKind.REQ:
-            if "part_subop" in msg.payload:
-                yield from self._execute_centrally(msg)
+            plan = msg.payload["plan"]
+            if plan.cross_server:
+                yield from self._execute_centrally(msg, plan)
             else:
-                yield from self.serve_local(msg, msg.payload["subop"])
+                yield from self.serve_local(msg, plan.coord_subop)
         elif msg.kind is MessageKind.MIGRATE:
             yield from self._migrate_out(msg)
         elif msg.kind is MessageKind.MIGRATE_BACK:
@@ -56,11 +58,11 @@ class CentralRole(ServerRole):
 
     # -- executing server ----------------------------------------------------
 
-    def _execute_centrally(self, msg: Message) -> Generator:
-        coord_subop = msg.payload["subop"]
-        part_subop = msg.payload["part_subop"]
+    def _execute_centrally(self, msg: Message, plan: OpPlan) -> Generator:
+        coord_subop = plan.coord_subop
+        part_subop = plan.part_subop
         op_id = coord_subop.op_id
-        part_node = self.cluster.server_id(msg.payload["participant"])
+        part_node = self.cluster.server_id(plan.participant)
         keys = [inode_key(part_subop.args["target"])]
 
         # 1. Migrate the participant's objects here.
@@ -81,28 +83,26 @@ class CentralRole(ServerRole):
             LogRecord(op_id, "TXN", {"ok": ok}, size=self.params.log_record_size)
         )
         if ok:
+            self.decided(msg)
             yield from self.write_through(res_c.updates)
 
         # 3. Migrate the (possibly updated) objects back.
         back_objects: List[Tuple[Any, Any]] = (
             res_p.updates if ok else [(k, objects.get(k)) for k in keys]
         )
-        ack = yield self.server.request(
+        yield from self.deliver_decision(
             part_node,
             MessageKind.MIGRATE_BACK,
             {"objects": back_objects, "txn": op_id, "apply": ok},
             size=self.params.msg_base_size
             + self.params.kv_record_size * len(back_objects),
         )
-        assert ack.kind is MessageKind.ACK
         self.server.wal.prune_op(op_id)
 
         errno = res_c.errno if not res_c.ok else res_p.errno
-        self.server.send_reply(
-            msg,
-            MessageKind.RESP,
-            {"ok": ok, "errno": None if ok else errno, "value": None,
-             "op_id": op_id},
+        self.answer(
+            msg, MessageKind.RESP,
+            {"ok": ok, "errno": None if ok else errno, "value": None},
         )
 
     # -- home server ----------------------------------------------------------------
@@ -135,7 +135,7 @@ class CentralRole(ServerRole):
         self.server.send_reply(msg, MessageKind.ACK, {"txn": msg.payload["txn"]})
 
 
-class CentralProtocol(EagerProtocol):
+class CentralProtocol(Protocol):
     """Migrate-and-execute-locally baseline (Ursa Minor)."""
 
     name = "ce"

@@ -18,14 +18,14 @@ orphan objects remain and atomicity is violated.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, Generator, List, Optional, Union
 
-from repro.cluster.client import ClientProcess
+from repro.cluster.client import Call, OpResult, Request
 from repro.fs.namespace import ExecResult
-from repro.fs.ops import OpPlan, SubOp
+from repro.fs.ops import SubOp
 from repro.net.message import Message, MessageKind
 from repro.obs.tracer import PHASE_WRITEBACK
-from repro.protocols.base import Protocol, ServerRole, result_from_resp
+from repro.protocols.base import Protocol, ServerRole
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.builder import Cluster
@@ -75,7 +75,12 @@ class SerialRole(ServerRole):
         """Withdraw a previously executed sub-op (value-level undo)."""
         yield self.sim.timeout_h(self.params.cpu_subop)
         yield from self.write_through(msg.payload["undo"])
-        self.server.send_reply(msg, MessageKind.RESP, {"ok": True})
+        self.answer(msg, MessageKind.RESP, {"ok": True})
+
+
+#: The rounds of a cross-server SE op: the participant's sub-op, then
+#: the coordinator's, then the CLEAR that withdraws the first.
+PART_ROUND, COORD_ROUND, CLEAR_ROUND = 0, 1, 2
 
 
 class SerialProtocol(Protocol):
@@ -86,47 +91,37 @@ class SerialProtocol(Protocol):
     def make_role(self, server: "MetadataServer", cluster: "Cluster") -> SerialRole:
         return SerialRole(server, cluster)
 
-    def client_perform(
-        self, cluster: "Cluster", process: ClientProcess, plan: OpPlan,
-        op_sid: Optional[int],
-    ) -> Generator:
-        node = process.node
-        op_id = plan.op.op_id
-        if not plan.cross_server:
-            resp = yield node.request(
-                cluster.server_id(plan.coordinator),
-                MessageKind.REQ,
-                {"subop": plan.coord_subop, "op_id": op_id},
-                span_id=op_sid,
-            )
-            return result_from_resp(resp)
+    def first_round(self, call: Call) -> List[Request]:
+        plan = call.plan
+        if plan.is_rename:
+            return super().first_round(call)
+        # participant first when cross-server
+        server, subop = ((plan.participant, plan.part_subop) if plan.cross_server
+                         else (plan.coordinator, plan.coord_subop))
+        return [call.request_once(server, MessageKind.REQ, {"subop": subop})]
 
-        # 1. participant first
-        resp_p = yield node.request(
-            cluster.server_id(plan.participant),
-            MessageKind.REQ,
-            {"subop": plan.part_subop, "op_id": op_id},
-            span_id=op_sid,
-        )
-        if not resp_p.payload["ok"]:
-            return result_from_resp(resp_p)
-
-        # 2. then the coordinator (chained after the participant's
-        # reply: the serial dependency the span DAG must show)
-        resp_c = yield node.request(
-            cluster.server_id(plan.coordinator),
-            MessageKind.REQ,
-            {"subop": plan.coord_subop, "op_id": op_id},
-            span_id=resp_p.span_id if op_sid is not None else None,
-        )
-        if resp_c.payload["ok"]:
-            return result_from_resp(resp_c)
-
-        # 3. coordinator failed: withdraw the participant's sub-op
-        yield node.request(
-            cluster.server_id(plan.participant),
-            MessageKind.CLEAR,
-            {"undo": resp_p.payload["undo"], "op_id": op_id},
-            span_id=resp_c.span_id if op_sid is not None else None,
-        )
-        return result_from_resp(resp_c)
+    def combine(self, call: Call, msg: Message) -> Union[OpResult, List[Request], None]:
+        plan = call.plan
+        if not plan.cross_server or plan.is_rename:
+            return OpResult.from_reply(msg)
+        p = msg.payload
+        step = p["round"]
+        if step in call.latest:
+            return None  # a resend, answered again from the slot
+        call.latest[step] = msg
+        if step == PART_ROUND:
+            if not p["ok"]:
+                return OpResult.from_reply(msg)
+            # then the coordinator (chained after the participant's
+            # reply: the serial dependency the span DAG must show)
+            return [call.request_once(plan.coordinator, MessageKind.REQ,
+                                      {"subop": plan.coord_subop}, COORD_ROUND,
+                                      after=msg)]
+        if step == COORD_ROUND:
+            if p["ok"]:
+                return OpResult.from_reply(msg)
+            # coordinator failed: withdraw the participant's sub-op
+            undo = call.latest[PART_ROUND].payload["undo"]
+            return [call.request_once(plan.participant, MessageKind.CLEAR,
+                                      {"undo": undo}, CLEAR_ROUND, after=msg)]
+        return OpResult.from_reply(call.latest[COORD_ROUND])

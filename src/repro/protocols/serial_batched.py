@@ -100,11 +100,11 @@ class SerialBatchedRole(SerialRole):
         yield self.sim.timeout_h(self.params.cpu_subop)
         record = self._log(msg.payload["op_id"], msg.payload["undo"])
         yield self.server.wal.append_h(record)
-        self.server.send_reply(msg, MessageKind.RESP, {"ok": True})
+        self.answer(msg, MessageKind.RESP, {"ok": True})
 
 
 class SerialBatchedProtocol(SerialProtocol):
-    """OFS-batched: SE's client driver, batched write-back on servers."""
+    """OFS-batched: SE's client half, batched write-back on servers."""
 
     name = "ofs-batched"
 

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Generator
 
+from repro.fs.ops import OpPlan
 from repro.net.message import Message, MessageKind
-from repro.protocols.base import EagerProtocol, ServerRole
+from repro.protocols.base import Protocol, ServerRole
 from repro.storage.wal import LogRecord, OpId
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -38,10 +39,11 @@ class TwoPCRole(ServerRole):
 
     def handle(self, msg: Message) -> Generator:
         if msg.kind is MessageKind.REQ:
-            if "part_subop" in msg.payload:
-                yield from self._coordinate(msg)
+            plan = msg.payload["plan"]
+            if plan.cross_server:
+                yield from self._coordinate(msg, plan)
             else:
-                yield from self.serve_local(msg, msg.payload["subop"])
+                yield from self.serve_local(msg, plan.coord_subop)
         elif msg.kind is MessageKind.VOTE:
             yield from self._participant_vote(msg)
         elif msg.kind in (MessageKind.COMMIT_REQ, MessageKind.ABORT_REQ):
@@ -57,16 +59,16 @@ class TwoPCRole(ServerRole):
 
     # -- coordinator ------------------------------------------------------------
 
-    def _coordinate(self, msg: Message) -> Generator:
-        coord_subop = msg.payload["subop"]
+    def _coordinate(self, msg: Message, plan: OpPlan) -> Generator:
+        coord_subop = plan.coord_subop
         op_id = coord_subop.op_id
-        part_node = self.cluster.server_id(msg.payload["participant"])
+        part_node = self.cluster.server_id(plan.participant)
 
         # Phase 1: log, then VOTE to the participant.
         yield self._append_log(op_id, "BEGIN")
         vote = yield self.server.request(
             part_node, MessageKind.VOTE,
-            {"subop": msg.payload["part_subop"], "txn": op_id},
+            {"subop": plan.part_subop, "txn": op_id},
         )
         part_ok = vote.payload["ok"]
 
@@ -75,12 +77,12 @@ class TwoPCRole(ServerRole):
         yield self._append_log(op_id, "RESULT", {"ok": res.ok})
 
         if res.ok and part_ok:
+            self.decided(msg)
             yield from self.write_through(res.updates)
             yield self._append_log(op_id, "COMMIT")
-            ack = yield self.server.request(
+            yield from self.deliver_decision(
                 part_node, MessageKind.COMMIT_REQ, {"txn": op_id}
             )
-            assert ack.kind is MessageKind.ACK
             yield self._append_log(op_id, "COMPLETE")
             self.server.wal.prune_op(op_id)
             self.reply_result(msg, res, span_id=sid)
@@ -89,16 +91,14 @@ class TwoPCRole(ServerRole):
         # Abort path.
         yield self._append_log(op_id, "ABORT")
         if part_ok:
-            ack = yield self.server.request(
+            yield from self.deliver_decision(
                 part_node, MessageKind.ABORT_REQ, {"txn": op_id}
             )
-            assert ack.kind is MessageKind.ACK
         self.server.wal.prune_op(op_id)
         errno = res.errno if not res.ok else vote.payload.get("errno")
-        self.server.send_reply(
+        self.answer(
             msg, MessageKind.RESP,
-            {"ok": False, "errno": errno, "value": None, "op_id": op_id},
-            span_id=sid,
+            {"ok": False, "errno": errno, "value": None}, span_id=sid,
         )
 
     # -- participant ----------------------------------------------------------------
@@ -128,7 +128,7 @@ class TwoPCRole(ServerRole):
         self.server.send_reply(msg, MessageKind.ACK, {"txn": op_id})
 
 
-class TwoPCProtocol(EagerProtocol):
+class TwoPCProtocol(Protocol):
     """Distributed-transaction baseline: correct but eager and slow."""
 
     name = "2pc"

@@ -20,6 +20,7 @@ from repro.faultfuzz import (
     run_schedule,
     shrink_schedule,
 )
+from repro.protocols import PROTOCOL_NAMES
 
 
 def _read(path):
@@ -198,3 +199,34 @@ class TestCli:
 
         with pytest.raises(SystemExit):
             main(["fuzz", "--schedules", "0"])
+
+
+#: Seed-0 schedules (of 0-29) that ended ``crashed`` under some baseline
+#: while only Cx's client resent: a ``ConnectionError('mdsN is down')``
+#: escaped the baseline's client and ended the replay.  cx-serial-exec,
+#: whose fork of Cx's client had lost the retry, stalled on 19 of them.
+CRASHED_BEFORE_ONE_DRIVER = [i for i in range(30) if i != 19]
+
+
+@pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
+def test_every_protocol_survives_a_fault(protocol, monkeypatch):
+    """The fuzz cluster under each protocol: a fault never escapes a
+    client (no ``crashed``), and Cx's serial-order variant keeps Cx's
+    liveness (no ``stalled``)."""
+    from repro.cluster import builder
+    from repro.protocols import get_protocol
+
+    build = builder.Cluster.build
+
+    def build_under(*args, **kwargs):
+        kwargs["protocol"] = get_protocol(protocol)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(builder.Cluster, "build", build_under)
+    verdicts = {
+        i: run_schedule(generate_schedule(0, i, 4), seed=0, index=i).verdict
+        for i in CRASHED_BEFORE_ONE_DRIVER
+    }
+    assert "crashed" not in verdicts.values(), verdicts
+    if protocol.startswith("cx"):
+        assert set(verdicts.values()) == {"ok"}, verdicts

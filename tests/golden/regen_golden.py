@@ -48,13 +48,35 @@ CELLS = {
 }
 
 
+def _changes(old: dict, new: dict, prefix: str = ""):
+    """``(field, old, new)`` for every leaf that differs; a nested dict
+    (the per-node meter snapshots) is walked down to its meter keys."""
+    for key in sorted(set(old) | set(new)):
+        a, b = old.get(key, "<absent>"), new.get(key, "<absent>")
+        if isinstance(a, dict) and isinstance(b, dict):
+            yield from _changes(a, b, f"{prefix}{key}.")
+        elif a != b:
+            yield f"{prefix}{key}", a, b
+
+
 def main() -> None:
+    previous = {}
+    if GOLDEN_FILE.exists():
+        with open(GOLDEN_FILE, "r", encoding="utf-8") as fh:
+            previous = json.load(fh)
     payload = {}
     for name, task in CELLS.items():
         summary = execute_task(task)
         payload[name] = {"task": asdict(task), "summary": asdict(summary)}
         print(f"{name}: events={summary.events_processed} "
               f"ops={summary.total_ops}")
+        # Show what moved before it is overwritten: a regenerated golden
+        # must be explained field by field, not taken on trust.
+        changes = list(_changes(previous.get(name, {}), payload[name]))
+        for field, old, new in changes:
+            print(f"  {field}: {old} -> {new}")
+        if not changes:
+            print("  unchanged")
     with open(GOLDEN_FILE, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -92,9 +92,15 @@ class TestTable5Guards:
 
     def test_drive_raises_when_queue_drains(self):
         cluster, streams = self._one_create("ofs")
-        cluster.network.fault_hook = (  # every reply lost; ofs has no timer
+        cluster.network.fault_hook = (  # every reply lost
             lambda msg: ("drop",) if msg.src.startswith("mds") else None
         )
+
+        def crash_client():  # before its first retry; ofs has no timer
+            yield cluster.sim.timeout(0.5)
+            cluster.clients[0].crash()
+
+        cluster.sim.process(crash_client())
         with pytest.raises(Stalled, match="event queue drained"):
             cluster.drive(streams)
 

@@ -19,6 +19,13 @@ from repro.workloads import (
 from tests.conftest import build_cluster
 
 
+def _crash_clients(cluster, at):
+    """Crash every client machine at virtual time ``at``."""
+    yield cluster.sim.timeout(at)
+    for client in cluster.clients:
+        client.crash()
+
+
 @contextmanager
 def _wall_limit(seconds: int):
     """Fail, instead of hanging the suite, if the block outruns ``seconds``."""
@@ -164,9 +171,9 @@ class TestTraceWorkload:
         window of its last completion instead of spinning.
 
         cx: a server crashed and never recovered; its clients retry and
-        its peers' commit triggers fire for ever.  ofs has no retry, so
-        a crashed server fails its clients with ConnectionError at once;
-        its wedge is a server that executes but never answers.
+        its peers' commit triggers fire for ever.  ofs: a server that
+        executes but never answers; the clients' retries are answered
+        into the void just as well.
         """
         cluster, wl, streams = self._build(protocol=protocol, scale=0.0005)
         if protocol == "cx":
@@ -182,12 +189,15 @@ class TestTraceWorkload:
         assert f"t={last:.6f}" in str(err.value)
 
     def test_drained_queue_is_reported_as_deadlock(self):
-        """ofs arms no timer: a lost reply drains the queue, and the
-        drive reports that as a stall."""
+        """Every reply is lost and the clients crash before their first
+        retry, which takes their deadlines with them.  Their processes
+        wait for ever and ofs servers run no timer, so the queue drains,
+        and the drive reports that as a stall."""
         cluster, wl, streams = self._build(protocol="ofs", scale=0.0005)
         cluster.network.fault_hook = (
-            lambda msg: ("drop",) if msg.src == "mds0" else None
+            lambda msg: ("drop",) if msg.src.startswith("mds") else None
         )
+        cluster.sim.process(_crash_clients(cluster, at=0.5))
         with pytest.raises(Stalled, match="event queue drained"):
             replay_streams(cluster, streams)
 
