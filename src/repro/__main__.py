@@ -6,6 +6,7 @@ Usage::
     python -m repro table2
     python -m repro fig5 --seed 1
     python -m repro all
+    python -m repro fuzz --protocol ofs --schedules 100   # fault schedules
 
 Observability::
 
@@ -62,40 +63,37 @@ def _experiments():
     }
 
 
+def _traced_task(args, parser, experiment):
+    """The experiment's canonical traced task, with the CLI overrides."""
+    from repro.experiments.tracing import traced_task
+
+    try:
+        return traced_task(experiment, trace=args.workload,
+                           protocol=args.protocol, scale=args.scale,
+                           seed=args.seed)
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
 def _run_traced(args, parser) -> int:
-    from repro.experiments.tracing import TRACEABLE, run_traced_replay
+    from repro.experiments.tracing import run_traced_replay
 
     experiment = args.target if args.experiment == "trace" else args.experiment
     if experiment is None:
         parser.error("trace mode needs an experiment id, e.g. 'trace fig5'")
-    if experiment not in TRACEABLE:
-        parser.error(
-            f"no traced replay for {experiment!r}; "
-            f"available: {', '.join(sorted(TRACEABLE))}"
-        )
-    if args.scale is not None and not 0 < args.scale <= 1:
-        parser.error("--scale must be in (0, 1]")
+    task = _traced_task(args, parser, experiment)
     out = args.trace or args.out or f"trace_{experiment}.json"
     start = time.time()
-    result = run_traced_replay(
-        experiment,
-        workload=args.workload,
-        protocol=args.protocol,
-        scale=args.scale,
-        seed=args.seed,
-        trace_file=out,
-        jsonl_file=args.jsonl,
-        sample=args.sample,
-        ring=args.ring,
-        flight_file=args.flight,
-    )
+    result = run_traced_replay(task, trace_file=out, jsonl_file=args.jsonl,
+                               sample=args.sample, ring=args.ring,
+                               flight_file=args.flight)
     elapsed = time.time() - start
     print(result.text)
     print(f"chrome trace written to {out}" + (
         f", jsonl to {args.jsonl}" if args.jsonl else ""))
     if args.metrics:
         print("\nper-server metrics:")
-        for node, snap in result.metrics.items():
+        for node, snap in result.summary.server_metrics.items():
             print(f"[{node}]")
             for name, value in snap.items():
                 print(f"  {name}: {value}")
@@ -104,28 +102,13 @@ def _run_traced(args, parser) -> int:
 
 
 def _run_analyze(args, parser) -> int:
-    from repro.experiments.tracing import TRACEABLE, run_analyze
+    from repro.experiments.tracing import run_analyze
 
     experiment = args.target or "fig5"
-    if experiment not in TRACEABLE:
-        parser.error(
-            f"no traced replay for {experiment!r}; "
-            f"available: {', '.join(sorted(TRACEABLE))}"
-        )
-    if args.scale is not None and not 0 < args.scale <= 1:
-        parser.error("--scale must be in (0, 1]")
+    task = _traced_task(args, parser, experiment)
     start = time.time()
-    result = run_analyze(
-        experiment,
-        protocol=args.protocol,
-        workload=args.workload,
-        scale=args.scale,
-        seed=args.seed,
-        sample=args.sample,
-        ring=args.ring,
-        json_file=args.json,
-        flight_file=args.flight,
-    )
+    result = run_analyze(task, sample=args.sample, ring=args.ring,
+                         json_file=args.json, flight_file=args.flight)
     elapsed = time.time() - start
     print(result.text)
     if args.json:
@@ -178,7 +161,7 @@ def main(argv=None) -> int:
                         help="scale/fuzz: directory for BENCH_scale.json "
                              "or the fuzz artifacts (default .)")
     parser.add_argument("--protocol", default=None,
-                        help="trace/analyze: protocol to replay "
+                        help="trace/analyze/fuzz: protocol to replay "
                              "(default cx)")
     parser.add_argument("--json", metavar="FILE", default=None,
                         help="analyze: also write the per-phase "
@@ -214,15 +197,19 @@ def main(argv=None) -> int:
         if args.schedules < 1:
             parser.error("--schedules must be >= 1")
         start = time.time()
-        report = run_fuzz(
-            seed=args.seed,
-            schedules=args.schedules,
-            jobs=1 if args.jobs is None else args.jobs,
-            shrink=args.shrink,
-            resume_path=args.resume,
-            out_dir=args.out_dir,
-            progress=print,
-        )
+        try:
+            report = run_fuzz(
+                seed=args.seed,
+                schedules=args.schedules,
+                jobs=1 if args.jobs is None else args.jobs,
+                shrink=args.shrink,
+                resume_path=args.resume,
+                out_dir=args.out_dir,
+                progress=print,
+                protocol=args.protocol or "cx",
+            )
+        except ValueError as exc:  # unknown protocol, foreign resume file
+            parser.error(str(exc))
         elapsed = time.time() - start
         print(report.text)
         print(f"[fuzz explored {args.schedules} schedules in "
@@ -255,6 +242,8 @@ def main(argv=None) -> int:
 
     registry = _experiments()
     if args.experiment == "list":
+        from repro.protocols import PROTOCOL_NAMES
+
         print("available experiments:")
         for name in registry:
             print(f"  {name}")
@@ -262,7 +251,9 @@ def main(argv=None) -> int:
               "servers; --quick, --jobs, --out-dir)")
         print("  trace <exp>    (traced replay: fig5, fig8, table4)")
         print("  analyze <exp>  (critical-path phase breakdown, "
-              "--protocol cx|ofs|ofs-batched)")
+              f"--protocol {'|'.join(PROTOCOL_NAMES)})")
+        print("  fuzz           (fault-schedule explorer; --protocol, "
+              "--schedules, --shrink)")
         return 0
 
     if args.experiment == "all":

@@ -61,7 +61,11 @@ def build_trace_cluster(
     tracer=None,
 ) -> Cluster:
     """Canonical-config cluster; ``tracer`` overrides the default full
-    tracer (e.g. a :class:`~repro.obs.tracer.SamplingTracer`)."""
+    tracer (e.g. a :class:`~repro.obs.tracer.SamplingTracer`).
+
+    The benchmark's timed replays build here; every other run builds
+    through :func:`repro.runner.build_run`.
+    """
     return Cluster.build(
         num_servers=num_servers,
         num_clients=NUM_CLIENTS,

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from repro.analysis.tables import render_table
-from repro.experiments.common import ExperimentResult, TRACE_SCALES, build_trace_cluster
+from repro.experiments.common import ExperimentResult
 from repro.fs.ops import OpType
-from repro.workloads import TRACE_SPECS, TraceWorkload
+from repro.runner import ReplayTask, build_run
+from repro.workloads import TRACE_SPECS
 
 
 def run_fig4(traces=None, seed: int = 0) -> ExperimentResult:
@@ -13,12 +14,10 @@ def run_fig4(traces=None, seed: int = 0) -> ExperimentResult:
     op_types = [t for t in OpType]
     rows = []
     for trace in traces:
-        cluster = build_trace_cluster("cx", seed=seed)
-        wl = TraceWorkload(TRACE_SPECS[trace], scale=TRACE_SCALES[trace], seed=seed)
-        streams = wl.build(cluster, cluster.all_processes())
+        run = build_run(ReplayTask(kind="trace", trace=trace, seed=seed))
         counts = {t: 0 for t in op_types}
         total = 0
-        for ops in streams.values():
+        for ops in run.streams.values():
             for op in ops:
                 counts[op.op_type] += 1
                 total += 1

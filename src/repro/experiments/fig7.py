@@ -18,34 +18,33 @@ from repro.experiments.common import (
     EXPERIMENT_TIMEOUT,
     ExperimentResult,
     TRACE_SCALES,
-    build_trace_cluster,
-    experiment_params,
+    grid_summaries,
 )
-from repro.runner import ReplayTask, execute_task
-from repro.workloads import TRACE_SPECS, TraceWorkload, replay_streams
+from repro.runner import ReplayTask, build_run
 
 DEFAULT_CAPS = (8 * 1024, 16 * 1024, 64 * 1024, 256 * 1024, None)
 
 
-def run_fig7a(trace: str = "home2", caps=DEFAULT_CAPS, seed: int = 0):
-    ofs = execute_task(
-        ReplayTask(kind="trace", trace=trace, protocol="ofs", seed=seed)
-    )
-    rows = []
-    for cap in caps:
-        params = experiment_params(log_capacity=cap)
-        cluster = build_trace_cluster("cx", params=params, seed=seed)
-        wl = TraceWorkload(TRACE_SPECS[trace], scale=TRACE_SCALES[trace], seed=seed)
-        streams = wl.build(cluster, cluster.all_processes())
-        res = replay_streams(cluster, streams)
-        rows.append(
-            {
-                "log_cap": cap if cap is not None else "unlimited",
-                "cx_time": res.replay_time,
-                "improvement_vs_ofs": 1 - res.replay_time / ofs.replay_time,
-                "blocked_appends": sum(s.wal.blocked_appends for s in cluster.servers),
-            }
-        )
+def run_fig7a(trace: str = "home2", caps=DEFAULT_CAPS, seed: int = 0,
+              jobs: int = 1):
+    tasks = [ReplayTask(kind="trace", trace=trace, protocol="ofs", seed=seed)]
+    tasks += [
+        ReplayTask(kind="trace", trace=trace, seed=seed,
+                   params={"log_capacity": cap})
+        for cap in caps
+    ]
+    ofs, *cells = grid_summaries(tasks, jobs=jobs)
+    rows = [
+        {
+            "log_cap": cap if cap is not None else "unlimited",
+            "cx_time": res.replay_time,
+            "improvement_vs_ofs": 1 - res.replay_time / ofs.replay_time,
+            # A meter never written is absent from the snapshot.
+            "blocked_appends": res.server_metrics["cluster"].get(
+                "wal.blocked_appends", 0),
+        }
+        for cap, res in zip(caps, cells)
+    ]
     text = render_table(
         ["Log cap (B)", "OFS-Cx replay (s)", "Improvement vs OFS", "Blocked appends"],
         [[r["log_cap"], f"{r['cx_time']:.3f}", f"{r['improvement_vs_ofs']:.1%}",
@@ -59,17 +58,18 @@ def run_fig7b(trace: str = "home2", seed: int = 0, sample_period=None,
               scale_multiplier: float = 4.0):
     """The replay is stretched to several trigger periods so the
     sawtooth shows multiple cycles, like the paper's 10 s-period plot."""
-    params = experiment_params(log_capacity=None)
-    cluster = build_trace_cluster("cx", params=params, seed=seed)
-    wl = TraceWorkload(TRACE_SPECS[trace],
-                       scale=TRACE_SCALES[trace] * scale_multiplier, seed=seed)
-    streams = wl.build(cluster, cluster.all_processes())
+    run = build_run(ReplayTask(
+        kind="trace", trace=trace, seed=seed,
+        scale=TRACE_SCALES[trace] * scale_multiplier,
+        params={"log_capacity": None},
+    ))
+    cluster = run.cluster
     sampler = TimelineSampler(
         cluster.sim,
         probe=lambda: sum(s.wal.valid_bytes for s in cluster.servers) / len(cluster.servers),
         period=sample_period or EXPERIMENT_TIMEOUT / 8,
     )
-    res = replay_streams(cluster, streams)
+    res = run.replay()
     sampler.stop()
     xs, ys = sampler.series()
     rows = [
@@ -88,7 +88,7 @@ def run_fig7b(trace: str = "home2", seed: int = 0, sample_period=None,
     return result
 
 
-def run_fig7(trace: str = "home2", seed: int = 0):
-    a = run_fig7a(trace, seed=seed)
+def run_fig7(trace: str = "home2", seed: int = 0, jobs: int = 1):
+    a = run_fig7a(trace, seed=seed, jobs=jobs)
     b = run_fig7b(trace, seed=seed)
     return ExperimentResult("fig7", a.text + "\n\n" + b.text, a.rows + b.rows)

@@ -11,32 +11,31 @@ optimum (the paper's 256 s point, scaled here).
 from __future__ import annotations
 
 from repro.analysis.tables import render_table
-from repro.experiments.common import (
-    ExperimentResult,
-    TRACE_SCALES,
-    build_trace_cluster,
-    experiment_params,
-)
-from repro.workloads import TRACE_SPECS, TraceWorkload, replay_streams
+from repro.experiments.common import ExperimentResult, grid_summaries
+from repro.runner import ReplayTask
 
 #: Scaled analogue of the paper's 1..256 s timeout sweep.
 DEFAULT_TIMEOUTS = (0.01, 0.025, 0.05, 0.1, 0.25, 1.0, 8.0)
 DEFAULT_THRESHOLDS = (4, 16, 64, 256, 1024)
 
 
-def _replay(trace, params, seed):
-    cluster = build_trace_cluster("cx", params=params, seed=seed)
-    wl = TraceWorkload(TRACE_SPECS[trace], scale=TRACE_SCALES[trace], seed=seed)
-    streams = wl.build(cluster, cluster.all_processes())
-    return replay_streams(cluster, streams)
+def _sweep(trace, seed, jobs, overrides):
+    """Cx replay times on ``trace`` with an unlimited log, one per
+    ``SimParams`` override dict."""
+    tasks = [
+        ReplayTask(kind="trace", trace=trace, seed=seed,
+                   params={"log_capacity": None, **o})
+        for o in overrides
+    ]
+    return [s.replay_time for s in grid_summaries(tasks, jobs=jobs)]
 
 
-def run_fig9a(trace: str = "home2", timeouts=DEFAULT_TIMEOUTS, seed: int = 0):
-    rows = []
-    for tmo in timeouts:
-        params = experiment_params(commit_timeout=tmo, log_capacity=None)
-        res = _replay(trace, params, seed)
-        rows.append({"timeout": tmo, "replay_time": res.replay_time})
+def run_fig9a(trace: str = "home2", timeouts=DEFAULT_TIMEOUTS, seed: int = 0,
+              jobs: int = 1):
+    times = _sweep(trace, seed, jobs,
+                   [{"commit_timeout": tmo} for tmo in timeouts])
+    rows = [{"timeout": tmo, "replay_time": t}
+            for tmo, t in zip(timeouts, times)]
     text = render_table(
         ["Timeout (s)", "OFS-Cx replay (s)"],
         [[r["timeout"], f"{r['replay_time']:.3f}"] for r in rows],
@@ -45,14 +44,14 @@ def run_fig9a(trace: str = "home2", timeouts=DEFAULT_TIMEOUTS, seed: int = 0):
     return ExperimentResult("fig9a", text, rows)
 
 
-def run_fig9b(trace: str = "home2", thresholds=DEFAULT_THRESHOLDS, seed: int = 0):
-    rows = []
-    for threshold in thresholds:
-        params = experiment_params(
-            commit_timeout=None, commit_threshold=threshold, log_capacity=None
-        )
-        res = _replay(trace, params, seed)
-        rows.append({"threshold": threshold, "replay_time": res.replay_time})
+def run_fig9b(trace: str = "home2", thresholds=DEFAULT_THRESHOLDS,
+              seed: int = 0, jobs: int = 1):
+    times = _sweep(trace, seed, jobs, [
+        {"commit_timeout": None, "commit_threshold": threshold}
+        for threshold in thresholds
+    ])
+    rows = [{"threshold": threshold, "replay_time": t}
+            for threshold, t in zip(thresholds, times)]
     text = render_table(
         ["Threshold (ops)", "OFS-Cx replay (s)"],
         [[r["threshold"], f"{r['replay_time']:.3f}"] for r in rows],
@@ -61,7 +60,7 @@ def run_fig9b(trace: str = "home2", thresholds=DEFAULT_THRESHOLDS, seed: int = 0
     return ExperimentResult("fig9b", text, rows)
 
 
-def run_fig9(trace: str = "home2", seed: int = 0):
-    a = run_fig9a(trace, seed=seed)
-    b = run_fig9b(trace, seed=seed)
+def run_fig9(trace: str = "home2", seed: int = 0, jobs: int = 1):
+    a = run_fig9a(trace, seed=seed, jobs=jobs)
+    b = run_fig9b(trace, seed=seed, jobs=jobs)
     return ExperimentResult("fig9", a.text + "\n\n" + b.text, a.rows + b.rows)

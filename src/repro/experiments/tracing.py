@@ -1,9 +1,10 @@
 """Traced replay runs: the ``python -m repro trace`` / ``analyze`` paths.
 
-``trace`` re-runs one experiment's canonical replay configuration with
-the tracer enabled, exports the event stream (Chrome trace-event JSON
-for Perfetto, optionally JSONL), prints per-server metrics, and
-validates the protocol invariants from the trace.
+``trace`` re-runs one experiment's canonical replay task
+(:data:`TRACEABLE`, built by :func:`repro.runner.build_run` like every
+other run) with the tracer enabled, exports the event stream (Chrome
+trace-event JSON for Perfetto, optionally JSONL), prints per-server
+metrics, and validates the protocol invariants from the trace.
 
 ``analyze`` does the same replay and then walks each operation's causal
 span DAG into a critical-path phase breakdown
@@ -18,14 +19,9 @@ last events are dumped as JSONL for post-mortem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
-from repro.experiments.common import (
-    NUM_SERVERS,
-    TRACE_SCALES,
-    build_trace_cluster,
-)
 from repro.obs import (
     SamplingTracer,
     Tracer,
@@ -35,24 +31,37 @@ from repro.obs import (
     write_jsonl,
 )
 from repro.obs.critpath import CritPathReport, analyze_trace
-from repro.workloads import TRACE_SPECS, TraceWorkload, replay_streams
+from repro.runner import ReplaySummary, ReplayTask, build_run
+from repro.runner.tasks import finish_summary
 
 #: Experiments a traced run knows how to reproduce, mapped to their
-#: default workload trace and protocol.
-TRACEABLE: Dict[str, Dict[str, str]] = {
-    "fig5": {"workload": "CTH", "protocol": "cx"},
-    "fig8": {"workload": "home2", "protocol": "cx"},
-    "table4": {"workload": "CTH", "protocol": "cx"},
+#: canonical task: Fig. 8's is its golden cell, home2 with a 0.12
+#: conflict-probe injection rate.
+TRACEABLE: Dict[str, ReplayTask] = {
+    "fig5": ReplayTask(kind="trace", trace="CTH"),
+    "fig8": ReplayTask(kind="inject", trace="home2", p_inject=0.12),
+    "table4": ReplayTask(kind="trace", trace="CTH"),
 }
 
 #: Events in a flight-recorder post-mortem dump.
 FLIGHT_DUMP_LAST = 256
 
 
-def _make_tracer(sample: Optional[int], ring: Optional[int]) -> Optional[Tracer]:
-    """None means "let the cluster build its default full tracer"."""
-    if sample is None and ring is None:
-        return None
+def traced_task(experiment: str, **overrides) -> ReplayTask:
+    """``experiment``'s canonical task with every non-None override
+    applied (``trace=``, ``protocol=``, ``scale=``, ``seed=``)."""
+    task = TRACEABLE.get(experiment)
+    if task is None:
+        raise ValueError(
+            f"no traced replay for {experiment!r}; "
+            f"available: {', '.join(sorted(TRACEABLE))}"
+        )
+    return replace(task, label=experiment, **{
+        k: v for k, v in overrides.items() if v is not None
+    })
+
+
+def _make_tracer(sample: Optional[int], ring: Optional[int]) -> Tracer:
     if sample is not None:
         return SamplingTracer(every=sample, ring=ring)
     return Tracer(ring=ring)
@@ -69,23 +78,19 @@ def _flight_dump(tracer: Tracer, path: Optional[str], why: str) -> None:
 class TracedReplay:
     """Everything a traced replay produced."""
 
-    experiment: str
-    workload: str
-    protocol: str
+    task: ReplayTask
+    summary: ReplaySummary
     tracer: Tracer
-    replay_time: float
-    total_ops: int
-    cross_server_ops: int
     violations: List[Violation]
-    metrics: Dict[str, dict] = field(default_factory=dict)
 
     @property
     def text(self) -> str:
+        task, s = self.task, self.summary
         lines = [
-            f"traced {self.experiment} replay: workload={self.workload} "
-            f"protocol={self.protocol}",
-            f"  ops={self.total_ops} (cross-server {self.cross_server_ops}), "
-            f"replay_time={self.replay_time:.3f}s, "
+            f"traced {task.label or task.kind} replay: workload={task.trace} "
+            f"protocol={task.protocol}",
+            f"  ops={s.total_ops} (cross-server {s.cross_server_ops}), "
+            f"replay_time={s.replay_time:.3f}s, "
             f"events={len(self.tracer.events)}",
             f"  invariant violations: {len(self.violations)}",
         ]
@@ -95,71 +100,35 @@ class TracedReplay:
 
 
 def run_traced_replay(
-    experiment: str = "fig5",
-    workload: Optional[str] = None,
-    protocol: Optional[str] = None,
-    scale: Optional[float] = None,
-    num_servers: int = NUM_SERVERS,
-    seed: int = 0,
+    task: ReplayTask,
     trace_file: Optional[str] = None,
     jsonl_file: Optional[str] = None,
     sample: Optional[int] = None,
     ring: Optional[int] = None,
     flight_file: Optional[str] = None,
 ) -> TracedReplay:
-    """Replay one experiment's workload with tracing enabled.
+    """Replay ``task`` with tracing enabled and check its invariants.
 
     ``sample``/``ring`` switch to the always-on tracer configuration;
     ``flight_file`` receives a JSONL dump of the recorder's most recent
     events when the replay raises or the invariant checker fires.
     """
-    spec = TRACEABLE.get(experiment)
-    if spec is None:
-        raise ValueError(
-            f"experiment {experiment!r} has no traced replay; "
-            f"choose one of {sorted(TRACEABLE)}"
-        )
-    workload = workload or spec["workload"]
-    protocol = protocol or spec["protocol"]
-    if workload not in TRACE_SPECS:
-        raise ValueError(f"unknown workload trace {workload!r}")
-
-    cluster = build_trace_cluster(
-        protocol, num_servers=num_servers, seed=seed, trace=True,
-        tracer=_make_tracer(sample, ring),
-    )
-    wl = TraceWorkload(
-        TRACE_SPECS[workload],
-        scale=scale if scale is not None else TRACE_SCALES[workload],
-        seed=seed,
-    )
-    streams = wl.build(cluster, cluster.all_processes())
-    tracer = cluster.tracer
+    run = build_run(task, tracer=_make_tracer(sample, ring))
+    tracer = run.cluster.tracer
     try:
-        result = replay_streams(cluster, streams)
+        summary = finish_summary(run.cluster, run.replay())
     except BaseException:
         _flight_dump(tracer, flight_file, "replay raised")
         raise
 
-    violations = check_trace(tracer, protocol=protocol)
+    violations = check_trace(tracer, protocol=task.protocol)
     if violations:
         _flight_dump(tracer, flight_file, f"{len(violations)} violations")
     if trace_file:
         write_chrome_trace(tracer.events, trace_file)
     if jsonl_file:
         write_jsonl(tracer.events, jsonl_file)
-
-    return TracedReplay(
-        experiment=experiment,
-        workload=workload,
-        protocol=protocol,
-        tracer=tracer,
-        replay_time=result.replay_time,
-        total_ops=result.total_ops,
-        cross_server_ops=result.cross_server_ops,
-        violations=violations,
-        metrics=cluster.metrics_snapshot(),
-    )
+    return TracedReplay(task, summary, tracer, violations)
 
 
 @dataclass
@@ -175,12 +144,7 @@ class AnalyzeResult:
 
 
 def run_analyze(
-    experiment: str = "fig5",
-    protocol: Optional[str] = None,
-    workload: Optional[str] = None,
-    scale: Optional[float] = None,
-    num_servers: int = NUM_SERVERS,
-    seed: int = 0,
+    task: ReplayTask,
     sample: Optional[int] = None,
     ring: Optional[int] = None,
     json_file: Optional[str] = None,
@@ -192,18 +156,9 @@ def run_analyze(
     whole point is comparing where an OFS op waits versus a Cx op
     (``--protocol ofs`` / ``--protocol cx``).
     """
-    replay = run_traced_replay(
-        experiment,
-        workload=workload,
-        protocol=protocol,
-        scale=scale,
-        num_servers=num_servers,
-        seed=seed,
-        sample=sample,
-        ring=ring,
-        flight_file=flight_file,
-    )
-    report = analyze_trace(replay.tracer, protocol=replay.protocol)
+    replay = run_traced_replay(task, sample=sample, ring=ring,
+                               flight_file=flight_file)
+    report = analyze_trace(replay.tracer, protocol=task.protocol)
     if json_file:
         with open(json_file, "w") as fh:
             fh.write(report.to_json() + "\n")

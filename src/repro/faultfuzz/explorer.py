@@ -1,20 +1,22 @@
 """Schedule replay, oracle, and the fuzz driver.
 
 One schedule = one private cluster replaying the fixed fuzz workload
-(a grid of cross/same-server CREATEs from every client process, with
-client retries armed) while a :class:`FaultScheduler` injects the
-schedule's faults at their exact coordinates.  Afterwards the oracle
-runs:
+(:func:`fuzz_task`, built by :func:`~repro.runner.tasks.build_run`: a
+grid of cross/same-server CREATEs from every client process, with
+client retries armed) under one protocol while a
+:class:`FaultScheduler` injects the schedule's faults at their exact
+coordinates.  Afterwards the oracle runs:
 
 * the trace-driven :class:`~repro.obs.invariants.InvariantChecker`
   (atomic decisions, decided-before-prune, write-back, liveness with
-  crash exemptions);
+  crash exemptions) — the Cx commitment's contract, so only for the
+  two Cx variants;
 * whole-namespace referential integrity
   (:func:`~repro.analysis.consistency.check_namespace_invariants`);
 * per-server WAL bookkeeping (``valid_bytes`` must equal the byte sum
   of the live record index).
 
-Verdicts are pure functions of ``(seed, schedule index)``: no wall
+Verdicts are pure functions of ``(protocol, seed, schedule index)``: no wall
 clock enters any result field, so the same seed reproduces the same
 report byte-for-byte on either kernel variant, and ``run_tasks`` keeps
 results task-ordered when the grid fans across processes.
@@ -33,6 +35,7 @@ from repro.faultfuzz.schedule import (
     Fault,
     generate_schedule,
 )
+from repro.runner.tasks import ReplayTask, build_run
 
 # -- fixed fuzz workload -----------------------------------------------------
 
@@ -267,49 +270,45 @@ class ScheduleResult:
         )
 
 
-def _build_fuzz_cluster(seed: int):
-    from repro.cluster.builder import ROOT_HANDLE, Cluster
-    from repro.params import SimParams
-    from repro.protocols import get_protocol
+def fuzz_task(seed: int, protocol: str = "cx") -> ReplayTask:
+    """The fuzz workload as a run spec.
 
-    # The defaults the experiments run, except three timers that scale
-    # with the 0.05 s commit trigger the tiny fuzz workload needs.
-    params = SimParams(
-        commit_timeout=0.05, vote_retry_timeout=0.5, recovery_rpc_timeout=0.5,
-    )
-    cluster = Cluster.build(
+    ``OPS_PER_PROC`` CREATEs from each of the ``NUM_CLIENTS`` x
+    ``PROCS_PER_CLIENT`` processes into a preloaded ``fuzzdir``, traced,
+    under the defaults the experiments run except three timers that
+    scale with the 0.05 s commit trigger the tiny workload needs.
+    """
+    return ReplayTask(
+        kind="fuzz", protocol=protocol, seed=seed,
         num_servers=NUM_SERVERS, num_clients=NUM_CLIENTS,
-        protocol=get_protocol("cx"), params=params,
-        procs_per_client=PROCS_PER_CLIENT, seed=seed, trace=True,
+        procs_per_client=PROCS_PER_CLIENT,
+        total_ops=NUM_CLIENTS * PROCS_PER_CLIENT * OPS_PER_PROC,
+        params=dict(commit_timeout=0.05, vote_retry_timeout=0.5,
+                    recovery_rpc_timeout=0.5),
     )
-    workdir = cluster.preload_dir(ROOT_HANDLE, "fuzzdir")
-    canary = cluster.preload_file(workdir, "canary")
-    return cluster, workdir, canary
 
 
-def run_schedule(faults: Sequence[Fault], seed: int,
-                 index: int = 0) -> ScheduleResult:
+def run_schedule(faults: Sequence[Fault], seed: int, index: int = 0,
+                 protocol: str = "cx") -> ScheduleResult:
     """Replay the fuzz workload under ``faults``; return the verdict.
 
-    Pure function of ``(faults, seed)`` — ``index`` only labels the
-    result.  Never raises for in-simulation failures: an unhandled
-    exception inside the replay is itself a finding (verdict
+    Pure function of ``(faults, seed, protocol)`` — ``index`` only
+    labels the result.  Never raises for in-simulation failures: an
+    unhandled exception inside the replay is itself a finding (verdict
     ``crashed``).
     """
     from repro.cluster.builder import Stalled
 
     fault_dicts = [f.to_dict() for f in faults]
     try:
-        cluster, workdir, canary = _build_fuzz_cluster(seed)
+        run = build_run(fuzz_task(seed, protocol))
+        cluster = run.cluster
         sim = cluster.sim
-        scheduler = FaultScheduler(cluster, faults, canary_handle=canary)
+        scheduler = FaultScheduler(cluster, faults, canary_handle=run.canary)
         scheduler.arm()
         stalled = ""
         try:
-            cluster.drive({
-                proc: _creates(cluster, proc, i, workdir)
-                for i, proc in enumerate(cluster.all_processes())
-            })
+            cluster.drive(run.streams)
         except Stalled as exc:
             stalled = str(exc)
         if not stalled:
@@ -335,7 +334,7 @@ def run_schedule(faults: Sequence[Fault], seed: int,
                     stalled = f"s{idx} still recovering at t={sim.now:.6f}"
         cluster.quiesce_protocol(timeout=QUIESCE_TIMEOUT)
 
-        violations = _oracle(cluster, workdir)
+        violations = _oracle(cluster, run.workdir, protocol)
         if stalled:
             verdict = "stalled"
         elif violations:
@@ -355,16 +354,6 @@ def run_schedule(faults: Sequence[Fault], seed: int,
             # would break byte-identical verdicts.
             error=repr(exc),
         )
-
-
-def _creates(cluster, proc, i: int, workdir: int):
-    """Process ``i``'s share of the fuzz workload: OPS_PER_PROC CREATEs."""
-    from repro.fs.ops import FileOperation, OpType
-
-    for k in range(OPS_PER_PROC):
-        h = cluster.placement.allocate_handle()
-        yield FileOperation(OpType.CREATE, proc.new_op_id(), parent=workdir,
-                            name=f"f{i}-{k}", target=h)
 
 
 def _transient_targets(cluster) -> Set[int]:
@@ -391,7 +380,7 @@ def _transient_targets(cluster) -> Set[int]:
     return targets
 
 
-def _oracle(cluster, workdir: int) -> List[str]:
+def _oracle(cluster, workdir: int, protocol: str) -> List[str]:
     """All post-conditions; returns deterministic violation strings."""
     from repro.analysis.consistency import (
         check_namespace_invariants,
@@ -400,7 +389,7 @@ def _oracle(cluster, workdir: int) -> List[str]:
     from repro.obs.invariants import check_trace
 
     violations: List[str] = []
-    for v in check_trace(cluster.tracer, liveness=True, protocol="cx"):
+    for v in check_trace(cluster.tracer, liveness=True, protocol=protocol):
         violations.append(str(v))
     for v in check_namespace_invariants(
         cluster, known_dirs=[workdir],
@@ -432,11 +421,13 @@ class FuzzTask:
     seed: int
     index: int
     faults: Tuple[Fault, ...]
+    protocol: str = "cx"
 
 
 def execute_fuzz_task(task: FuzzTask) -> ScheduleResult:
     """Worker entry point (module-level: must be picklable)."""
-    return run_schedule(list(task.faults), seed=task.seed, index=task.index)
+    return run_schedule(list(task.faults), seed=task.seed, index=task.index,
+                        protocol=task.protocol)
 
 
 @dataclass
@@ -446,6 +437,7 @@ class FuzzReport:
     seed: int
     schedules: int
     results: List[ScheduleResult]
+    protocol: str = "cx"
     shrunk: Dict[int, List[Fault]] = field(default_factory=dict)
     artifacts: List[str] = field(default_factory=list)
     resume_path: str = ""
@@ -458,7 +450,8 @@ class FuzzReport:
     @property
     def text(self) -> str:
         lines = [
-            f"fuzz: seed={self.seed} schedules={self.schedules} "
+            f"fuzz: protocol={self.protocol} seed={self.seed} "
+            f"schedules={self.schedules} "
             f"(resumed {self.resumed}) -> "
             f"{len(self.failures)} failing"
         ]
@@ -484,8 +477,10 @@ class FuzzReport:
         return "\n".join(lines)
 
 
-def _load_resume(path: str, seed: int) -> Dict[int, ScheduleResult]:
-    """Completed results from a previous run's resume file."""
+def _load_resume(path: str, seed: int,
+                 protocol: str) -> Dict[int, ScheduleResult]:
+    """Completed results from a previous run's resume file; a file
+    from another seed or protocol is refused."""
     results: Dict[int, ScheduleResult] = {}
     if not os.path.exists(path):
         return results
@@ -496,24 +491,28 @@ def _load_resume(path: str, seed: int) -> Dict[int, ScheduleResult]:
                 continue
             d = json.loads(line)
             if d.get("type") == "header":
-                if int(d.get("seed", seed)) != seed:
-                    raise ValueError(
-                        f"resume file {path} was produced with "
-                        f"seed={d.get('seed')}, not {seed}"
-                    )
+                # A header without a protocol predates fuzzing baselines.
+                made = {"seed": seed, "protocol": "cx", **d}
+                for key, want in (("seed", seed), ("protocol", protocol)):
+                    if made[key] != want:
+                        raise ValueError(
+                            f"resume file {path} was produced with "
+                            f"{key}={made[key]}, not {want}"
+                        )
             elif d.get("type") == "result":
                 r = ScheduleResult.from_dict(d)
                 results[r.index] = r
     return results
 
 
-def _write_resume(path: str, seed: int,
+def _write_resume(path: str, seed: int, protocol: str,
                   results: Sequence[ScheduleResult]) -> None:
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(
             {"type": "header", "seed": seed, "version": 1,
-             "num_servers": NUM_SERVERS}, sort_keys=True) + "\n")
+             "num_servers": NUM_SERVERS, "protocol": protocol},
+            sort_keys=True) + "\n")
         for r in sorted(results, key=lambda r: r.index):
             fh.write(json.dumps(r.to_dict(), sort_keys=True) + "\n")
     os.replace(tmp, path)
@@ -528,8 +527,10 @@ def run_fuzz(
     out_dir: str = ".",
     extra_schedules: Optional[Dict[int, List[Fault]]] = None,
     progress: Optional[Callable[[str], None]] = None,
+    protocol: str = "cx",
 ) -> FuzzReport:
-    """Explore ``schedules`` seeded fault schedules; report and persist.
+    """Explore ``schedules`` seeded fault schedules under ``protocol``;
+    report and persist.
 
     Schedules are generated by :func:`generate_schedule` (pure function
     of ``seed`` and index), fanned across ``jobs`` worker processes
@@ -548,10 +549,11 @@ def run_fuzz(
     from repro.obs.minrepro import write_minrepro
     from repro.runner.pool import run_tasks
 
+    fuzz_task(seed, protocol)  # an unknown protocol raises here
     os.makedirs(out_dir, exist_ok=True)
     if resume_path is None:
         resume_path = os.path.join(out_dir, f"fuzz_seed{seed}.jsonl")
-    done = _load_resume(resume_path, seed)
+    done = _load_resume(resume_path, seed, protocol)
     done = {i: r for i, r in done.items() if i < schedules}
 
     plans: Dict[int, List[Fault]] = {}
@@ -563,7 +565,7 @@ def run_fuzz(
         else:
             plans[i] = generate_schedule(seed, i, NUM_SERVERS)
 
-    tasks = [FuzzTask(seed=seed, index=i, faults=tuple(f))
+    tasks = [FuzzTask(seed=seed, index=i, faults=tuple(f), protocol=protocol)
              for i, f in sorted(plans.items())]
     if progress:
         progress(f"fuzz: {len(tasks)} schedules to run "
@@ -588,10 +590,10 @@ def run_fuzz(
                     .splitlines()[-1],
                 )
     ordered = [results[i] for i in sorted(results)]
-    _write_resume(resume_path, seed, ordered)
+    _write_resume(resume_path, seed, protocol, ordered)
 
     report = FuzzReport(
-        seed=seed, schedules=schedules, results=ordered,
+        seed=seed, schedules=schedules, results=ordered, protocol=protocol,
         resume_path=resume_path, resumed=len(done),
     )
     for r in report.failures:
@@ -602,12 +604,12 @@ def run_fuzz(
                 progress(f"shrinking schedule {r.index} "
                          f"({len(faults)} faults)")
             shrunk_faults = shrink_schedule(faults, seed=seed,
-                                            index=r.index)
+                                            index=r.index, protocol=protocol)
             report.shrunk[r.index] = shrunk_faults
         artifact = os.path.join(
             out_dir, f"minrepro_seed{seed}_schedule{r.index}.jsonl"
         )
-        write_minrepro(artifact, r, shrunk=(
+        write_minrepro(artifact, r, protocol, shrunk=(
             [f.to_dict() for f in shrunk_faults]
             if shrunk_faults is not None else None
         ))
@@ -621,6 +623,7 @@ __all__ = [
     "FuzzTask",
     "ScheduleResult",
     "execute_fuzz_task",
+    "fuzz_task",
     "run_fuzz",
     "run_schedule",
 ]

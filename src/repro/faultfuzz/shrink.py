@@ -51,22 +51,23 @@ def ddmin(items: Sequence[T], fails: Callable[[List[T]], bool]) -> List[T]:
     return items
 
 
-def shrink_schedule(faults: Sequence[Fault], seed: int,
-                    index: int = 0) -> List[Fault]:
+def shrink_schedule(faults: Sequence[Fault], seed: int, index: int = 0,
+                    protocol: str = "cx") -> List[Fault]:
     """Minimal sub-schedule of ``faults`` that still fails the oracle.
 
     The predicate re-replays the workload under the candidate fault
-    list (same workload ``seed``; ``index`` only labels intermediate
-    results).  If the full schedule unexpectedly passes on re-run —
-    impossible for a deterministic replay unless the caller passed a
-    clean schedule — it is returned unchanged.
+    list (same workload ``seed`` and ``protocol``; ``index`` only
+    labels intermediate results).  If the full schedule unexpectedly
+    passes on re-run — impossible for a deterministic replay unless the
+    caller passed a clean schedule — it is returned unchanged.
     """
     from repro.faultfuzz.explorer import run_schedule
 
     faults = list(faults)
 
     def fails(candidate: List[Fault]) -> bool:
-        return run_schedule(candidate, seed=seed, index=index).failed
+        return run_schedule(candidate, seed=seed, index=index,
+                            protocol=protocol).failed
 
     if not faults or not fails(faults):
         return faults

@@ -224,18 +224,22 @@ class InvariantChecker:
         return self.check_safety() + self.check_liveness()
 
 
+#: Protocols that run Cx's commitment and so owe its trace contract.
+CX_CONTRACT = ("cx", "cx-serial-exec")
+
+
 def check_trace(
     tracer: Tracer, liveness: bool = True, protocol: str = "cx"
 ) -> List[Violation]:
     """Convenience wrapper used by runners and tests.
 
-    The invariants are the *Cx protocol's* contract (decisions,
-    prune-after-decision, decided write-back); traces from the OFS
-    baselines have executions but no commitment machinery, so checking
-    them against Cx's promises would only produce noise — non-cx
-    protocols get an empty report.
+    The invariants are the *Cx commitment's* contract (decisions,
+    prune-after-decision, decided write-back), which both Cx variants
+    run; traces from the baselines have executions but no commitment
+    machinery, so checking them against Cx's promises would only
+    produce noise — other protocols get an empty report.
     """
-    if protocol != "cx":
+    if protocol not in CX_CONTRACT:
         return []
     checker = InvariantChecker.from_tracer(tracer)
     return checker.check() if liveness else checker.check_safety()

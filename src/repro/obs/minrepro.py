@@ -14,9 +14,10 @@ import json
 from typing import Dict, List, Optional
 
 
-def write_minrepro(path: str, result, shrunk: Optional[List[Dict]] = None,
-                   ) -> str:
-    """Write the repro artifact for one failing :class:`ScheduleResult`.
+def write_minrepro(path: str, result, protocol: str,
+                   shrunk: Optional[List[Dict]] = None) -> str:
+    """Write the repro artifact for one failing :class:`ScheduleResult`
+    of a ``protocol`` run.
 
     ``shrunk``, when given, is the ddmin-reduced fault list (as dicts);
     otherwise the artifact carries only the original schedule.  Returns
@@ -25,6 +26,7 @@ def write_minrepro(path: str, result, shrunk: Optional[List[Dict]] = None,
     """
     lines: List[Dict] = [{
         "type": "minrepro",
+        "protocol": protocol,
         "seed": result.seed,
         "index": result.index,
         "verdict": result.verdict,
@@ -33,7 +35,7 @@ def write_minrepro(path: str, result, shrunk: Optional[List[Dict]] = None,
         "n_faults": len(result.faults),
         "n_shrunk": len(shrunk) if shrunk is not None else None,
         "repro": (f"python -m repro fuzz --seed {result.seed} "
-                  f"--schedules {result.index + 1}"),
+                  f"--schedules {result.index + 1} --protocol {protocol}"),
     }]
     for f in result.faults:
         lines.append({"type": "fault", **f})

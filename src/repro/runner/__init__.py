@@ -1,7 +1,8 @@
 """Parallel experiment runner.
 
 Experiment grids decompose into independent replay cells; this package
-describes each cell as a picklable :class:`ReplayTask`, executes grids
+describes each cell as a picklable :class:`ReplayTask`, builds it into
+a live cluster with :func:`build_run` (the one builder), executes grids
 serially or across a process pool (:func:`run_tasks`), and returns
 deterministic, task-ordered :class:`TaskOutcome` lists whatever the
 completion order was.
@@ -14,24 +15,15 @@ from repro.runner.pool import (
     resolve_jobs,
     run_tasks,
 )
-from repro.runner.tasks import (
-    KIND_INJECT,
-    KIND_METARATES,
-    KIND_TRACE,
-    ReplaySummary,
-    ReplayTask,
-    execute_task,
-)
+from repro.runner.tasks import ReplaySummary, ReplayTask, build_run, execute_task
 
 __all__ = [
-    "KIND_INJECT",
-    "KIND_METARATES",
-    "KIND_TRACE",
     "ReplaySummary",
     "ReplayTask",
     "RunnerResult",
     "TaskFailed",
     "TaskOutcome",
+    "build_run",
     "execute_task",
     "resolve_jobs",
     "run_tasks",

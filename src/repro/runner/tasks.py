@@ -1,25 +1,35 @@
-"""Picklable replay-task specs and their worker-side execution.
+"""Picklable replay-task specs, the one builder, and their execution.
 
 A :class:`ReplayTask` is a pure-data description of one independent
 replay cell — (trace × protocol × num_servers × seed), a Metarates
-point, or a conflict-injection cell.  Tasks cross process boundaries
-(``ProcessPoolExecutor`` pickles them into workers), so they hold only
-strings and numbers; the worker rebuilds the cluster and workload from
-the spec, replays, and ships back a :class:`ReplaySummary` — again pure
-data, including the per-server metrics snapshots that the parent merges
-into the cluster-wide view.
+point, a conflict-injection cell, a scale cell, or the fuzzer's
+workload.  Tasks cross process boundaries (``ProcessPoolExecutor``
+pickles them into workers), so they hold only strings and numbers.
+:func:`build_run` is the one place a spec becomes a live cluster and
+its per-process op feeds; every driver — the runner, the traced
+replay, the figures and the fuzzer — builds through it.
+:func:`execute_task` replays the run and ships back a
+:class:`~repro.workloads.replay.ReplaySummary` — again pure data,
+including the per-server metrics snapshots that the parent merges into
+the cluster-wide view.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+import time
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, Iterable, Optional
 
-#: Task kinds understood by :func:`execute_task`.
-KIND_TRACE = "trace"
-KIND_METARATES = "metarates"
-KIND_INJECT = "inject"
-KIND_SYNTH = "synth"
+from repro.protocols import PROTOCOL_NAMES
+from repro.workloads import SYNTH_MIXES, TRACE_SPECS, ReplaySummary, replay_streams
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.cluster.builder import Cluster
+    from repro.cluster.client import ClientProcess
+    from repro.fs.ops import FileOperation
+
+#: Task kinds understood by :func:`build_run`.
+KINDS = ("trace", "metarates", "inject", "synth", "fuzz")
 
 
 @dataclass(frozen=True)
@@ -32,15 +42,22 @@ class ReplayTask:
       the canonical configuration (fig5 / table2 / table4 cells);
     * ``"metarates"`` — one Metarates point: ``update_fraction`` at
       ``num_servers`` under one protocol (fig6 cells);
-    * ``"inject"`` — a Cx trace replay with probability-``p_inject``
+    * ``"inject"`` — a trace replay with probability-``p_inject``
       conflict probes (fig8 cells);
     * ``"synth"`` — one scale-family cell: a streaming synthetic
       workload (``mix`` from :data:`repro.workloads.synth.SYNTH_MIXES`)
       replayed on a lazily-built cluster with bounded streaming
-      metrics.
+      metrics;
+    * ``"fuzz"`` — the fault explorer's workload: ``total_ops``
+      CREATEs split evenly over the processes into a preloaded
+      ``fuzzdir`` (beside a ``canary`` file), traced, with
+      placement-allocated handles (see
+      :func:`repro.faultfuzz.explorer.fuzz_task`).
 
     ``params`` carries :class:`~repro.params.SimParams` field overrides
-    as a plain dict so the spec stays picklable.
+    as a plain dict so the spec stays picklable.  A spec naming an
+    unknown kind, protocol, trace or mix, or a scale outside (0, 1], is
+    rejected on construction, so every driver gets the same check.
     """
 
     kind: str
@@ -56,16 +73,18 @@ class ReplayTask:
     ops_per_process: int = 30
     preload_per_server: int = 400
     think_time: float = 0.0
-    #: "synth" only: named workload mix, total ops across processes,
-    #: and optional spec-knob overrides (None keeps the mix default).
+    #: "synth" only: named workload mix and optional spec-knob
+    #: overrides (None keeps the mix default).  ``total_ops`` is the op
+    #: count across processes for "synth" and "fuzz".
     mix: Optional[str] = None
     total_ops: int = 100_000
     cross_frac: Optional[float] = None
     zipf_s: Optional[float] = None
     hot_dirs: Optional[int] = None
-    #: "synth" only: client-fleet shape (None -> 32 machines x 8 procs,
-    #: a fixed offered load so throughput is comparable across the
-    #: server-count axis).
+    #: Client-fleet shape; None keeps the kind's canonical fleet (4
+    #: machines for traces and fuzz, 4 per server for Metarates, 32 for
+    #: a scale cell, whose fixed offered load keeps throughput
+    #: comparable across the server-count axis; 8 processes each).
     num_clients: Optional[int] = None
     procs_per_client: Optional[int] = None
     #: SimParams overrides, picklable (e.g. {"commit_timeout": 0.1}).
@@ -74,227 +93,181 @@ class ReplayTask:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if self.kind not in (KIND_TRACE, KIND_METARATES, KIND_INJECT,
-                             KIND_SYNTH):
+        if self.kind not in KINDS:
             raise ValueError(f"unknown task kind {self.kind!r}")
-        if self.kind in (KIND_TRACE, KIND_INJECT) and self.trace is None:
-            raise ValueError(f"{self.kind!r} task needs a trace name")
-        if self.kind == KIND_SYNTH and self.mix is None:
-            raise ValueError("'synth' task needs a mix name")
+        if self.protocol not in PROTOCOL_NAMES:
+            raise ValueError(
+                f"unknown protocol {self.protocol!r}; "
+                f"available: {', '.join(PROTOCOL_NAMES)}"
+            )
+        if self.kind in ("trace", "inject") and self.trace not in TRACE_SPECS:
+            raise ValueError(
+                f"unknown workload trace {self.trace!r}; "
+                f"available: {', '.join(TRACE_SPECS)}"
+            )
+        if self.kind == "synth" and self.mix not in SYNTH_MIXES:
+            raise ValueError(
+                f"unknown synth mix {self.mix!r}; "
+                f"available: {', '.join(sorted(SYNTH_MIXES))}"
+            )
+        if self.scale is not None and not 0 < self.scale <= 1:
+            raise ValueError(f"scale must be in (0, 1], got {self.scale}")
 
 
 @dataclass
-class ReplaySummary:
-    """Picklable measurements of one executed task.
+class Run:
+    """A task made live: its cluster and one op feed per client process."""
 
-    The scalar fields mirror :class:`~repro.workloads.replay.ReplayResult`
-    (live object graphs — the metrics collector, the tracer — do not
-    cross process boundaries; per-server registries travel as snapshot
-    dicts instead).
+    cluster: "Cluster"
+    streams: Dict["ClientProcess", Iterable["FileOperation"]]
+    #: Post-replay settle window and per-op think time of the replay.
+    settle: float = 60.0
+    think_time: float = 0.0
+    #: "fuzz" only: handles of the preloaded work directory and canary.
+    workdir: int = -1
+    canary: int = -1
+
+    def replay(self) -> ReplaySummary:
+        return replay_streams(self.cluster, self.streams,
+                              settle=self.settle, think_time=self.think_time)
+
+
+def build_run(task: ReplayTask, tracer=None) -> Run:
+    """The one place a spec becomes a live cluster and its op feeds.
+
+    Deterministic for a fixed spec: the cluster and workload are seeded
+    from the task itself, so the run is independent of which worker
+    builds it.  ``tracer`` traces the run; a "fuzz" run always traces
+    (its oracle reads the trace), with a full tracer by default.
     """
-
-    protocol: str
-    replay_time: float
-    total_ops: int
-    throughput: float = 0.0
-    cross_server_ops: int = 0
-    conflicted_ops: int = 0
-    conflict_ratio: float = 0.0
-    messages: int = 0
-    message_bytes: int = 0
-    failed_ops: int = 0
-    mean_latency: float = 0.0
-    #: Client-visible latency tail (seconds; 0.0 when no ops ran).
-    latency_p50: float = 0.0
-    latency_p99: float = 0.0
-    latency_p999: float = 0.0
-    #: Kernel events the simulator popped to produce this cell.
-    events_processed: int = 0
-    #: node id -> MetricsRegistry snapshot, plus a merged "cluster" key.
-    server_metrics: Dict[str, dict] = field(default_factory=dict)
-    #: Scale cells only: wall-clock seconds spent building the cluster
-    #: and preloading the namespace, vs replaying the streams — the
-    #: setup-off-the-critical-path split the scale table reports.
-    setup_wall_seconds: float = 0.0
-    replay_wall_seconds: float = 0.0
-    #: Scale cells only: servers actually constructed (lazy build)
-    #: out of the configured total.
-    servers_materialized: int = 0
-    num_servers: int = 0
-
-
-def _params_from(task: ReplayTask):
-    from repro.experiments.common import experiment_params
-
-    return experiment_params(**(task.params or {}))
-
-
-def _summarize(cluster, result, server_metrics=None, **extra) -> ReplaySummary:
-    """``result`` as picklable data; ``server_metrics`` defaults to every
-    server's snapshot, ``extra`` sets the scale-cell fields."""
-    m = cluster.metrics
-    return ReplaySummary(
-        protocol=result.protocol,
-        replay_time=result.replay_time,
-        total_ops=result.total_ops,
-        throughput=result.throughput,
-        cross_server_ops=result.cross_server_ops,
-        conflicted_ops=result.conflicted_ops,
-        conflict_ratio=result.conflict_ratio,
-        messages=result.messages,
-        message_bytes=result.message_bytes,
-        failed_ops=result.failed_ops,
-        mean_latency=result.mean_latency,
-        latency_p50=m.latency_percentile(50),
-        latency_p99=m.latency_percentile(99),
-        latency_p999=m.latency_percentile(99.9),
-        events_processed=cluster.sim.events_processed,
-        server_metrics=(
-            cluster.metrics_snapshot() if server_metrics is None
-            else server_metrics
-        ),
-        **extra,
-    )
-
-
-def execute_task(task: ReplayTask) -> ReplaySummary:
-    """Run one task to completion in this process.
-
-    Deterministic for a fixed spec: the cluster, workload, and replay
-    are all seeded from the task itself, so the outcome is independent
-    of which worker runs it and in what order.
-
-    Runs inside a :func:`~repro.sim.kernel_sprint` (cyclic GC paused):
-    the replay hot path is cycle-free, and collector pauses otherwise
-    eat a measurable slice of every cell.
-    """
-    from repro.sim import kernel_sprint
-
-    with kernel_sprint():
-        return _execute_task(task)
-
-
-def _execute_task(task: ReplayTask) -> ReplaySummary:
-    # Imported here, not at module top: workers may be freshly spawned
-    # interpreters, and the experiment layer must not import the runner
-    # at import time (it does the reverse).
+    # Imported here, not at module top: the experiment layer imports
+    # the runner at import time, not the reverse.
+    from repro.cluster.builder import ROOT_HANDLE, Cluster
     from repro.experiments.common import (
+        NUM_CLIENTS,
         NUM_SERVERS,
+        PROCS_PER_CLIENT,
         TRACE_SCALES,
-        build_trace_cluster,
+        experiment_params,
     )
-    from repro.workloads import TRACE_SPECS, TraceWorkload, replay_streams
+    from repro.fs.ops import FileOperation, OpType
+    from repro.protocols import get_protocol
+    from repro.workloads import MetaratesWorkload, SynthWorkload, TraceWorkload
     from repro.workloads.inject import INJECT_SETTLE, inject_probes
 
+    kind = task.kind
     num_servers = task.num_servers if task.num_servers is not None else NUM_SERVERS
+    num_clients = task.num_clients
+    if num_clients is None:
+        num_clients = {"metarates": 4 * num_servers,   # paper: 4 x servers
+                       "synth": 32}.get(kind, NUM_CLIENTS)
+    synth = kind == "synth"
+    cluster = Cluster.build(
+        num_servers=num_servers,
+        num_clients=num_clients,
+        protocol=get_protocol(task.protocol),
+        params=experiment_params(**(task.params or {})),
+        procs_per_client=(task.procs_per_client
+                          if task.procs_per_client is not None
+                          else PROCS_PER_CLIENT),
+        seed=task.seed,
+        tracer=tracer,
+        trace=kind == "fuzz",
+        lazy_servers=synth,
+        streaming_metrics=synth,
+    )
+    procs = cluster.all_processes()
+    run = Run(cluster, {}, think_time=task.think_time)
 
-    if task.kind == KIND_TRACE or task.kind == KIND_INJECT:
-        cluster = build_trace_cluster(
-            task.protocol,
-            params=_params_from(task),
-            num_servers=num_servers,
-            seed=task.seed,
-        )
+    if kind in ("trace", "inject"):
         scale = task.scale if task.scale is not None else TRACE_SCALES[task.trace]
-        streams = TraceWorkload(
+        run.streams = TraceWorkload(
             TRACE_SPECS[task.trace], scale=scale, seed=task.seed
-        ).build(cluster, cluster.all_processes())
-        if task.kind == KIND_TRACE:
-            return _summarize(cluster, replay_streams(cluster, streams))
-        probed = inject_probes(cluster, streams, task.p_inject, task.seed)
-        return _summarize(cluster, replay_streams(
-            cluster, probed, settle=INJECT_SETTLE
-        ))
-
-    if task.kind == KIND_SYNTH:
-        return _execute_synth(task, num_servers)
-
-    if task.kind == KIND_METARATES:
-        from repro.cluster.builder import Cluster
-        from repro.protocols import get_protocol
-        from repro.workloads import MetaratesWorkload
-
-        cluster = Cluster.build(
-            num_servers=num_servers,
-            num_clients=4 * num_servers,      # paper: clients = 4 x servers
-            protocol=get_protocol(task.protocol),
-            params=_params_from(task),
-            procs_per_client=8,               # paper: 8 processes per client
-            seed=task.seed,
-        )
-        wl = MetaratesWorkload(
+        ).build(cluster, procs)
+        if kind == "inject":
+            run.streams = inject_probes(cluster, run.streams, task.p_inject,
+                                        task.seed)
+            run.settle = INJECT_SETTLE
+    elif kind == "metarates":
+        run.streams = MetaratesWorkload(
             update_fraction=task.update_fraction,
             ops_per_process=task.ops_per_process,
             preload_per_server=task.preload_per_server,
             seed=task.seed,
-        )
-        streams = wl.build(cluster, cluster.all_processes())
-        result = replay_streams(cluster, streams, think_time=task.think_time)
-        return _summarize(cluster, result)
+        ).build(cluster, procs)
+    elif synth:
+        run.streams = SynthWorkload(
+            SYNTH_MIXES[task.mix],
+            total_ops=task.total_ops,
+            seed=task.seed,
+            cross_frac=task.cross_frac,
+            zipf_s=task.zipf_s,
+            hot_dirs=task.hot_dirs,
+        ).streams(cluster, procs)
+    else:
+        workdir = run.workdir = cluster.preload_dir(ROOT_HANDLE, "fuzzdir")
+        run.canary = cluster.preload_file(workdir, "canary")
+        per_proc = task.total_ops // len(procs)
 
-    raise ValueError(f"unknown task kind {task.kind!r}")  # pragma: no cover
+        def creates(i: int, proc):
+            # Handles come from the placement allocator as the feeder
+            # pulls each op, so a fault's coordinates stay put.
+            for k in range(per_proc):
+                yield FileOperation(
+                    OpType.CREATE, proc.new_op_id(), parent=workdir,
+                    name=f"f{i}-{k}",
+                    target=cluster.placement.allocate_handle(),
+                )
+
+        run.streams = {proc: creates(i, proc) for i, proc in enumerate(procs)}
+    return run
 
 
-def _execute_synth(task: ReplayTask, num_servers: int) -> ReplaySummary:
-    """One scale cell: lazy cluster + streaming workload + streaming replay.
+def finish_summary(cluster: "Cluster", summary: ReplaySummary,
+                   server_metrics: Optional[Dict[str, dict]] = None,
+                   ) -> ReplaySummary:
+    """Add the latency tail, the event count and the metrics snapshots
+    (every server's, unless ``server_metrics`` is given) to ``summary``."""
+    m = cluster.metrics
+    summary.latency_p50 = m.latency_percentile(50)
+    summary.latency_p99 = m.latency_percentile(99)
+    summary.latency_p999 = m.latency_percentile(99.9)
+    summary.events_processed = cluster.sim.events_processed
+    summary.server_metrics = (
+        cluster.metrics_snapshot() if server_metrics is None else server_metrics
+    )
+    return summary
 
-    Memory discipline for million-op cells: the op streams are lazy
-    generators (no materialized lists), the replay discards per-op
-    results as every closed-loop drive does, the cluster uses the bounded
-    streaming metrics collector, and the summary ships only the merged
-    ``cluster`` registry aggregate over *materialized* servers — never
-    256 per-server snapshot dicts.  Setup (cluster build + namespace
-    preload) and replay wall time are clocked separately.
+
+def execute_task(task: ReplayTask) -> ReplaySummary:
+    """Build, replay and summarize one task in this process.
+
+    Runs inside a :func:`~repro.sim.kernel_sprint` (cyclic GC paused):
+    the replay hot path is cycle-free, and collector pauses otherwise
+    eat a measurable slice of every cell.
+
+    A scale cell keeps its 256-server summary bounded: it ships only
+    the merged ``cluster`` registry over *materialized* servers, and
+    clocks setup (cluster build, namespace preload) apart from the
+    replay.
     """
-    import time
-
-    from repro.cluster.builder import Cluster
     from repro.obs.registry import merge_snapshots
-    from repro.protocols import get_protocol
-    from repro.workloads import replay_streams
-    from repro.workloads.synth import SYNTH_MIXES, SynthWorkload
+    from repro.sim import kernel_sprint
 
-    if task.mix not in SYNTH_MIXES:
-        raise ValueError(
-            f"unknown synth mix {task.mix!r}; "
-            f"available: {', '.join(sorted(SYNTH_MIXES))}"
-        )
-    setup_start = time.perf_counter()
-    cluster = Cluster.build(
-        num_servers=num_servers,
-        num_clients=task.num_clients if task.num_clients is not None else 32,
-        protocol=get_protocol(task.protocol),
-        params=_params_from(task),
-        procs_per_client=(
-            task.procs_per_client if task.procs_per_client is not None else 8
-        ),
-        seed=task.seed,
-        lazy_servers=True,
-        streaming_metrics=True,
-    )
-    wl = SynthWorkload(
-        SYNTH_MIXES[task.mix],
-        total_ops=task.total_ops,
-        seed=task.seed,
-        cross_frac=task.cross_frac,
-        zipf_s=task.zipf_s,
-        hot_dirs=task.hot_dirs,
-    )
-    streams = wl.streams(cluster, cluster.all_processes())
-    setup_wall = time.perf_counter() - setup_start
-
-    replay_start = time.perf_counter()
-    result = replay_streams(cluster, streams, think_time=task.think_time)
-    replay_wall = time.perf_counter() - replay_start
-
-    materialized = cluster.materialized_servers()
-    return _summarize(
-        cluster, result,
-        server_metrics={
+    with kernel_sprint():
+        setup_start = time.perf_counter()
+        run = build_run(task)
+        replay_start = time.perf_counter()
+        summary = run.replay()
+        replay_wall = time.perf_counter() - replay_start
+        cluster = run.cluster
+        if task.kind != "synth":
+            return finish_summary(cluster, summary)
+        materialized = cluster.materialized_servers()
+        summary.setup_wall_seconds = replay_start - setup_start
+        summary.replay_wall_seconds = replay_wall
+        summary.servers_materialized = len(materialized)
+        summary.num_servers = len(cluster.servers)
+        return finish_summary(cluster, summary, {
             "cluster": merge_snapshots(s.metrics for s in materialized)
-        },
-        setup_wall_seconds=setup_wall,
-        replay_wall_seconds=replay_wall,
-        servers_materialized=len(materialized),
-        num_servers=num_servers,
-    )
+        })

@@ -3,7 +3,7 @@
 from repro.workloads.spec import TRACE_SPECS, TraceSpec
 from repro.workloads.traces import TraceWorkload
 from repro.workloads.metarates import MetaratesWorkload
-from repro.workloads.replay import ReplayResult, replay_streams
+from repro.workloads.replay import ReplaySummary, replay_streams
 from repro.workloads.synth import SYNTH_MIXES, SynthSpec, SynthWorkload
 from repro.workloads.inject import (
     build_probe_op,
@@ -13,7 +13,7 @@ from repro.workloads.inject import (
 __all__ = [
     "build_probe_op",
     "MetaratesWorkload",
-    "ReplayResult",
+    "ReplaySummary",
     "SYNTH_MIXES",
     "SynthSpec",
     "SynthWorkload",

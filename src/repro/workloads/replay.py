@@ -2,8 +2,9 @@
 
 Each client process replays its stream back-to-back (the next operation
 starts when the previous completes from the process's view — which is
-exactly where Cx's shorter critical path pays off).  The result bundles
-the measurements every experiment needs.
+exactly where Cx's shorter critical path pays off).  The result is the
+one picklable record every experiment, the runner and the traced
+replay read.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable
 
-from repro.analysis.metrics import MetricsCollector
 from repro.fs.ops import FileOperation
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -20,23 +20,44 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 @dataclass
-class ReplayResult:
-    """Measurements of one replay run."""
+class ReplaySummary:
+    """Picklable measurements of one replay.
+
+    :func:`replay_streams` fills the scalars up to ``mean_latency``;
+    :func:`repro.runner.execute_task` adds the latency tail,
+    ``events_processed`` and the per-server metrics snapshots (live
+    registries do not cross process boundaries), and scale cells the
+    setup/replay wall split.
+    """
 
     protocol: str
     replay_time: float
     total_ops: int
-    throughput: float
-    cross_server_ops: int
-    conflicted_ops: int
-    conflict_ratio: float
-    messages: int
-    message_bytes: int
-    failed_ops: int
-    mean_latency: float
-    metrics: MetricsCollector = field(repr=False, default=None)  # type: ignore[assignment]
-    #: The cluster's tracer when the replay ran with tracing enabled.
-    tracer: object = field(repr=False, default=None)
+    throughput: float = 0.0
+    cross_server_ops: int = 0
+    conflicted_ops: int = 0
+    conflict_ratio: float = 0.0
+    messages: int = 0
+    message_bytes: int = 0
+    failed_ops: int = 0
+    mean_latency: float = 0.0
+    #: Client-visible latency tail (seconds; 0.0 when no ops ran).
+    latency_p50: float = 0.0
+    latency_p99: float = 0.0
+    latency_p999: float = 0.0
+    #: Kernel events the simulator popped to produce this cell.
+    events_processed: int = 0
+    #: node id -> MetricsRegistry snapshot, plus a merged "cluster" key.
+    server_metrics: Dict[str, dict] = field(default_factory=dict)
+    #: Scale cells only: wall-clock seconds spent building the cluster
+    #: and preloading the namespace, vs replaying the streams — the
+    #: setup-off-the-critical-path split the scale table reports.
+    setup_wall_seconds: float = 0.0
+    replay_wall_seconds: float = 0.0
+    #: Scale cells only: servers actually constructed (lazy build)
+    #: out of the configured total.
+    servers_materialized: int = 0
+    num_servers: int = 0
 
 
 def replay_streams(
@@ -45,7 +66,7 @@ def replay_streams(
     settle: float = 60.0,
     think_time: float = 0.0,
     collect: bool = False,
-) -> ReplayResult:
+) -> ReplaySummary:
     """Run every stream to completion and collect measurements.
 
     The streams run through :meth:`Cluster.drive
@@ -72,12 +93,10 @@ def replay_streams(
     # Let lazy commitments and flushes drain before counting messages:
     # commitment traffic is part of the protocol's cost (Table IV).
     cluster.quiesce_protocol(timeout=settle)
-    messages = cluster.network.stats.total
-    message_bytes = cluster.network.stats.total_bytes
 
     m = cluster.metrics
     total = m.total_ops
-    return ReplayResult(
+    return ReplaySummary(
         protocol=cluster.protocol.name,
         replay_time=replay_time,
         total_ops=total,
@@ -85,10 +104,8 @@ def replay_streams(
         cross_server_ops=m.cross_server_ops,
         conflicted_ops=m.conflicted_ops,
         conflict_ratio=m.conflict_ratio,
-        messages=messages,
-        message_bytes=message_bytes,
+        messages=cluster.network.stats.total,
+        message_bytes=cluster.network.stats.total_bytes,
         failed_ops=total - m.completed_ok,
         mean_latency=m.mean_latency(),
-        metrics=m,
-        tracer=cluster.tracer if cluster.tracer.enabled else None,
     )

@@ -8,6 +8,7 @@ from repro import Cluster, SimParams
 from repro.cluster.builder import ROOT_HANDLE
 from repro.fs.ops import FileOperation, OpType
 from repro.obs import InvariantChecker
+from repro.obs.invariants import CX_CONTRACT
 from repro.protocols import get_protocol
 from repro.sim import Simulator
 
@@ -65,14 +66,14 @@ def _audit_traces():
     quiesced.  Liveness needs a quiesced trace and is only asserted in
     the dedicated obs tests.  The invariants are promises of the *Cx*
     commitment protocol; the baseline protocols (serial, 2PC, central)
-    prune their logs without Cx decision records, so only Cx clusters
-    are audited.
+    prune their logs without Cx decision records, so only clusters of
+    the two Cx variants are audited.
     """
     _TRACED_CLUSTERS.clear()
     yield
     violations = []
     for cluster in _TRACED_CLUSTERS:
-        if cluster.tracer.enabled and cluster.protocol.name == "cx":
+        if cluster.tracer.enabled and cluster.protocol.name in CX_CONTRACT:
             violations += InvariantChecker(cluster.tracer.events).check_safety()
     _TRACED_CLUSTERS.clear()
     assert not violations, f"protocol safety violations: {violations[:5]}"

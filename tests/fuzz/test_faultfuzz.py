@@ -98,10 +98,11 @@ class TestRunSchedule:
         with its 0.05 s commit trigger."""
         from dataclasses import asdict
 
-        from repro.faultfuzz.explorer import NUM_SERVERS, _build_fuzz_cluster
+        from repro.faultfuzz.explorer import NUM_SERVERS, fuzz_task
         from repro.params import SimParams
+        from repro.runner import build_run
 
-        fuzz = asdict(_build_fuzz_cluster(0)[0].params)
+        fuzz = asdict(build_run(fuzz_task(0)).cluster.params)
         default = asdict(SimParams(num_servers=NUM_SERVERS))
         assert {k for k in fuzz if fuzz[k] != default[k]} <= {
             "commit_timeout", "vote_retry_timeout", "recovery_rpc_timeout",
@@ -163,6 +164,21 @@ class TestRunFuzz:
             run_fuzz(seed=1, schedules=1, out_dir=out,
                      resume_path=os.path.join(out, "fuzz_seed0.jsonl"))
 
+    def test_resume_protocol_mismatch_raises(self, tmp_path):
+        out = str(tmp_path)
+        run_fuzz(seed=0, schedules=1, out_dir=out, protocol="ofs")
+        header = json.loads(
+            _read(tmp_path / "fuzz_seed0.jsonl").decode().splitlines()[0])
+        assert header["protocol"] == "ofs"
+        with pytest.raises(ValueError, match="protocol"):
+            run_fuzz(seed=0, schedules=1, out_dir=out,
+                     resume_path=os.path.join(out, "fuzz_seed0.jsonl"))
+
+    def test_unknown_protocol_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="protocol"):
+            run_fuzz(seed=0, schedules=1, out_dir=str(tmp_path),
+                     protocol="nonsense")
+
     def test_failing_schedule_writes_minrepro(self, tmp_path):
         out = str(tmp_path)
         report = run_fuzz(
@@ -184,6 +200,16 @@ class TestRunFuzz:
         kinds = {line["type"] for line in lines}
         assert {"fault", "shrunk-fault", "violation"} <= kinds
 
+    def test_baseline_minrepro_names_its_protocol(self, tmp_path):
+        report = run_fuzz(
+            seed=0, schedules=1, out_dir=str(tmp_path), protocol="2pc",
+            extra_schedules={0: [Fault(kind="corrupt", at=1_500)]},
+        )
+        [artifact] = report.artifacts
+        header = json.loads(_read(artifact).decode().splitlines()[0])
+        assert header["protocol"] == "2pc"
+        assert header["repro"].endswith("--protocol 2pc")
+
 
 class TestCli:
     def test_fuzz_subcommand_smoke(self, tmp_path):
@@ -200,6 +226,19 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["fuzz", "--schedules", "0"])
 
+    def test_fuzz_protocol_flag(self, tmp_path):
+        from repro.__main__ import main
+
+        rc = main(["fuzz", "--schedules", "1", "--protocol",
+                   "cx-serial-exec", "--out-dir", str(tmp_path)])
+        assert rc == 0
+        header = json.loads(
+            _read(tmp_path / "fuzz_seed0.jsonl").decode().splitlines()[0])
+        assert header["protocol"] == "cx-serial-exec"
+        with pytest.raises(SystemExit):
+            main(["fuzz", "--schedules", "1", "--protocol", "nonsense",
+                  "--out-dir", str(tmp_path)])
+
 
 #: Seed-0 schedules (of 0-29) that ended ``crashed`` under some baseline
 #: while only Cx's client resent: a ``ConnectionError('mdsN is down')``
@@ -209,22 +248,13 @@ CRASHED_BEFORE_ONE_DRIVER = [i for i in range(30) if i != 19]
 
 
 @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
-def test_every_protocol_survives_a_fault(protocol, monkeypatch):
-    """The fuzz cluster under each protocol: a fault never escapes a
+def test_every_protocol_survives_a_fault(protocol):
+    """The fuzz workload under each protocol: a fault never escapes a
     client (no ``crashed``), and Cx's serial-order variant keeps Cx's
-    liveness (no ``stalled``)."""
-    from repro.cluster import builder
-    from repro.protocols import get_protocol
-
-    build = builder.Cluster.build
-
-    def build_under(*args, **kwargs):
-        kwargs["protocol"] = get_protocol(protocol)
-        return build(*args, **kwargs)
-
-    monkeypatch.setattr(builder.Cluster, "build", build_under)
+    liveness and its trace contract (every schedule ``ok``)."""
     verdicts = {
-        i: run_schedule(generate_schedule(0, i, 4), seed=0, index=i).verdict
+        i: run_schedule(generate_schedule(0, i, 4), seed=0, index=i,
+                        protocol=protocol).verdict
         for i in CRASHED_BEFORE_ONE_DRIVER
     }
     assert "crashed" not in verdicts.values(), verdicts

@@ -126,9 +126,10 @@ class TestAnalyzeTrace:
 @pytest.mark.parametrize("protocol", ["cx", "ofs"])
 def test_replay_phase_sums_reconcile(protocol):
     """Acceptance: analyze fig5 per-phase sums == end-to-end latency."""
-    from repro.experiments.tracing import run_analyze
+    from repro.experiments.tracing import run_analyze, traced_task
 
-    result = run_analyze("fig5", protocol=protocol, scale=0.002, seed=1)
+    result = run_analyze(traced_task("fig5", protocol=protocol, scale=0.002,
+                                     seed=1))
     assert not result.replay.violations
     report = result.report
     assert len(report.ops) > 100
@@ -151,10 +152,31 @@ def test_replay_phase_sums_reconcile(protocol):
 def test_analyze_sees_every_op_of_every_protocol(protocol):
     """Every protocol opens a client-op span per op, so the analyzer
     attributes all of them and skips none."""
-    from repro.experiments.tracing import run_traced_replay
+    from repro.experiments.tracing import run_traced_replay, traced_task
 
-    replay = run_traced_replay("fig5", protocol=protocol, scale=0.002)
+    replay = run_traced_replay(traced_task("fig5", protocol=protocol,
+                                           scale=0.002))
     report = analyze_trace(replay.tracer, protocol=protocol)
     assert report.skipped == 0
-    assert len(report.ops) == replay.total_ops
+    assert len(report.ops) == replay.summary.total_ops
     assert report.max_reconciliation_error() < 1e-12
+
+
+@pytest.mark.parametrize("experiment,protocol", [
+    ("fig5", "cx"), ("fig5", "ofs"), ("fig8", "cx"),
+])
+def test_traced_replay_runs_the_task_execute_task_runs(experiment, protocol):
+    """A traced run is the same run as the runner's: tracing observes
+    the schedule without moving it, and ``trace fig8`` replays Fig. 8's
+    injection cell, not plain home2."""
+    from repro.experiments.tracing import run_traced_replay, traced_task
+    from repro.runner import execute_task
+
+    task = traced_task(experiment, protocol=protocol, scale=0.002)
+    traced = run_traced_replay(task).summary
+    plain = execute_task(task)
+    for key in ("replay_time", "total_ops", "messages", "conflicted_ops"):
+        assert getattr(traced, key) == getattr(plain, key), key
+    if experiment == "fig8":
+        assert task.kind == "inject" and task.p_inject == 0.12
+        assert plain.conflicted_ops > 0.05 * plain.total_ops

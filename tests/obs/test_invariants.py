@@ -250,3 +250,40 @@ class TestTracedClusterRun:
                     d.op_id == op.op_id and d.node == p.node and d.ts <= p.ts
                     for d in decisions
                 )
+
+
+class TestContractScope:
+    """Both Cx variants run Cx's commitment, so both owe its contract;
+    the baselines have no commitment machinery and are not judged."""
+
+    def forged_serial_exec_trace(self):
+        cluster = build_cluster("cx-serial-exec")
+        d = cluster.preload_dir(ROOT_HANDLE, "dir")
+        proc = cluster.client_process(0, 0)
+        op = cross_server_create(cluster, proc, d, tag="f")
+        assert all(r.ok for r in run_to_completion(
+            cluster, cluster.run_ops(proc, [op])))
+        cluster.quiesce_protocol()
+        assert check_trace(cluster.tracer, protocol="cx-serial-exec") == []
+        # A copy of the trace plus one abort on a server that never
+        # decided the committed op: a torn decision.
+        decided = {e.node for e in cluster.tracer.events
+                   if e.name == "decision" and e.op_id == op.op_id}
+        assert decided
+        bystander = next(s.node_id for s in cluster.servers
+                         if s.node_id not in decided)
+        forged = Tracer(Clock(cluster.sim.now))
+        forged.events = list(cluster.tracer.events)
+        forged.event("decision", bystander, op_id=op.op_id, committed=False)
+        return forged, op
+
+    def test_serial_exec_forged_decision_reported(self):
+        forged, op = self.forged_serial_exec_trace()
+        violations = check_trace(forged, protocol="cx-serial-exec")
+        assert [(v.kind, v.op_id) for v in violations] == [
+            ("atomic-decision", op.op_id)]
+
+    def test_baselines_not_judged(self):
+        forged, _op = self.forged_serial_exec_trace()
+        for protocol in ("ofs", "ofs-batched", "2pc", "ce"):
+            assert check_trace(forged, protocol=protocol) == []

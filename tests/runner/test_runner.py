@@ -33,6 +33,23 @@ class TestReplayTask:
         with pytest.raises(ValueError):
             ReplayTask(kind="inject")
 
+    @pytest.mark.parametrize("spec,match", [
+        (dict(kind="trace", trace="no-such-trace"), "trace"),
+        (dict(kind="inject", trace="no-such-trace"), "trace"),
+        (dict(kind="trace", trace="CTH", protocol="nonsense"), "protocol"),
+        (dict(kind="fuzz", protocol="nonsense"), "protocol"),
+        (dict(kind="synth"), "mix"),
+        (dict(kind="synth", mix="no-such-mix"), "mix"),
+        (dict(kind="trace", trace="CTH", scale=0.0), "scale"),
+        (dict(kind="trace", trace="CTH", scale=-0.5), "scale"),
+        (dict(kind="trace", trace="CTH", scale=1.5), "scale"),
+    ])
+    def test_invalid_spec_rejected_on_construction(self, spec, match):
+        """Every driver builds through ReplayTask, so one check covers
+        the runner, the traced replay and the fuzzer."""
+        with pytest.raises(ValueError, match=match):
+            ReplayTask(**spec)
+
     def test_resolve_jobs(self):
         assert resolve_jobs(1) == 1
         assert resolve_jobs(4) == 4
@@ -70,17 +87,18 @@ class TestRunTasks:
         assert serial.summaries == parallel.summaries
 
     def test_worker_exception_captured(self):
-        tasks = [tiny(protocol="cx"), tiny(trace="no-such-trace")]
+        # A valid spec whose SimParams override fails in the worker.
+        tasks = [tiny(protocol="cx"), tiny(params={"no_such_param": 1})]
         result = run_tasks(tasks, jobs=1, raise_on_error=False)
         assert result.outcomes[0].ok
         assert not result.outcomes[1].ok
-        assert "KeyError" in result.outcomes[1].error
+        assert "TypeError" in result.outcomes[1].error
         assert result.outcomes[1].summary is None
 
     def test_failures_raise_with_traceback(self):
         with pytest.raises(TaskFailed) as exc_info:
-            run_tasks([tiny(trace="no-such-trace")], jobs=1)
-        assert "KeyError" in str(exc_info.value)
+            run_tasks([tiny(params={"no_such_param": 1})], jobs=1)
+        assert "TypeError" in str(exc_info.value)
 
     def test_merged_cluster_metrics(self):
         result = run_tasks([tiny(protocol="cx")], jobs=1)
