@@ -167,7 +167,8 @@ class CommitManager:
         self, dst, kind, payload, *, timeout, attempts=1, size=None,
         span_id=None,
     ):
-        """The one server-to-server request of the commitment protocol.
+        """A server-to-server request with bounded retries (recovery's
+        markers, parked re-delivery; ``_commit_group`` inlines one try).
 
         A reply that never comes (the request or the reply was dropped
         by a partition, or the request was delivered just before the
@@ -196,17 +197,20 @@ class CommitManager:
                     dst, kind, payload, size=size, span_id=span_id,
                     timeout=timeout,
                 ))
-            except ConnectionError:
-                continue  # dead-lettered: the peer is down right now
-            except TimeoutError:
-                self._m_rpc_timeouts.inc()
-                if tracer.enabled:
-                    tracer.event(
-                        "commit.rpc_timeout", server.node_id, cat="protocol",
-                        kind=kind.value, peer=dst,
-                    )
+            except (ConnectionError, TimeoutError) as exc:
+                self._unanswered(dst, kind, exc)
         self._m_rpc_failed.inc()
         raise ConnectionError(f"{kind.value} to {dst}: no reply")
+
+    def _unanswered(self, dst, kind, exc: Exception) -> None:
+        """Count one request attempt that got no reply (peer down, overdue)."""
+        if isinstance(exc, TimeoutError):
+            self._m_rpc_timeouts.inc()
+            if self.tracer.enabled:
+                self.tracer.event(
+                    "commit.rpc_timeout", self.role.server.node_id,
+                    cat="protocol", kind=kind.value, peer=dst,
+                )
 
     def _commit_batch(self, ops: List[PendingOp]):
         spawn = self.role.server.spawn
@@ -274,15 +278,77 @@ class CommitManager:
 
     def _commit_group(self, part_idx: int, group: List[PendingOp], done):
         """Commit one participant's share of a batch, sub-batched so no
-        two operations in one VOTE conflict on the participant."""
+        two operations in one VOTE conflict on the participant.  One
+        flat generator for the whole exchange: a lazy wave holds one per
+        (batch, participant) pair at once."""
+        role = self.role
+        server = role.server
+        part_node = role.cluster.server_id(part_idx)
+        timeout = role.params.commit_rpc_timeout
+        wal = server.wal
+        rsize = role.params.log_record_size
+        tracer = self.tracer
         try:
-            for chunk in _split_nonconflicting(group):
-                yield from self._commit_group_once(part_idx, chunk, done)
-        except ConnectionError:
+            for ops in _split_nonconflicting(group):
+                batch_size = role.batch_size(len(ops))
+                # Batched messages carry one span context: the first
+                # traced op's commitment span stands in for the chunk.
+                batch_sid = None
+                if tracer.enabled:
+                    for p in ops:
+                        if p.commit_span is not None and p.commit_span.span_id is not None:
+                            batch_sid = p.commit_span.span_id
+                            break
+
+                # Step 3–4: VOTE, collect the participant's per-op results.
+                kind = MessageKind.VOTE
+                votes = (yield server.request(
+                    part_node, kind, {"ops": [p.op_id for p in ops]},
+                    size=batch_size, span_id=batch_sid, timeout=timeout,
+                )).payload["votes"]
+
+                # Step 5: decide; write Commit/Abort records (one group
+                # flush: the whole chunk coalesces into one all_of).
+                decisions: List[bool] = []
+                appends = []
+                tracer.ambient = batch_sid
+                for p in ops:
+                    vote = votes[p.op_id]
+                    commit = p.ok and vote["ok"]
+                    decisions.append(commit)
+                    p.vote_errno = vote["errno"]
+                    if not commit and p.ok:
+                        # Our half succeeded but the op aborts: roll back.
+                        server.shard.apply_deferred(p.result.undo)
+                    appends.append(
+                        wal.append(
+                            LogRecord(p.op_id, _COMMIT if commit else _ABORT, size=rsize),
+                            urgent=True,
+                        )
+                    )
+                tracer.ambient = None
+                yield role.sim.all_of(appends)
+                # The decisions are durable: from here on, every retry
+                # path must re-deliver them — never re-vote.
+                for p, commit in zip(ops, decisions):
+                    self._record_decision(p, commit)
+
+                # Steps 5–6: one batched COMMIT-REQ/ABORT-REQ carrying
+                # the logged decisions; await the ACK.
+                kind = MessageKind.COMMIT_REQ
+                ack = yield server.request(
+                    part_node, kind,
+                    {"decisions": {p.op_id: p.decided for p in ops}},
+                    size=batch_size, span_id=batch_sid, timeout=timeout,
+                )
+                assert ack.kind is MessageKind.ACK
+                done.extend(ops)
+        except (ConnectionError, TimeoutError) as exc:
             # Participant crashed (or partitioned away) mid-commitment.
+            self._unanswered(part_node, kind, exc)
+            self._m_rpc_failed.inc()
             done_ids = {d.op_id for d in done}
-            peer_node = self.role.cluster.server_id(part_idx)
-            traced = self.tracer.enabled
+            traced = tracer.enabled
             for p in group:
                 if p.op_id in done_ids:
                     continue  # acked before the failure: completes normally
@@ -300,82 +366,10 @@ class CommitManager:
                     p.commit_span.end(outcome="peer-crashed")
                     p.commit_span = None
                 if traced:
-                    self.tracer.event(
-                        "commit.peer_lost", self.role.server.node_id,
-                        cat="protocol", op_id=p.op_id, peer=peer_node,
+                    tracer.event(
+                        "commit.peer_lost", server.node_id,
+                        cat="protocol", op_id=p.op_id, peer=part_node,
                     )
-
-    def _commit_group_once(self, part_idx: int, ops: List[PendingOp], done):
-        role = self.role
-        server = role.server
-        part_node = role.cluster.server_id(part_idx)
-        batch_size = role.batch_size(len(ops))
-        # Batched messages carry one span context: the first traced
-        # op's commitment span stands in for the whole chunk.
-        batch_sid = None
-        if self.tracer.enabled:
-            for p in ops:
-                if p.commit_span is not None and p.commit_span.span_id is not None:
-                    batch_sid = p.commit_span.span_id
-                    break
-
-        # Step 3–4: VOTE, collect the participant's per-op results.
-        rpc_timeout = role.params.commit_rpc_timeout
-        votes_resp = yield from self.rpc(
-            part_node,
-            MessageKind.VOTE,
-            {"ops": [p.op_id for p in ops]},
-            timeout=rpc_timeout,
-            size=batch_size,
-            span_id=batch_sid,
-        )
-        votes = votes_resp.payload["votes"]
-
-        # Step 5: decide; write Commit/Abort records (one group flush).
-        # A pre-built append list: the whole batch coalesces into one
-        # all_of over one group-committed flush.
-        wal = server.wal
-        rsize = role.params.log_record_size
-        decisions: List[bool] = []
-        appends = []
-        tracer = self.tracer
-        tracer.ambient = batch_sid
-        for p in ops:
-            vote = votes[p.op_id]
-            commit = p.ok and vote["ok"]
-            decisions.append(commit)
-            p.vote_errno = vote["errno"]
-            if not commit and p.ok:
-                # Our half succeeded but the op aborts: roll back.
-                server.shard.apply_deferred(p.result.undo)
-            appends.append(
-                wal.append(
-                    LogRecord(p.op_id, _COMMIT if commit else _ABORT, size=rsize),
-                    urgent=True,
-                )
-            )
-        tracer.ambient = None
-        yield role.sim.all_of(appends)
-        # The decisions are durable: from here on, every retry path must
-        # re-deliver them — never re-vote.
-        for p, commit in zip(ops, decisions):
-            self._record_decision(p, commit)
-        yield from self._deliver(part_idx, ops, rpc_timeout, batch_sid)
-        done.extend(ops)
-
-    def _deliver(self, part_idx: int, ops: List[PendingOp], timeout, span_id=None):
-        """Steps 5–6: one batched COMMIT-REQ/ABORT-REQ carrying the
-        logged decisions of ``ops`` to their participant; await the ACK."""
-        role = self.role
-        ack = yield from self.rpc(
-            role.cluster.server_id(part_idx),
-            MessageKind.COMMIT_REQ,
-            {"decisions": {p.op_id: p.decided for p in ops}},
-            timeout=timeout,
-            size=role.batch_size(len(ops)),
-            span_id=span_id,
-        )
-        assert ack.kind is MessageKind.ACK
 
     def _record_decision(self, pend: PendingOp, committed: bool) -> None:
         """The commitment decision for ``pend`` is durable: remember it
@@ -384,6 +378,8 @@ class CommitManager:
         precede the Commit/Abort append — the atomic-decision invariant
         audits exactly this)."""
         pend.decided = committed
+        # Decided: no invalidation can re-queue the request any more.
+        pend.req_msg = None
         tracer = self.tracer
         if tracer.enabled:
             sid = (
@@ -435,9 +431,15 @@ class CommitManager:
             progressed = False
             for part_idx, group in by_peer.items():
                 try:
-                    yield from self._deliver(part_idx, group, timeout)
+                    ack = yield from self.rpc(
+                        role.cluster.server_id(part_idx),
+                        MessageKind.COMMIT_REQ,
+                        {"decisions": {p.op_id: p.decided for p in group}},
+                        timeout=timeout, size=role.batch_size(len(group)),
+                    )
                 except ConnectionError:
                     continue
+                assert ack.kind is MessageKind.ACK
                 progressed = True
                 peer = role.cluster.server_id(part_idx)
                 for p in group:
@@ -474,9 +476,8 @@ class CommitManager:
                 MessageKind.ALL_NO,
                 {"op_id": pend.op_id, "errno": errno},
             )
-        for ev in pend.waiters:
-            if not ev.triggered:
-                ev.succeed()
+        if pend.waiter is not None and not pend.waiter.triggered:
+            pend.waiter.succeed()
 
 
 def _split_nonconflicting(ops: List[PendingOp]) -> List[List[PendingOp]]:

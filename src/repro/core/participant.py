@@ -131,8 +131,10 @@ class ParticipantHalf:
 
     def _cast(self, msg: Message, pend: PendingOp, votes: Dict[OpId, dict]) -> None:
         votes[pend.op_id] = {"ok": pend.ok, "errno": pend.result.errno}
-        # Once voted, the op may no longer be invalidated.
+        # Once voted, the op may no longer be invalidated, so its
+        # request will never be re-queued.
         pend.state = PendingState.COMMITTING
+        pend.req_msg = None
         # The participant's commitment phase opens at its vote (a
         # coordinator retry after a crash finds the span open).
         if self.tracer.enabled and pend.commit_span is None:

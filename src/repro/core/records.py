@@ -15,9 +15,8 @@ Three record families, each tagged with the operation id that owns it:
 from __future__ import annotations
 
 import enum
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
-from repro.core.active import conflict_keys
 from repro.fs.namespace import ExecResult
 from repro.fs.ops import SubOp
 from repro.net.message import Message
@@ -40,6 +39,15 @@ class PendingState(str, enum.Enum):
     DONE = "done"
 
 
+class ResultPayload(NamedTuple):
+    """A Result-Record's payload: references, not copies (redo is
+    ``result.updates``, undo ``result.undo``; neither changes later)."""
+
+    subop: SubOp
+    result: ExecResult
+    other_server: Optional[int]
+
+
 def make_result_record(
     op_id: OpId,
     subop: SubOp,
@@ -51,15 +59,7 @@ def make_result_record(
     return LogRecord(
         op_id,
         RecordType.RESULT.value,
-        payload={
-            "ok": res.ok,
-            "errno": res.errno,
-            "subop": subop,
-            # Shared, not copied: nothing mutates them after execution.
-            "updates": res.updates,
-            "undo": res.undo,
-            "other_server": other_server,
-        },
+        payload=ResultPayload(subop, res, other_server),
         size=record_size * max(1, len(res.updates)),
     )
 
@@ -89,27 +89,26 @@ def log_state(
 class PendingOp:
     """One executed-but-uncommitted operation on one server.
 
-    ``__slots__`` class (not a dataclass): one is built per executed
-    sub-op, and its attributes sit on the protocol's hottest paths.
+    ``__slots__`` class (not a dataclass): under lazy commitment the
+    pending set is the protocol's working set, so it keeps only what
+    commitment or recovery reads (DESIGN.md, "What an in-flight op holds").
     """
 
     __slots__ = (
         "op_id", "subop", "role", "other_server", "result", "record",
-        "keys", "state", "hint", "req_msg", "all_no_dst",
-        "last_response", "waiters", "lcom_sent", "immediate_requested",
-        "vote_errno", "enqueued_at", "commit_span", "exec_span_id",
-        "logged", "decided", "resolicit_at", "resolicit_backoff",
+        "state", "hint", "req_msg", "all_no_dst", "reply", "waiter",
+        "lcom_sent", "immediate_requested", "vote_errno", "enqueued_at",
+        "commit_span", "exec_span_id", "logged", "decided",
+        "resolicit_at", "resolicit_backoff",
     )
 
     def __init__(
         self,
         op_id: OpId,
         subop: SubOp,
-        role: str,
         other_server: Optional[int],
         result: ExecResult,
         record: LogRecord,
-        keys: Optional[List[Any]] = None,
         hint: Optional[OpId] = None,
         req_msg: Optional[Message] = None,
     ) -> None:
@@ -117,27 +116,28 @@ class PendingOp:
         self.subop = subop
         #: "coord" (we own the dirent / drive commitment), "part", or
         #: "single" (single-server operation: local commitment only).
-        self.role = role
+        self.role = subop.role
         #: The peer server index (participant for coord-role,
         #: coordinator for part-role, None for single).
         self.other_server = other_server
         self.result = result
         self.record = record
-        #: Conflict keys registered in the active-object table.
-        self.keys = [] if keys is None else keys
         self.state = PendingState.EXECUTED
         #: Hint attached to the execution response ([null] or [op_id']).
         self.hint = hint
-        #: The original client REQ (kept so a re-queued/invalidated
-        #: sub-op can be re-dispatched and re-answered).
+        #: The original client REQ, kept only while the op may still be
+        #: invalidated (re-queued as a new arrival): a cross-server op
+        #: until its vote (participant) or its decision (coordinator).
         self.req_msg = req_msg
         #: Node id of a client waiting for ALL-NO after an L-COM.
         self.all_no_dst: Optional[str] = None
-        #: The last response ``(kind, payload)`` sent for this op
-        #: (resent on duplicate REQs after a client-side retry).
-        self.last_response: Optional[Tuple[Any, Dict[str, Any]]] = None
-        #: Events to succeed when this op's commitment completes.
-        self.waiters: List[Any] = []
+        #: ``(conflicted, hint_covers_other, saw_commits)`` of the
+        #: execution response, captured at first send (None before): a
+        #: duplicate REQ gets the identical answer.
+        self.reply: Optional[Tuple[bool, bool, tuple]] = None
+        #: Recovery's event to succeed when this op's commitment
+        #: completes (None unless a recovery pass waits on it).
+        self.waiter: Any = None
         #: Participant-role only: an L-COM for this op was already sent
         #: to the coordinator (avoid spamming on repeated conflicts).
         self.lcom_sent = False
@@ -175,21 +175,25 @@ class PendingOp:
         """Rebuild the pending entry of a sub-op from its durable
         Result-Record — how every operation re-enters the commitment
         after a crash."""
-        payload = record.payload
-        subop = payload["subop"]
-        res = ExecResult(
-            ok=payload["ok"],
-            errno=payload["errno"],
-            updates=list(payload["updates"]),
-            undo=list(payload["undo"]),
-        )
-        cross = subop.role in ("coord", "part")
-        pend = cls(
-            record.op_id, subop, subop.role, payload["other_server"], res,
-            record, keys=conflict_keys(subop) if res.ok and cross else [],
-        )
+        subop, res, other_server = record.payload
+        pend = cls(record.op_id, subop, other_server, res, record)
         pend.logged = True
         return pend
+
+    def reply_payload(self) -> Dict[str, Any]:
+        """The execution response as first sent (see :attr:`reply`)."""
+        conflicted, covers, saw_commits = self.reply
+        res = self.result
+        return {
+            "op_id": self.op_id,
+            "role": self.role,
+            "ok": res.ok,
+            "errno": res.errno,
+            "conflicted": conflicted,
+            "hint": self.hint,
+            "hint_covers_other": covers,
+            "saw_commits": saw_commits,
+        }
 
     def __repr__(self) -> str:
         return (

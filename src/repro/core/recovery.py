@@ -52,7 +52,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Generator, List, Optional, Tuple
 
 from repro.analysis.consistency import classify_namespace
+from repro.core.active import conflict_keys
 from repro.core.records import PendingOp, log_state
+from repro.fs.namespace import ExecResult
 from repro.fs.objects import DirEntry, Inode
 from repro.net.message import MessageKind
 from repro.storage.wal import LogRecord, OpId
@@ -139,7 +141,7 @@ class CxRecovery:
                 # nothing to resume.
                 server.wal.prune_op(op_id)
                 continue
-            is_coord = result_rec.payload["subop"].role in ("coord", "single")
+            is_coord = result_rec.payload.subop.role in ("coord", "single")
             if decided is None:
                 # Result only: redo the update and wait for (part) or
                 # re-launch (coord) the commitment.
@@ -149,7 +151,7 @@ class CxRecovery:
             else:
                 # The decided objects may still have been volatile at
                 # the crash: reconcile the shard against the decision.
-                ev = self._reconcile_decided(op_id, result_rec.payload, decided)
+                ev = self._reconcile_decided(op_id, result_rec.payload.result, decided)
                 if is_coord:
                     # The participant may not have heard: the decision
                     # must be re-delivered before the records can go.
@@ -195,8 +197,7 @@ class CxRecovery:
             chunk = resumed[start:start + chunk_size]
             done_events = []
             for pend in chunk:
-                ev = sim.event()
-                pend.waiters.append(ev)
+                pend.waiter = ev = sim.event()
                 done_events.append(ev)
             role.commit_mgr.launch_ops(chunk, "recovery")
             yield sim.any_of(
@@ -221,8 +222,9 @@ class CxRecovery:
         tables, as its execution had left them."""
         role = self.role
         pend = PendingOp.from_record(result_rec)
-        if pend.keys:
-            role.active.register(pend.op_id, pend.keys)
+        keys = conflict_keys(pend.subop) if pend.ok and pend.role != "single" else ()
+        if keys:
+            role.active.register(pend.op_id, keys)
         role.pending[pend.op_id] = pend
         return pend
 
@@ -245,7 +247,7 @@ class CxRecovery:
         return pend, redo_event
 
     def _reconcile_decided(
-        self, op_id: OpId, payload: dict, committed: bool
+        self, op_id: OpId, res: ExecResult, committed: bool
     ) -> Optional[object]:
         """Reconcile the durable shard against a *logged* decision.
 
@@ -264,7 +266,7 @@ class CxRecovery:
         """
         role = self.role
         server = role.server
-        expected = payload["updates"] if committed else payload["undo"]
+        expected = res.updates if committed else res.undo
         kv = server.kv
         fixes = []
         reclaimed = 0
@@ -312,7 +314,7 @@ class CxRecovery:
         for op_id in server.wal.ops_in_log():
             result_rec = log_state(server.wal.records_of(op_id))[0]
             if result_rec is not None:
-                subops.append(result_rec.payload["subop"])
+                subops.append(result_rec.payload.subop)
         in_flight = {
             s.args["target"] for s in subops if s.args.get("target") is not None
         }

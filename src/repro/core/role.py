@@ -303,9 +303,11 @@ class CxRole(ServerRole):
             return True
         pend = self.pending.get(op_id)
         if pend is not None and pend.subop.role == subop.role:
-            if pend.last_response is not None:
-                kind, payload = pend.last_response
-                self.server.send(msg.src, kind, dict(payload))
+            if pend.reply is not None:
+                self.server.send(
+                    msg.src, MessageKind.YES if pend.ok else MessageKind.NO,
+                    pend.reply_payload(),
+                )
             return True
         if op_id in self.completed and not subop.is_readonly:
             done = self.completed[op_id]
@@ -380,13 +382,13 @@ class CxRole(ServerRole):
         pend = PendingOp(
             op_id=op_id,
             subop=subop,
-            role=subop.role,
             other_server=other_server,
             result=res,
             record=record,
-            keys=keys if (res.ok and cross) else [],
             hint=mp.get("ordered_after"),
-            req_msg=msg,
+            # Only a cross-server op holds active objects, so only one
+            # can ever be invalidated and re-queued.
+            req_msg=msg if cross else None,
         )
         if voted or self.participant.has_vote_waiter(op_id):
             # A VOTE is waiting on this very execution: the op is born
@@ -403,22 +405,15 @@ class CxRole(ServerRole):
         # volatile record could not be honored after a crash).
         pend.logged = True
 
-        # The ResponseHint block, built directly into the payload (the
-        # dataclass + to_payload() + dict-merge detour costs a dict and
-        # an object per response on the hottest protocol path).
-        payload = {
-            "op_id": op_id,
-            "role": subop.role,
-            "ok": res.ok,
-            "errno": res.errno,
-            "conflicted": mp.get("conflicted", False),
-            "hint": pend.hint,
-            "hint_covers_other": mp.get("ordered_after_covers", False),
-            "saw_commits": tuple(self.active.saw_commits(keys)),
-        }
+        # The ResponseHint block, captured once: a duplicate REQ is
+        # answered with the same values, saw_commits included.
+        pend.reply = (
+            mp.get("conflicted", False),
+            mp.get("ordered_after_covers", False),
+            tuple(self.active.saw_commits(keys)),
+        )
         kind = MessageKind.YES if res.ok else MessageKind.NO
-        pend.last_response = (kind, payload)
-        self.server.send(msg.src, kind, payload, span_id=record_sid)
+        self.server.send(msg.src, kind, pend.reply_payload(), span_id=record_sid)
 
         # Post-execution hooks: deferred votes and the lazy queue.
         self.participant.fulfill_vote_waiters(op_id)

@@ -17,9 +17,10 @@ the cluster-wide view.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Dict, Iterable, Optional
 
+from repro.params import SimParams
 from repro.protocols import PROTOCOL_NAMES
 from repro.workloads import SYNTH_MIXES, TRACE_SPECS, ReplaySummary, replay_streams
 
@@ -30,6 +31,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Task kinds understood by :func:`build_run`.
 KINDS = ("trace", "metarates", "inject", "synth", "fuzz")
+
+#: Keys a task's ``params`` may override.
+_PARAM_NAMES = frozenset(f.name for f in fields(SimParams))
 
 
 @dataclass(frozen=True)
@@ -56,8 +60,9 @@ class ReplayTask:
 
     ``params`` carries :class:`~repro.params.SimParams` field overrides
     as a plain dict so the spec stays picklable.  A spec naming an
-    unknown kind, protocol, trace or mix, or a scale outside (0, 1], is
-    rejected on construction, so every driver gets the same check.
+    unknown kind, protocol, trace, mix or ``params`` key, or a scale
+    outside (0, 1], is rejected on construction, so every caller gets
+    the same check.
     """
 
     kind: str
@@ -112,6 +117,9 @@ class ReplayTask:
             )
         if self.scale is not None and not 0 < self.scale <= 1:
             raise ValueError(f"scale must be in (0, 1], got {self.scale}")
+        unknown = sorted(set(self.params or ()) - _PARAM_NAMES)
+        if unknown:
+            raise ValueError(f"params: unknown SimParams field {', '.join(unknown)}")
 
 
 @dataclass

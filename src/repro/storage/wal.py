@@ -25,6 +25,7 @@ Recovery re-reads the valid region sequentially (see
 from __future__ import annotations
 
 from collections import deque
+from types import MappingProxyType
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -34,6 +35,9 @@ from repro.storage.disk import Disk, Extent
 
 #: Operation id: (client id, process id, sequence number) — paper §III.A.
 OpId = Tuple[int, int, int]
+
+#: The one read-only payload of every record built without one.
+_NO_PAYLOAD = MappingProxyType({})
 
 
 class LogRecord:
@@ -49,13 +53,13 @@ class LogRecord:
         self,
         op_id: OpId,
         rtype: str,
-        payload: Optional[Dict[str, Any]] = None,
+        payload: Any = None,
         size: int = 128,
         invalid: bool = False,
     ) -> None:
         self.op_id = op_id
         self.rtype = rtype
-        self.payload = {} if payload is None else payload
+        self.payload = _NO_PAYLOAD if payload is None else payload
         self.size = size
         #: Invalidated records no longer count as valid but remain on
         #: disk until pruning (Cx invalidates Result-Records of

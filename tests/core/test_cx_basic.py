@@ -55,8 +55,8 @@ class TestGraciousExecution:
         assert coord.wal.records_of(op.op_id) == []
 
     def test_result_record_shares_the_results_lists(self):
-        """The Result-Record's redo/undo are the execution's own lists,
-        not copies: one pending sub-op holds them once."""
+        """The Result-Record references the execution's own result (its
+        redo/undo lists), not copies: one pending sub-op holds them once."""
         cluster = build_cluster("cx", params=SimParams(commit_timeout=0.5))
         d = cluster.preload_dir(ROOT_HANDLE, "dir")
         proc = cluster.client_process(0, 0)
@@ -67,9 +67,7 @@ class TestGraciousExecution:
             pend = server.role.pending.get(op.op_id)
             if pend is None:
                 continue
-            payload = pend.record.payload
-            assert payload["updates"] is pend.result.updates
-            assert payload["undo"] is pend.result.undo
+            assert pend.record.payload.result is pend.result
             assert pend.result.updates and pend.result.undo
             shared += 1
         assert shared == 2  # coordinator and participant

@@ -1,10 +1,19 @@
-"""Regenerate ``replay_golden.json`` (intentional semantic changes only).
+"""Regenerate the golden files (intentional semantic changes only).
 
 Usage::
 
-    PYTHONPATH=src python tests/golden/regen_golden.py
+    PYTHONPATH=src python tests/golden/regen_golden.py          # replays
+    PYTHONPATH=src python tests/golden/regen_golden.py --fuzz   # verdicts
+    PYTHONPATH=src python tests/golden/regen_golden.py --check-fuzz F
 
-Only run this when a PR *deliberately* changes replay semantics (new
+``replay_golden.json`` pins whole replay summaries; ``fuzz_verdicts.json``
+pins ``[index, verdict, events, vtime]`` of every certified fuzz
+schedule (:data:`FUZZ_PROTOCOLS` x :data:`FUZZ_SEEDS` x
+:data:`FUZZ_SCHEDULES`).  ``--check-fuzz`` compares one
+``python -m repro fuzz`` resume file against the pinned rows and exits
+non-zero on any difference.
+
+Only regenerate when a change *deliberately* changes replay semantics (new
 protocol behavior, parameter defaults, trace generation).  A perf PR
 must never need it — if the golden tests fail under a pure
 optimization, the optimization is wrong.
@@ -12,13 +21,23 @@ optimization, the optimization is wrong.
 
 from __future__ import annotations
 
+import argparse
 import json
+import os
 import pathlib
+import sys
+import tempfile
 from dataclasses import asdict
 
 from repro.runner.tasks import ReplayTask, execute_task
 
 GOLDEN_FILE = pathlib.Path(__file__).parent / "replay_golden.json"
+FUZZ_FILE = pathlib.Path(__file__).parent / "fuzz_verdicts.json"
+
+#: The fuzz legs CI certifies clean (the ``fuzz-smoke`` matrix).
+FUZZ_PROTOCOLS = ("cx", "cx-serial-exec")
+FUZZ_SEEDS = (0, 1, 2)
+FUZZ_SCHEDULES = 100
 
 CELLS = {
     "fig5_CTH_cx": ReplayTask(kind="trace", trace="CTH", protocol="cx",
@@ -59,7 +78,7 @@ def _changes(old: dict, new: dict, prefix: str = ""):
             yield f"{prefix}{key}", a, b
 
 
-def main() -> None:
+def regen_replays() -> None:
     previous = {}
     if GOLDEN_FILE.exists():
         with open(GOLDEN_FILE, "r", encoding="utf-8") as fh:
@@ -83,5 +102,98 @@ def main() -> None:
     print(f"wrote {GOLDEN_FILE}")
 
 
+def verdict_rows(resume_path) -> tuple:
+    """``(protocol, seed, rows)`` of a fuzz resume file, one
+    ``[index, verdict, events, vtime]`` row per schedule."""
+    rows = []
+    with open(resume_path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            d = json.loads(line)
+            if d["type"] == "header":
+                protocol, seed = d.get("protocol", "cx"), d["seed"]
+            else:
+                rows.append([d["index"], d["verdict"], d["events"], d["vtime"]])
+    return protocol, seed, sorted(rows)
+
+
+def _row_changes(old: list, new: list):
+    """Lines naming every schedule whose pinned row differs."""
+    old_by, new_by = {r[0]: r for r in old}, {r[0]: r for r in new}
+    for index in sorted(set(old_by) | set(new_by)):
+        a, b = old_by.get(index, "<absent>"), new_by.get(index, "<absent>")
+        if a != b:
+            yield f"  schedule {index}: {a} -> {b}"
+
+
+def load_fuzz_verdicts() -> dict:
+    with open(FUZZ_FILE, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def regen_fuzz() -> None:
+    from repro.faultfuzz import run_fuzz
+
+    previous = load_fuzz_verdicts() if FUZZ_FILE.exists() else {}
+    pinned: dict = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for protocol in FUZZ_PROTOCOLS:
+            for seed in FUZZ_SEEDS:
+                path = os.path.join(tmp, f"{protocol}_seed{seed}.jsonl")
+                run_fuzz(seed=seed, schedules=FUZZ_SCHEDULES, resume_path=path,
+                         out_dir=tmp, protocol=protocol)
+                rows = verdict_rows(path)[2]
+                pinned.setdefault(protocol, {})[str(seed)] = rows
+                old = previous.get(protocol, {}).get(str(seed), [])
+                changes = list(_row_changes(old, rows))
+                print(f"{protocol} seed {seed}: {len(rows)} schedules")
+                print("\n".join(changes) if changes else "  unchanged")
+    # One row per line, so a moved verdict is a one-line diff.
+    legs = []
+    for protocol, seeds in pinned.items():
+        body = ",\n".join(
+            f'    "{seed}": [\n'
+            + ",\n".join("      " + json.dumps(r) for r in rows)
+            + "\n    ]"
+            for seed, rows in seeds.items()
+        )
+        legs.append(f'  "{protocol}": {{\n{body}\n  }}')
+    with open(FUZZ_FILE, "w", encoding="utf-8") as fh:
+        fh.write("{\n" + ",\n".join(legs) + "\n}\n")
+    print(f"wrote {FUZZ_FILE}")
+
+
+def check_fuzz(resume_path) -> int:
+    """0 when ``resume_path`` reproduces its pinned leg exactly."""
+    protocol, seed, rows = verdict_rows(resume_path)
+    pinned = load_fuzz_verdicts().get(protocol, {}).get(str(seed))
+    if pinned is None:
+        print(f"{FUZZ_FILE.name} pins no {protocol} seed {seed} leg")
+        return 1
+    changes = list(_row_changes(pinned, rows))
+    if changes:
+        print(f"{protocol} seed {seed} differs from {FUZZ_FILE.name}:")
+        print("\n".join(changes))
+        return 1
+    print(f"{protocol} seed {seed}: {len(rows)} schedules match {FUZZ_FILE.name}")
+    return 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--fuzz", action="store_true",
+                      help="rewrite fuzz_verdicts.json instead of the replays")
+    mode.add_argument("--check-fuzz", metavar="RESUME_FILE",
+                      help="compare a fuzz resume file with fuzz_verdicts.json")
+    args = parser.parse_args(argv)
+    if args.check_fuzz:
+        return check_fuzz(args.check_fuzz)
+    if args.fuzz:
+        regen_fuzz()
+    else:
+        regen_replays()
+    return 0
+
+
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

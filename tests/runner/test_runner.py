@@ -43,6 +43,8 @@ class TestReplayTask:
         (dict(kind="trace", trace="CTH", scale=0.0), "scale"),
         (dict(kind="trace", trace="CTH", scale=-0.5), "scale"),
         (dict(kind="trace", trace="CTH", scale=1.5), "scale"),
+        (dict(kind="trace", trace="CTH", params={"no_such_param": 1}),
+         "no_such_param"),
     ])
     def test_invalid_spec_rejected_on_construction(self, spec, match):
         """Every driver builds through ReplayTask, so one check covers
@@ -87,18 +89,19 @@ class TestRunTasks:
         assert serial.summaries == parallel.summaries
 
     def test_worker_exception_captured(self):
-        # A valid spec whose SimParams override fails in the worker.
-        tasks = [tiny(protocol="cx"), tiny(params={"no_such_param": 1})]
+        # A valid spec whose SimParams value fails only in the worker
+        # (the commit triggers reject a threshold below 1).
+        tasks = [tiny(protocol="cx"), tiny(params={"commit_threshold": 0})]
         result = run_tasks(tasks, jobs=1, raise_on_error=False)
         assert result.outcomes[0].ok
         assert not result.outcomes[1].ok
-        assert "TypeError" in result.outcomes[1].error
+        assert "ValueError" in result.outcomes[1].error
         assert result.outcomes[1].summary is None
 
     def test_failures_raise_with_traceback(self):
         with pytest.raises(TaskFailed) as exc_info:
-            run_tasks([tiny(params={"no_such_param": 1})], jobs=1)
-        assert "TypeError" in str(exc_info.value)
+            run_tasks([tiny(params={"commit_threshold": 0})], jobs=1)
+        assert "ValueError" in str(exc_info.value)
 
     def test_merged_cluster_metrics(self):
         result = run_tasks([tiny(protocol="cx")], jobs=1)
