@@ -13,7 +13,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.metrics import MetricsCollector, StreamingMetricsCollector
 from repro.cluster.client import ClientNode, ClientProcess
@@ -110,6 +110,12 @@ class Cluster:
             tracer.bind(sim)
         self.network = Network(sim, params, tracer=self.tracer)
         self.placement = PlacementPolicy(num_servers, self.rngs.stream("placement"))
+        #: Every server's node id, built once: requests and commitment
+        #: messages address servers by index, and a lazy server stays
+        #: unbuilt until something is actually sent to it.
+        self.server_ids: Tuple[str, ...] = tuple(
+            server_node_id(i) for i in range(num_servers)
+        )
         # Streaming mode folds per-op records into bounded counters and
         # a log-bucketed histogram — the million-op scale cells cannot
         # afford one OpRecord per operation.
@@ -210,7 +216,7 @@ class Cluster:
         return self.servers[index]
 
     def server_id(self, index: int) -> str:
-        return server_node_id(index)
+        return self.server_ids[index]
 
     def client_process(self, client: int, proc: int) -> ClientProcess:
         """The (cached) process ``proc`` of client machine ``client``."""

@@ -226,6 +226,12 @@ class MetadataServer(Node):
         for proc in list(self._owned):
             proc.kill()
         self._owned.clear()
+        # A main loop blocked on the inbox returns when it closes below.
+        # One that already took a message (paying its dispatch cost)
+        # would hand it to a handler of the dead server, which could
+        # answer it: kill it instead.
+        if self._loop is not None and not self.inbox.waiting:
+            self._loop.kill()
         super().crash()  # close inbox, fail pending RPCs
         self._quiesce_buffer.clear()
         self.kv.crash()

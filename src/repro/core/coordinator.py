@@ -17,8 +17,9 @@ measure.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+from repro.core.participant import retry_backoff
 from repro.core.records import PendingOp, PendingState, RecordType
 from repro.fs.objects import inode_key
 from repro.net.message import MessageKind
@@ -67,11 +68,14 @@ class CommitManager:
         #: — never re-voted — once the peer is reachable again.  The
         #: trigger scan drives re-delivery.
         self.parked: Dict[OpId, PendingOp] = {}
+        #: Held peers: index -> ``(until, backoff)`` (DESIGN.md §8).
+        self._held: Dict[int, Tuple[float, float]] = {}
 
     def on_crash(self) -> None:
         self.lazy.clear()
         self._pre_requests.clear()
         self.parked.clear()
+        self._held.clear()
 
     # -- queueing ------------------------------------------------------------
 
@@ -138,7 +142,8 @@ class CommitManager:
     # -- launching ---------------------------------------------------------------
 
     def launch_all(self, reason: str) -> None:
-        ops = [p for p in self.lazy.values() if p.state is PendingState.EXECUTED]
+        # Timer, flush-now, log-full: held peers wait (message-driven launches don't).
+        ops = self.unheld(p for p in self.lazy.values() if p.state is PendingState.EXECUTED)
         if ops:
             self.launch_ops(ops, reason)
 
@@ -306,6 +311,7 @@ class CommitManager:
                     part_node, kind, {"ops": [p.op_id for p in ops]},
                     size=batch_size, span_id=batch_sid, timeout=timeout,
                 )).payload["votes"]
+                self.peer_answered(part_idx)
 
                 # Step 5: decide; write Commit/Abort records (one group
                 # flush: the whole chunk coalesces into one all_of).
@@ -347,6 +353,7 @@ class CommitManager:
             # Participant crashed (or partitioned away) mid-commitment.
             self._unanswered(part_node, kind, exc)
             self._m_rpc_failed.inc()
+            self.peer_unanswered(part_idx)
             done_ids = {d.op_id for d in done}
             traced = tracer.enabled
             for p in group:
@@ -391,7 +398,26 @@ class CommitManager:
                 committed=committed, role=pend.role,
             )
 
-    # -- parked decisions ---------------------------------------------------
+    # -- parked decisions and held peers ------------------------------------
+
+    def peer_unanswered(self, peer: int) -> None:
+        """A VOTE/COMMIT-REQ got no answer: hold ``peer`` one step on."""
+        now = self.role.sim.now
+        entry = self._held.get(peer)
+        if entry is None or now >= entry[0]:  # a live hold takes no step
+            backoff = retry_backoff(self.role.params, entry and entry[1])
+            self._held[peer] = (now + backoff, backoff)
+
+    def peer_answered(self, peer: int) -> None:
+        self._held.pop(peer, None)
+
+    def unheld(self, ops) -> List[PendingOp]:
+        """``ops`` whose peer is not held (a single-server op has none)."""
+        if not self._held:
+            return list(ops)
+        now = self.role.sim.now
+        held = {peer for peer, (until, _b) in self._held.items() if now < until}
+        return [p for p in ops if p.other_server not in held]
 
     def _park(self, pend: PendingOp) -> None:
         """Shelve a decided-but-unacknowledged op for re-delivery."""
@@ -419,14 +445,14 @@ class CommitManager:
 
     def finish_parked(self):
         """Re-deliver the parked decisions, one batched COMMIT-REQ per
-        participant, and settle what gets acknowledged.  A peer that is
-        still unreachable keeps its ops parked for the next scan."""
+        participant, and settle what gets acknowledged.  A held or
+        still unreachable peer keeps its ops parked for a later scan."""
         role = self.role
         timeout = role.params.recovery_rpc_timeout
         tracer = self.tracer
         while self.parked:
             by_peer: Dict[int, List[PendingOp]] = {}
-            for p in self.parked.values():
+            for p in self.unheld(self.parked.values()):
                 by_peer.setdefault(p.other_server, []).append(p)
             progressed = False
             for part_idx, group in by_peer.items():
@@ -438,8 +464,10 @@ class CommitManager:
                         timeout=timeout, size=role.batch_size(len(group)),
                     )
                 except ConnectionError:
+                    self.peer_unanswered(part_idx)
                     continue
                 assert ack.kind is MessageKind.ACK
+                self.peer_answered(part_idx)
                 progressed = True
                 peer = role.cluster.server_id(part_idx)
                 for p in group:

@@ -38,6 +38,13 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.role import CxRole
 
 
+def retry_backoff(params, prev: Optional[float]) -> float:
+    """The next RESOLICIT or peer-hold interval: ``vote_retry_timeout``,
+    then doubling up to ``vote_retry_timeout * vote_retry_backoff_cap``."""
+    vrt = params.vote_retry_timeout
+    return vrt if prev is None else min(prev * 2.0, vrt * params.vote_retry_backoff_cap)
+
+
 class ParticipantHalf:
     """VOTE / COMMIT-REQ handlers and the invalidation machinery."""
 
@@ -325,10 +332,10 @@ class ParticipantHalf:
         learns the decision" guarantee, made explicit):
 
         * part-role operations whose commitment decision is overdue
-          re-solicit their coordinator with a RESOLICIT (fire-and-forget;
-          backoff doubles per retry up to ``vote_retry_timeout *
-          vote_retry_backoff_cap``) — this unwedges ops whose VOTE, YES,
-          or decision died with a crashed coordinator or a partition;
+          re-solicit their coordinator with a RESOLICIT (fire-and-forget,
+          on the :func:`retry_backoff` schedule) — this unwedges ops
+          whose VOTE, YES, or decision died with a crashed coordinator
+          or a partition;
         * deferred votes for operations that never arrived within the
           retry window are abandoned, so :meth:`handle_vote` answers a
           lost-vote abort instead of waiting forever on a request that
@@ -346,21 +353,17 @@ class ParticipantHalf:
             return
         now = role.sim.now
         if role.pending:
-            cap = vrt * params.vote_retry_backoff_cap
             for pend in list(role.pending.values()):
                 if pend.role != "part":
                     continue
                 due = pend.resolicit_at
-                if due is None:
-                    # First sighting: arm the timer, don't fire yet.
-                    pend.resolicit_at = now + vrt
-                    pend.resolicit_backoff = vrt
+                if due is not None and now < due:
                     continue
-                if now < due:
-                    continue
-                backoff = min((pend.resolicit_backoff or vrt) * 2.0, cap)
+                backoff = retry_backoff(params, pend.resolicit_backoff)
                 pend.resolicit_backoff = backoff
                 pend.resolicit_at = now + backoff
+                if due is None:
+                    continue  # first sighting: arm the timer, don't fire yet
                 self._m_resolicits.inc()
                 coord_node = role.cluster.server_id(pend.other_server)
                 if self.tracer.enabled:

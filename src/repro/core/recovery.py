@@ -88,7 +88,7 @@ class CxRecovery:
         def one(peer):
             try:
                 yield from role.commit_mgr.rpc(
-                    peer.node_id, kind, {},
+                    peer.node_id, kind, {"epoch": role.server.epoch},
                     timeout=role.params.recovery_rpc_timeout,
                     attempts=max(1, role.params.recovery_rpc_retries),
                 )

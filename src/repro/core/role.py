@@ -78,6 +78,8 @@ class CxRole(ServerRole):
         #: not re-executed (double execution corrupts the namespace).
         self._executing: Set[OpId] = set()
         self._redelivery = None  # the liveness scan's one process
+        #: Peer id -> newest epoch whose RECOVERY-END we took (older BEGINs are stale).
+        self._peer_ended: Dict[str, int] = {}
 
     def batch_size(self, n: int) -> int:
         """Wire size of a batched commitment message carrying ``n`` ops."""
@@ -87,7 +89,7 @@ class CxRole(ServerRole):
         """Timer-fire piggyback: the vote-retry scan, then at most one
         process re-delivering parked decisions and owed RECOVERY-ENDs."""
         self.participant.scan_overdue()
-        owed = self.commit_mgr.parked or self.recovery.end_owed
+        owed = self.recovery.end_owed or self.commit_mgr.unheld(self.commit_mgr.parked.values())
         if owed and not self.server.quiesced and (
             self._redelivery is None or self._redelivery.triggered
         ):
@@ -143,6 +145,7 @@ class CxRole(ServerRole):
         self.participant.on_crash()
         self.recovery.end_owed = []
         self.recovery.running = False
+        self._peer_ended.clear()
 
     # -- dispatch -----------------------------------------------------------------
 
@@ -163,9 +166,14 @@ class CxRole(ServerRole):
         if kind is MessageKind.L_COM:
             self._handle_lcom(msg)
         elif kind is MessageKind.RECOVERY_BEGIN:
-            self.server.quiesce()
+            if msg.payload["epoch"] > self._peer_ended.get(msg.src, -1):
+                self.server.quiesce()
             self.server.send_reply(msg, MessageKind.ACK, {})
         elif kind is MessageKind.RECOVERY_END:
+            ended = self._peer_ended
+            ended[msg.src] = max(msg.payload["epoch"], ended.get(msg.src, -1))
+            # The peer is back: the next trigger fire may launch to it.
+            self.commit_mgr.peer_answered(self.cluster.server_ids.index(msg.src))
             if not self.recovery.running:
                 self.server.unquiesce()
             self.server.send_reply(msg, MessageKind.ACK, {})

@@ -34,6 +34,11 @@ class Store:
         return len(self._items)
 
     @property
+    def waiting(self) -> bool:
+        """A getter is blocked on the store (it is empty)."""
+        return bool(self._getters)
+
+    @property
     def closed(self) -> bool:
         return self._closed
 

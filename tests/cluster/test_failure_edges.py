@@ -51,6 +51,31 @@ class TestCrashEdges:
         assert report.server == 0
         assert report.duration > 0
 
+    def test_crash_mid_dispatch_drops_the_message(self):
+        """A message the main loop already took, paying its dispatch
+        cost, dies with the server: no handler of the dead server may
+        answer it (a COMMIT-REQ acked that way let the coordinator
+        prune an op its participant never decided)."""
+        cluster = build_cluster("cx")
+        server, peer = cluster.servers[0], cluster.servers[1]
+
+        def ask():
+            try:
+                yield peer.request(
+                    server.node_id, MessageKind.COMMIT_REQ,
+                    {"decisions": {(9, 9, 9): True}}, timeout=1.0,
+                )
+            except TimeoutError:
+                return "unanswered"
+            return "answered"
+
+        asker = cluster.sim.process(ask())
+        step_until(cluster, lambda: server.inbox.waiting)  # loop is up
+        step_until(cluster, lambda: not server.inbox.waiting)  # took it
+        FailureInjector(cluster).crash_server(0)
+        assert run_to_completion(cluster, asker) == "unanswered"
+        assert server.metrics.counter("commit.decisions_unknown").value == 0
+
 
 class TestRecoveryCutShort:
     def test_peer_killed_mid_recovery_end_fan_out(self):
@@ -101,7 +126,8 @@ class TestRecoveryCutShort:
         report_proc = injector.recover_server(0)
         server = cluster.servers[0]
         step_until(cluster, lambda: server.role.recovery.running)
-        cluster.servers[1].send(server.node_id, MessageKind.RECOVERY_END, {})
+        peer = cluster.servers[1]
+        peer.send(server.node_id, MessageKind.RECOVERY_END, {"epoch": peer.epoch})
         cluster.sim.run(until=cluster.sim.now + 0.1)
         assert server.quiesced
         run_to_completion(cluster, report_proc, limit=600)

@@ -1,5 +1,7 @@
 """Cx recovery protocol tests (paper §III.D / Table V)."""
 
+import math
+
 from repro.cluster import FailureInjector
 from repro.cluster.builder import ROOT_HANDLE
 from repro.core.records import RecordType
@@ -228,6 +230,47 @@ class TestParticipantCrash:
         run_to_completion(cluster, injector.recover_server(part_idx), limit=600)
         cluster.quiesce_protocol()
         assert part.kv.get(inode_key(op.target)) is not None  # redone
+
+
+class TestPeerHold:
+    def test_coordinator_backs_off_from_a_crashed_participant(self):
+        """Lazy ops whose participant is down for 3 s cost a few failed
+        VOTE rounds on the retry schedule, not one per trigger fire (60
+        here), and the participant's RECOVERY-END ends the hold: its
+        last step (3.2 s, from about 2.8 s) would otherwise outlast the
+        recovery by two seconds."""
+        params = SimParams(commit_timeout=0.05, vote_retry_timeout=0.4)
+        cluster = build_cluster("cx", params=params)
+        d = cluster.preload_dir(ROOT_HANDLE, "dir")
+        placement = cluster.placement
+        proc = cluster.client_process(0, 0)
+        coord_idx = placement.dirent_server(d, "h0")
+        part_idx = (coord_idx + 1) % len(cluster.servers)
+        names = [f"h{i}" for i in range(128)
+                 if placement.dirent_server(d, f"h{i}") == coord_idx][:4]
+        ops = [
+            FileOperation(OpType.CREATE, proc.new_op_id(), parent=d, name=name,
+                          target=placement.allocate_handle(part_idx))
+            for name in names
+        ]
+        results = run_to_completion(cluster, cluster.run_ops(proc, ops))
+        assert all(r.ok for r in results)
+        coord = cluster.servers[coord_idx]
+        assert all(op.op_id in coord.role.commit_mgr.lazy for op in ops)
+
+        injector = FailureInjector(cluster)
+        injector.crash_server(part_idx)
+        cluster.sim.run(until=cluster.sim.now + 3.0)
+        report = run_to_completion(
+            cluster, injector.recover_server(part_idx), limit=600
+        )
+        cap = params.vote_retry_backoff_cap
+        failed = coord.metrics.counter("commit.rpc_failed").value
+        assert 1 <= failed <= math.ceil(math.log2(cap)) + 2
+        # The END reached the coordinator before the pass returned.
+        cluster.sim.run(until=report.recovery_end + params.commit_timeout)
+        for op in ops:
+            assert coord.role.completed[op.op_id]["committed"] is True
 
 
 class TestRecoveryTiming:

@@ -3,8 +3,8 @@
 Each test replays the exact fault schedule the fuzz explorer minimised
 for a defect that used to fail ``python -m repro fuzz --seed 0`` —
 no exploration, just the one deterministic replay per defect class.
-The fault lists are frozen copies of ``generate_schedule(0, index, 4)``
-at the time the bugs were found, so they stay stable even if the
+The fault lists are frozen copies of ``generate_schedule(seed, index,
+4)`` at the time the bugs were found, so they stay stable even if the
 schedule generator's fault mix changes later.
 
 The three defect classes (see DESIGN.md, "The crash-recovery
@@ -165,3 +165,43 @@ class TestRecoveryReentersLivePipeline:
             {"kind": "partition", "at": 1514, "a": 1, "b": 0,
              "until": 4234, "extra": 0.0},
         ], seed=1)
+
+
+class TestDeadServerAnswers:
+    def test_crash_while_a_commit_req_is_in_dispatch(self):
+        """Seed 49 schedule 16: server 3 crashes while its main loop is
+        paying the dispatch cost of a COMMIT-REQ from server 0.  The
+        loop used to survive the crash and hand the message to a
+        handler of the dead server, which acked a decision it never
+        logged; server 0 completed and pruned the op, and after its own
+        crash answered server 3's RESOLICIT with "unknown op -> ABORT"
+        (``atomic-decision``: commit at mds0, abort at mds3).  The crash
+        now kills a loop caught mid-dispatch."""
+        _replay([
+            {"kind": "drop", "at": 9, "a": -1, "b": -1,
+             "until": -1, "extra": 0.0},
+            {"kind": "crash", "at": 1092, "a": 3, "b": -1,
+             "until": -1, "extra": 0.0},
+            {"kind": "crash", "at": 2342, "a": 0, "b": -1,
+             "until": -1, "extra": 0.0},
+        ], seed=49)
+
+
+class TestStaleRecoveryMarkers:
+    def test_duplicated_recovery_begin_after_the_end(self):
+        """Seed 50 schedule 37: server 3 crashes and recovers; a copy of
+        its RECOVERY-BEGIN to server 0, duplicated 1.51 s late, lands
+        after server 3's RECOVERY-END.  It used to quiesce server 0 for
+        good (``stalled`` at t = 65 s, client requests buffered behind
+        it); BEGIN now carries the sender's epoch, and a server whose
+        END of that epoch it already took acks it without quiescing."""
+        _replay([
+            {"kind": "drop", "at": 36, "a": -1, "b": -1,
+             "until": -1, "extra": 0.0},
+            {"kind": "dup", "at": 195, "a": -1, "b": -1,
+             "until": -1, "extra": 1.507901},
+            {"kind": "delay", "at": 230, "a": -1, "b": -1,
+             "until": -1, "extra": 1.513325},
+            {"kind": "crash", "at": 1079, "a": 3, "b": -1,
+             "until": -1, "extra": 0.0},
+        ], seed=50)
