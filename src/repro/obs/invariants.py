@@ -34,9 +34,9 @@ Liveness (requires a quiesced end of run — lazy work drained):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.obs.tracer import TraceEvent, Tracer
+from repro.obs.tracer import NULL_SPAN, TraceEvent, Tracer
 
 
 @dataclass
@@ -56,13 +56,69 @@ class Violation:
 class InvariantChecker:
     """Validates protocol safety and liveness from a trace."""
 
+    #: Every record name a check reads.  The checker drops all other
+    #: records on construction, so a trace cut to these names (what
+    #: :class:`OracleTracer` records) is judged exactly as the full
+    #: trace, and a check that reads an unlisted name sees nothing.
+    READS = frozenset({
+        "exec", "decision", "wal.prune", "writeback", "invalidate",
+        "vote.resolicit", "commit.peer_lost", "commit.park",
+        "commit.unpark", "server.crash", "server.reboot",
+    })
+
     def __init__(self, events: Iterable[TraceEvent]) -> None:
-        self.events = sorted(events, key=lambda e: e.ts)
+        self.events = sorted((e for e in events if e.name in self.READS),
+                             key=lambda e: e.ts)
+        # Every table the checks read, built in one pass.
         #: first crash time per node, if any.
         self._crashes: Dict[str, float] = {}
+        #: op_id -> node -> (first decision ts, committed).
+        self._decisions: Dict[Tuple, Dict[str, Tuple[float, bool]]] = {}
+        #: ``wal.prune`` and ``writeback`` records, in trace order.
+        self._guarded: List[TraceEvent] = []
+        # Per (op, node): the last successful update execution, its last
+        # invalidation, the peer the retry machinery waits on, and an
+        # open park (ts, peer) awaiting decision re-delivery.
+        self._last_ok_exec: Dict[Tuple[Tuple, str], float] = {}
+        self._invalidated_at: Dict[Tuple[Tuple, str], float] = {}
+        self._waiting_on_peer: Dict[Tuple[Tuple, str], str] = {}
+        self._parked_at: Dict[Tuple[Tuple, str], Tuple[float, Optional[str]]] = {}
+        last_crash: Dict[str, float] = {}
+        last_reboot: Dict[str, float] = {}
         for e in self.events:
-            if e.name == "server.crash" and e.node not in self._crashes:
-                self._crashes[e.node] = e.ts
+            name = e.name
+            if name == "server.crash":
+                self._crashes.setdefault(e.node, e.ts)
+                last_crash[e.node] = e.ts
+            elif name == "server.reboot":
+                last_reboot[e.node] = e.ts
+            if e.op_id is None:
+                continue
+            key = (e.op_id, e.node)
+            if name == "decision":
+                self._decisions.setdefault(e.op_id, {}).setdefault(
+                    e.node, (e.ts, bool(e.args.get("committed")))
+                )
+            elif name in ("wal.prune", "writeback"):
+                self._guarded.append(e)
+            elif (name == "exec" and e.args.get("ok")
+                    and not e.args.get("readonly")):
+                # Read-only executions leave no Result-Record and need
+                # no commitment; only update sub-ops must be decided.
+                self._last_ok_exec[key] = e.ts
+            elif name == "invalidate":
+                self._invalidated_at[key] = e.ts
+            elif name in ("vote.resolicit", "commit.peer_lost"):
+                self._waiting_on_peer[key] = e.args.get("peer")
+            elif name == "commit.park":
+                self._parked_at[key] = (e.ts, e.args.get("peer"))
+            elif name == "commit.unpark":
+                self._parked_at.pop(key, None)
+        #: nodes whose last crash has no later reboot.
+        self._down_at_end = {
+            node for node, ts in last_crash.items()
+            if last_reboot.get(node, -1.0) < ts
+        }
 
     @classmethod
     def from_tracer(cls, tracer: Tracer) -> "InvariantChecker":
@@ -78,35 +134,11 @@ class InvariantChecker:
         t = self._crashes.get(node)
         return t is not None and t >= ts
 
-    def _down_at_end(self) -> set:
-        """Nodes whose last crash has no later reboot."""
-        last_crash: Dict[str, float] = {}
-        last_reboot: Dict[str, float] = {}
-        for e in self.events:
-            if e.name == "server.crash":
-                last_crash[e.node] = e.ts
-            elif e.name == "server.reboot":
-                last_reboot[e.node] = e.ts
-        return {
-            node for node, ts in last_crash.items()
-            if last_reboot.get(node, -1.0) < ts
-        }
-
-    def _decisions(self) -> Dict[Tuple, Dict[str, Tuple[float, bool]]]:
-        """op_id -> node -> (first decision ts, committed)."""
-        out: Dict[Tuple, Dict[str, Tuple[float, bool]]] = {}
-        for e in self.events:
-            if e.name == "decision" and e.op_id is not None:
-                out.setdefault(e.op_id, {}).setdefault(
-                    e.node, (e.ts, bool(e.args.get("committed")))
-                )
-        return out
-
     # -- safety ----------------------------------------------------------
 
     def check_safety(self) -> List[Violation]:
         violations: List[Violation] = []
-        decisions = self._decisions()
+        decisions = self._decisions
 
         # atomic-decision: all nodes agree on commit/abort.
         for op_id, per_node in decisions.items():
@@ -121,13 +153,11 @@ class InvariantChecker:
                 )
 
         # decided-before-prune / writeback-after-decision.
-        for e in self.events:
-            if e.op_id is None:
-                continue
+        for e in self._guarded:
+            dec = decisions.get(e.op_id, {}).get(e.node)
             if e.name == "wal.prune":
                 if self._crashed_before(e.node, e.ts):
                     continue  # recovery prunes from the surviving log
-                dec = decisions.get(e.op_id, {}).get(e.node)
                 if dec is None or dec[0] > e.ts:
                     violations.append(
                         Violation(
@@ -136,63 +166,32 @@ class InvariantChecker:
                             "prior commitment decision on this server",
                         )
                     )
-            elif e.name == "writeback":
-                dec = decisions.get(e.op_id, {}).get(e.node)
-                if dec is None or dec[0] > e.ts:
-                    violations.append(
-                        Violation(
-                            "writeback-after-decision", e.node, e.op_id,
-                            f"objects written back at t={e.ts:.6f} before "
-                            "the commitment decision on this server",
-                        )
+            elif dec is None or dec[0] > e.ts:
+                violations.append(
+                    Violation(
+                        "writeback-after-decision", e.node, e.op_id,
+                        f"objects written back at t={e.ts:.6f} before "
+                        "the commitment decision on this server",
                     )
+                )
         return violations
 
     # -- liveness --------------------------------------------------------
 
     def check_liveness(self) -> List[Violation]:
         violations: List[Violation] = []
-        decisions = self._decisions()
-        down_at_end = self._down_at_end()
+        decisions = self._decisions
+        down_at_end = self._down_at_end
 
-        # Last successful execution per (op, node), and whether an
-        # invalidation superseded it.  Retry-machinery events record
-        # which peer an undecided op is waiting on; parks/unparks track
-        # decision re-delivery.
-        last_ok_exec: Dict[Tuple[Tuple, str], float] = {}
-        invalidated_at: Dict[Tuple[Tuple, str], float] = {}
-        waiting_on_peer: Dict[Tuple[Tuple, str], str] = {}
-        parked_at: Dict[Tuple[Tuple, str], Tuple[float, Optional[str]]] = {}
-        unparked: set = set()
-        for e in self.events:
-            if e.op_id is None:
-                continue
-            key = (e.op_id, e.node)
-            if (e.name == "exec" and e.args.get("ok")
-                    and not e.args.get("readonly")):
-                # Read-only executions leave no Result-Record and need
-                # no commitment; only update sub-ops must be decided.
-                last_ok_exec[key] = e.ts
-            elif e.name == "invalidate":
-                invalidated_at[key] = e.ts
-            elif e.name in ("vote.resolicit", "commit.peer_lost"):
-                waiting_on_peer[key] = e.args.get("peer")
-            elif e.name == "commit.park":
-                parked_at[key] = (e.ts, e.args.get("peer"))
-                unparked.discard(key)
-            elif e.name == "commit.unpark":
-                unparked.add(key)
-                parked_at.pop(key, None)
-
-        for (op_id, node), ts in last_ok_exec.items():
+        for (op_id, node), ts in self._last_ok_exec.items():
             if decisions.get(op_id, {}).get(node) is not None:
                 continue
-            inv = invalidated_at.get((op_id, node))
+            inv = self._invalidated_at.get((op_id, node))
             if inv is not None and inv >= ts:
                 continue  # re-ordered away; its re-execution is tracked anew
             if self._crashed_after(node, ts):
                 continue  # volatile state lost; recovery owns the op now
-            peer = waiting_on_peer.get((op_id, node))
+            peer = self._waiting_on_peer.get((op_id, node))
             if peer is not None and peer in down_at_end:
                 # Transient pending window: the retry machinery is
                 # provably waiting on a peer that never came back.
@@ -205,7 +204,7 @@ class InvariantChecker:
                 )
             )
 
-        for (op_id, node), (ts, peer) in parked_at.items():
+        for (op_id, node), (ts, peer) in self._parked_at.items():
             if peer is not None and peer in down_at_end:
                 continue  # peer never came back: re-delivery must wait
             if self._crashed_after(node, ts):
@@ -222,6 +221,23 @@ class InvariantChecker:
     def check(self) -> List[Violation]:
         """Full check: safety plus liveness (quiesced trace expected)."""
         return self.check_safety() + self.check_liveness()
+
+
+class OracleTracer(Tracer):
+    """Records only :attr:`InvariantChecker.READS`: :meth:`event` returns
+    at once and :meth:`begin` returns :data:`NULL_SPAN` for any other
+    name.  ``build_run``'s tracer for the fuzzer's schedules."""
+
+    keep = InvariantChecker.READS
+
+    def event(self, name: str, node: str, **kw: Any) -> None:
+        if name in self.keep:
+            super().event(name, node, **kw)
+
+    def begin(self, name: str, node: str, **kw: Any):
+        if name in self.keep:
+            return super().begin(name, node, **kw)
+        return NULL_SPAN
 
 
 #: Protocols that run Cx's commitment and so owe its trace contract.

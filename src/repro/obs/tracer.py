@@ -25,6 +25,8 @@ causal DAG rather than a flat op_id-keyed event list.
   ``False``; hot paths guard any argument construction behind
   ``if tracer.enabled`` (zero overhead);
 * full — :class:`Tracer` keeps every record (traced replays, tests);
+* oracle — :class:`~repro.obs.invariants.OracleTracer` keeps only the
+  records the invariant checker reads (the fault fuzzer's schedules);
 * always-on — :class:`SamplingTracer` records a deterministic 1-in-N
   of operations (by op id) and, combined with ``ring=K``, degrades the
   store to a fixed-size flight-recorder ring buffer holding the last

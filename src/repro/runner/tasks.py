@@ -145,8 +145,10 @@ def build_run(task: ReplayTask, tracer=None) -> Run:
 
     Deterministic for a fixed spec: the cluster and workload are seeded
     from the task itself, so the run is independent of which worker
-    builds it.  ``tracer`` traces the run; a "fuzz" run always traces
-    (its oracle reads the trace), with a full tracer by default.
+    builds it.  ``tracer`` traces the run.  A "fuzz" run always traces,
+    because its oracle reads the trace: by default with
+    :class:`~repro.obs.invariants.OracleTracer`, which keeps only the
+    records the invariant checker reads.
     """
     # Imported here, not at module top: the experiment layer imports
     # the runner at import time, not the reverse.
@@ -159,6 +161,7 @@ def build_run(task: ReplayTask, tracer=None) -> Run:
         experiment_params,
     )
     from repro.fs.ops import FileOperation, OpType
+    from repro.obs.invariants import OracleTracer
     from repro.protocols import get_protocol
     from repro.workloads import MetaratesWorkload, SynthWorkload, TraceWorkload
     from repro.workloads.inject import INJECT_SETTLE, inject_probes
@@ -170,6 +173,8 @@ def build_run(task: ReplayTask, tracer=None) -> Run:
         num_clients = {"metarates": 4 * num_servers,   # paper: 4 x servers
                        "synth": 32}.get(kind, NUM_CLIENTS)
     synth = kind == "synth"
+    if kind == "fuzz" and tracer is None:
+        tracer = OracleTracer()
     cluster = Cluster.build(
         num_servers=num_servers,
         num_clients=num_clients,
@@ -180,7 +185,6 @@ def build_run(task: ReplayTask, tracer=None) -> Run:
                           else PROCS_PER_CLIENT),
         seed=task.seed,
         tracer=tracer,
-        trace=kind == "fuzz",
         lazy_servers=synth,
         streaming_metrics=synth,
     )

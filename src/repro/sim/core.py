@@ -553,30 +553,77 @@ class Simulator:
         armed tick is always in the heap, so equal sizes prove it).  If
         every such timer is also idle, nothing can happen before
         ``until`` but ticks that change nothing, and by the idle
-        contract that stays true: each tick is rotated in place to the
+        contract that stays true: each tick is moved in place to the
         time (``t + period``, accumulated as dispatch would) and
         sequence number its re-arm would have taken, counted as a
         logical event, and reported through one ``skipped(k)`` per
         timer.  Returns False, touching nothing, if any timer is busy.
+        Mixed periods rotate the heap one tick at a time; one shared
+        period (every cluster's) takes :meth:`_equal_period_ticks`.
         """
         timers = self._periodics
         if not all(t.idle is not None and t.idle() for t in timers.values()):
             return False
         heap = self._heap
-        seq = self._seq
+        seq0 = self._seq
         ticks = dict.fromkeys(timers, 0)
-        t, _prio, _seq, h = heap[0]
-        while t <= until:
-            self._now = t
-            heapreplace(heap, (t + timers[h].period, PRIORITY_NORMAL, seq, h))
-            seq += 1
-            ticks[h] += 1
+        if not self._equal_period_ticks(until, ticks):
+            seq = seq0
             t, _prio, _seq, h = heap[0]
-        self._n_extra += seq - self._seq
-        self._seq = seq
+            while t <= until:
+                self._now = t
+                heapreplace(heap, (t + timers[h].period, PRIORITY_NORMAL, seq, h))
+                seq += 1
+                ticks[h] += 1
+                t, _prio, _seq, h = heap[0]
+        total = sum(ticks.values())
+        self._n_extra += total
+        self._seq = seq0 + total
         for h, k in ticks.items():
             if k:
                 timers[h].skipped(k)
+        return True
+
+    def _equal_period_ticks(self, until: float, ticks: dict[int, int]) -> bool:
+        """The heap rotation of :meth:`_skip_idle_ticks`, in closed form.
+
+        Sorted by ``(time, seq)``, ``n`` timers of one period fire in a
+        fixed cycle: rounding is monotone (``x <= y`` implies
+        ``fl(x + p) <= fl(y + p)``), so a re-armed tick never overtakes
+        the next head, and a tie goes to the older sequence number.  So
+        each timer's tick count ``k`` and final time come from its own
+        ``t += period`` loop, and slot ``i`` re-arms last at sequence
+        ``seq + (k - 1) * n + i``.  Fills ``ticks`` and rewrites the
+        heap (``run`` then sets the clock); returns False, touching
+        nothing, if the periods differ or the cycle's precondition
+        fails: heads within one period, counts non-increasing by at
+        most one end to end.
+        """
+        timers = self._periodics
+        heads = sorted(self._heap)
+        period = timers[heads[0][3]].period
+        if heads[-1][0] > heads[0][0] + period or any(
+            timers[h].period != period for _t, _p, _s, h in heads
+        ):
+            return False
+        rows = []
+        for t, _p, _s, h in heads:
+            k = 0
+            while t <= until:
+                t += period
+                k += 1
+            rows.append((k, t, h))
+        counts = [row[0] for row in rows]
+        if counts[0] - counts[-1] > 1 or counts != sorted(counts, reverse=True):
+            return False
+        n = len(rows)
+        seq = self._seq
+        self._heap[:] = sorted(
+            (t, PRIORITY_NORMAL, seq + (k - 1) * n + i, h) if k else head
+            for i, ((k, t, h), head) in enumerate(zip(rows, heads))
+        )
+        for k, _t, h in rows:
+            ticks[h] = k
         return True
 
     def run(self, until: Optional[float] = None) -> None:

@@ -1,4 +1,9 @@
-"""Invariant-checker tests: synthetic violation streams and real runs."""
+"""Invariant-checker tests: synthetic violation streams and real runs.
+
+Every forged stream is recorded twice, as a full trace and as the
+fuzzer's oracle trace (cut to :attr:`InvariantChecker.READS`); both
+must give the same violation strings.
+"""
 
 from repro.cluster.builder import ROOT_HANDLE
 from repro.obs import (
@@ -9,6 +14,7 @@ from repro.obs import (
     Tracer,
     check_trace,
 )
+from repro.obs.invariants import OracleTracer
 from tests.conftest import build_cluster, run_to_completion
 from tests.core.test_cx_basic import cross_server_create
 
@@ -20,10 +26,57 @@ class Clock:
         self.now = now
 
 
+class Tee:
+    """Records a forged stream into a full tracer, with a network hop
+    beside every record as in a real trace, and into the fuzzer's
+    oracle tracer."""
+
+    def __init__(self, clk):
+        self.full = Tracer(clk)
+        self.cut = OracleTracer()
+        self.cut.bind(clk)
+
+    def event(self, name, node, **kw):
+        for t in (self.full, self.cut):
+            t.event("msg", node, cat="net", op_id=kw.get("op_id"))
+            t.event(name, node, **kw)
+
+    def begin(self, name, node, **kw):
+        for t in (self.full, self.cut):
+            t.event("msg", node, cat="net", op_id=kw.get("op_id"))
+        return TeeSpan(self.full.begin(name, node, **kw),
+                       self.cut.begin(name, node, **kw))
+
+
+class TeeSpan:
+    def __init__(self, *spans):
+        self.spans = spans
+
+    def end(self, **extra):
+        for span in self.spans:
+            span.end(**extra)
+
+
 def tracer_at():
-    """A tracer plus its clock, for hand-built event streams."""
+    """A recording tee plus its clock, for hand-built event streams."""
     clk = Clock()
-    return Tracer(clk), clk
+    return Tee(clk), clk
+
+
+def _judged(t, leg):
+    full = getattr(InvariantChecker(t.full.events), leg)()
+    cut = getattr(InvariantChecker(t.cut.events), leg)()
+    assert [str(v) for v in full] == [str(v) for v in cut]
+    assert len(t.cut.events) < len(t.full.events)
+    return full
+
+
+def safety(t):
+    return _judged(t, "check_safety")
+
+
+def liveness(t):
+    return _judged(t, "check_liveness")
 
 
 class TestSyntheticSafety:
@@ -34,13 +87,13 @@ class TestSyntheticSafety:
         clk.now = 1.0
         t.event("wal.prune", "mds0", op_id=OP)
         t.event("writeback", "mds1", op_id=OP)
-        assert InvariantChecker(t.events).check_safety() == []
+        assert safety(t) == []
 
     def test_torn_decision_flagged(self):
         t, _clk = tracer_at()
         t.event("decision", "mds0", op_id=OP, committed=True)
         t.event("decision", "mds1", op_id=OP, committed=False)
-        (v,) = InvariantChecker(t.events).check_safety()
+        (v,) = safety(t)
         assert v.kind == "atomic-decision"
         assert v.op_id == OP
         assert "mds0=commit" in v.detail and "mds1=abort" in v.detail
@@ -48,7 +101,7 @@ class TestSyntheticSafety:
     def test_prune_without_decision_flagged(self):
         t, _clk = tracer_at()
         t.event("wal.prune", "mds0", op_id=OP)
-        (v,) = InvariantChecker(t.events).check_safety()
+        (v,) = safety(t)
         assert v.kind == "decided-before-prune"
         assert v.node == "mds0"
 
@@ -59,7 +112,7 @@ class TestSyntheticSafety:
         t.event("decision", "mds0", op_id=OP, committed=True)
         assert any(
             v.kind == "decided-before-prune"
-            for v in InvariantChecker(t.events).check_safety()
+            for v in safety(t)
         )
 
     def test_recovery_prune_after_crash_excused(self):
@@ -67,21 +120,21 @@ class TestSyntheticSafety:
         t.event("server.crash", "mds0")
         clk.now = 1.0
         t.event("wal.prune", "mds0", op_id=OP)  # recovery prunes the log
-        assert InvariantChecker(t.events).check_safety() == []
+        assert safety(t) == []
 
     def test_writeback_before_decision_flagged(self):
         t, clk = tracer_at()
         t.event("writeback", "mds1", op_id=OP)
         clk.now = 1.0
         t.event("decision", "mds1", op_id=OP, committed=True)
-        (v,) = InvariantChecker(t.events).check_safety()
+        (v,) = safety(t)
         assert v.kind == "writeback-after-decision"
 
     def test_decision_on_other_node_does_not_excuse(self):
         t, _clk = tracer_at()
         t.event("decision", "mds0", op_id=OP, committed=True)
         t.event("wal.prune", "mds1", op_id=OP)  # pruner never decided
-        (v,) = InvariantChecker(t.events).check_safety()
+        (v,) = safety(t)
         assert v.kind == "decided-before-prune"
         assert v.node == "mds1"
 
@@ -94,7 +147,7 @@ class TestSyntheticLiveness:
     def test_undecided_execution_flagged(self):
         t, _clk = tracer_at()
         self._exec_ok(t)
-        (v,) = InvariantChecker(t.events).check_liveness()
+        (v,) = liveness(t)
         assert v.kind == "eventually-decided"
         assert v.node == "mds0"
 
@@ -103,27 +156,27 @@ class TestSyntheticLiveness:
         self._exec_ok(t)
         clk.now = 1.0
         t.event("decision", "mds0", op_id=OP, committed=True)
-        assert InvariantChecker(t.events).check_liveness() == []
+        assert liveness(t) == []
 
     def test_invalidated_execution_excused(self):
         t, clk = tracer_at()
         self._exec_ok(t)
         clk.now = 1.0
         t.event("invalidate", "mds0", op_id=OP)
-        assert InvariantChecker(t.events).check_liveness() == []
+        assert liveness(t) == []
 
     def test_crashed_server_excused(self):
         t, clk = tracer_at()
         self._exec_ok(t)
         clk.now = 1.0
         t.event("server.crash", "mds0")
-        assert InvariantChecker(t.events).check_liveness() == []
+        assert liveness(t) == []
 
     def test_failed_execution_not_tracked(self):
         t, _clk = tracer_at()
         span = t.begin("exec", "mds0", op_id=OP, phase=PHASE_EXEC)
         span.end(ok=False)  # NO-voted sub-op aborts lazily; no obligation
-        assert InvariantChecker(t.events).check_liveness() == []
+        assert liveness(t) == []
 
 
 class TestCrashWindowLiveness:
@@ -147,7 +200,7 @@ class TestCrashWindowLiveness:
         clk.now = 1.0
         t.event("server.crash", "mds1")
         t.event("vote.resolicit", "mds0", op_id=OP, peer="mds1")
-        assert InvariantChecker(t.events).check_liveness() == []
+        assert liveness(t) == []
 
     def test_waiting_on_recovered_peer_still_flagged(self):
         t, clk = tracer_at()
@@ -157,7 +210,7 @@ class TestCrashWindowLiveness:
         t.event("vote.resolicit", "mds0", op_id=OP, peer="mds1")
         clk.now = 2.0
         t.event("server.reboot", "mds1")  # peer is back: must resolve
-        (v,) = InvariantChecker(t.events).check_liveness()
+        (v,) = liveness(t)
         assert v.kind == "eventually-decided"
         assert v.node == "mds0"
 
@@ -167,7 +220,7 @@ class TestCrashWindowLiveness:
         clk.now = 1.0
         t.event("server.crash", "mds1")
         t.event("commit.peer_lost", "mds0", op_id=OP, peer="mds1")
-        assert InvariantChecker(t.events).check_liveness() == []
+        assert liveness(t) == []
 
     def test_parked_decision_never_redelivered_flagged(self):
         t, clk = tracer_at()
@@ -175,7 +228,7 @@ class TestCrashWindowLiveness:
         t.event("commit.park", "mds0", op_id=OP, peer="mds1")
         clk.now = 2.0
         t.event("server.reboot", "mds1")  # recovered, park never drained
-        (v,) = InvariantChecker(t.events).check_liveness()
+        (v,) = liveness(t)
         assert v.kind == "parked-undecided"
         assert v.node == "mds0"
 
@@ -186,20 +239,20 @@ class TestCrashWindowLiveness:
         clk.now = 2.0
         t.event("server.reboot", "mds1")
         t.event("commit.unpark", "mds0", op_id=OP)
-        assert InvariantChecker(t.events).check_liveness() == []
+        assert liveness(t) == []
 
     def test_parked_against_dead_peer_excused(self):
         t, _clk = tracer_at()
         t.event("server.crash", "mds1")
         t.event("commit.park", "mds0", op_id=OP, peer="mds1")
-        assert InvariantChecker(t.events).check_liveness() == []
+        assert liveness(t) == []
 
     def test_parking_node_crash_clears_obligation(self):
         t, clk = tracer_at()
         t.event("commit.park", "mds0", op_id=OP, peer="mds1")
         clk.now = 1.0
         t.event("server.crash", "mds0")  # volatile parked table is gone
-        assert InvariantChecker(t.events).check_liveness() == []
+        assert liveness(t) == []
 
 
 class TestTracedClusterRun:
@@ -282,6 +335,12 @@ class TestContractScope:
         violations = check_trace(forged, protocol="cx-serial-exec")
         assert [(v.kind, v.op_id) for v in violations] == [
             ("atomic-decision", op.op_id)]
+        cut = Tracer(Clock(forged.now()))
+        cut.events = [e for e in forged.events
+                      if e.name in InvariantChecker.READS]
+        assert len(cut.events) < len(forged.events)
+        assert [str(v) for v in check_trace(cut, protocol="cx-serial-exec")
+                ] == [str(v) for v in violations]
 
     def test_baselines_not_judged(self):
         forged, _op = self.forged_serial_exec_trace()

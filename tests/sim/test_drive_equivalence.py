@@ -174,17 +174,28 @@ def test_every_drive_pops_the_same_order(items, steps_first, probe_after):
 _PERIODS = [D, 2 * D, 3 * D, 0.1]  # 0.1 drifts off the D grid in floats
 
 #: (period, busy ticks at start, started at t=0, has the idle/skipped pair)
-_TIMERS = st.lists(
+_MIXED = st.lists(
     st.tuples(st.sampled_from(_PERIODS), st.integers(0, 2), st.booleans(),
               st.booleans()),
     min_size=1, max_size=4,
 )
+#: Every timer of one period and with the idle pair, as every cluster's
+#: commit triggers are: the closed-form fast-forward's case.  Starts
+#: staggered by the actions, stops and restarts mid-run, and heads tied
+#: by rounding (period 0.1 against a start at 0.3) all come from there.
+_COMMON = st.tuples(
+    st.sampled_from(_PERIODS),
+    st.lists(st.tuples(st.integers(0, 2), st.booleans()), min_size=1,
+             max_size=4),
+).map(lambda pt: [(pt[0], busy, started, True) for busy, started in pt[1]])
+#: Two examples in three arm one common period.
+_TIMERS = st.one_of(_COMMON, _COMMON, _MIXED)
 
 
 def _action(children):
     """(delay, what, timer index, busy ticks, children)."""
     return st.tuples(
-        st.sampled_from([0.0, D, 4 * D, 0.35]),
+        st.sampled_from([0.0, D, 4 * D, 0.35, 0.3]),
         st.sampled_from(["noop", "busy", "start", "stop"]),
         st.integers(0, 3),
         st.integers(1, 3),
@@ -284,9 +295,21 @@ _LANE_BLOCKS = (
 )
 
 
+#: Period 0.1 from t = 0 ticks at fl(0.30000000000000004 + 0.1) = 0.4;
+#: a timer started at 0.3 arms at fl(0.3 + 0.1) = 0.4 too, and its
+#: older sequence number makes it the first head of the tie.
+_ROUNDING_TIE = (
+    [(0.1, 0, True, True), (0.1, 0, False, True), (0.1, 0, False, True)],
+    [(0.3, "start", 1, 1, ()), (0.0, "start", 2, 1, ()),
+     (0.35, "stop", 0, 1, ((D, "start", 0, 1, ()),))],
+    [D / 2, 3 * D, 12 * D, 12 * D],
+)
+
+
 @settings(max_examples=300, deadline=None)
 @given(timers=_TIMERS, actions=_ACTIONS, chunks=_CHUNKS)
 @example(*_LANE_BLOCKS)
+@example(*_ROUNDING_TIE)
 def test_fast_forwarded_ticks_equal_stepwise_ticks(timers, actions, chunks):
     fast = TimerWorld(timers, actions, stepwise=False).drive(chunks)
     assert fast == TimerWorld(timers, actions, stepwise=True).drive(chunks)
@@ -321,3 +344,65 @@ def test_idle_ticks_are_replayed_not_dispatched():
     sim.run(until=2000.0)
     assert seen == [(at, 1050.0)]  # 700 ticks = 50 s of 4 + 10 a second
     assert sum(asked) == 2 + 700 + 2  # one by one to the probe, then a look each
+
+
+#: flood-256's shape: one commit trigger per server, all of the
+#: experiments' period, idle through a 60 s settle window.
+N_TIMERS = 256
+TRIGGER_PERIOD = 0.25
+SETTLE = 60.0
+
+
+def _equal_period_world(stepwise):
+    """256 idle timers of one period, started in staggered groups inside
+    the first period (ties by sequence within a group, float-rounded
+    offsets across groups); returns (sim, looks, fires, busy, log)."""
+    sim = Simulator()
+    if stepwise:
+        sim.arm_probe(10**12, lambda: None)
+    looks = [0] * N_TIMERS
+    fires = [0] * N_TIMERS
+    busy = [False]
+    log = []
+
+    def idle(i):
+        looks[i] += 1
+        return not busy[0]
+
+    def tick(i):
+        fires[i] += 1
+        log.append((i, sim.now))
+
+    def skipped(i, k):
+        fires[i] += k
+
+    for i in range(N_TIMERS):
+        timer = Periodic(sim, TRIGGER_PERIOD, lambda i=i: tick(i),
+                         lambda i=i: idle(i), lambda k, i=i: skipped(i, k))
+        sim.timeout_h((i // 8) * 0.1 / 16, None, lambda h, t=timer: t.start())
+    return sim, looks, fires, busy, log
+
+
+def test_equal_period_fast_forward_is_closed_form(monkeypatch):
+    import repro.sim.core as core
+
+    def no_rotation(*_a):
+        raise AssertionError("equal periods must not rotate the heap")
+
+    marks = []
+    for stepwise in (True, False):
+        if not stepwise:
+            monkeypatch.setattr(core, "heapreplace", no_rotation)
+        sim, looks, fires, busy, log = _equal_period_world(stepwise)
+        sim.run(until=SETTLE)
+        if not stepwise:
+            assert looks == [1] * N_TIMERS  # one idle() look per timer
+        mark = (sim.now, sim.events_processed, sim.seq, tuple(fires))
+        # Busy from here on: the next ticks dispatch, so their order and
+        # times show the heap the fast-forward left behind.
+        busy[0] = True
+        sim.run(until=SETTLE + 2 * TRIGGER_PERIOD)
+        marks.append((mark, log, sim.events_processed, sim.seq))
+    assert marks[0] == marks[1]
+    (_now, events, _seq, fires), log, _e, _s = marks[1]
+    assert len(log) == 2 * N_TIMERS and sum(fires) > 230 * N_TIMERS
